@@ -14,7 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .config import DEFAULTS, load_config_file, resolve_config
+from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, load_config_file, resolve_config
 from .controller import (
     RunDeps,
     TierConfig,
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="top-k retrieval against a snapshot")
     p_query.add_argument("--snapshot", required=True)
     p_query.add_argument("--q", required=True, help="query text")
-    p_query.add_argument("-k", type=int, default=10)
+    p_query.add_argument("-k", type=int, default=DEFAULT_K)
     p_query.add_argument("--denylist", default="", help="file with one blocked identifier per line")
     p_query.add_argument("--embed-endpoint", default="")
     p_query.set_defaults(handler=_cmd_query)
@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exec = sub.add_parser("exec", help="run a program against a suite in the sandbox")
     p_exec.add_argument("--program", required=True)
     p_exec.add_argument("--suite", required=True)
-    p_exec.add_argument("--wall-seconds", type=float, default=None)
-    p_exec.add_argument("--memory-bytes", type=int, default=None)
+    p_exec.add_argument("--wall-seconds", type=float, default=DEFAULTS["wall_seconds"])
+    p_exec.add_argument("--memory-bytes", type=int, default=DEFAULTS["memory_bytes"])
     p_exec.set_defaults(handler=_cmd_exec)
 
     p_run = sub.add_parser("run", help="run the synthesize-execute-repair loop on one task")
@@ -251,10 +251,7 @@ def _cmd_query(args) -> int:
 def _cmd_exec(args) -> int:
     program = Path(args.program).read_text(encoding="utf-8")
     suite = load_suite(args.suite)
-    caps = ResourceCaps(
-        wall_seconds=args.wall_seconds if args.wall_seconds is not None else DEFAULTS["wall_seconds"],
-        memory_bytes=args.memory_bytes if args.memory_bytes is not None else DEFAULTS["memory_bytes"],
-    )
+    caps = ResourceCaps(wall_seconds=args.wall_seconds, memory_bytes=args.memory_bytes)
     feedback = ProcessExecutor(caps=caps).execute(program, suite)
     print(encode_feedback(feedback).text)
     return 0 if feedback.all_passed else 1
@@ -334,8 +331,8 @@ def _cmd_sweep(args) -> int:
             tasks,
             deps,
             toggles,
-            base_k=tier.k or TierConfig.large().k,
-            base_iterations=max(tier.iterations, 2) if tier.iterations > 1 else 5,
+            base_k=tier.k or DEFAULT_K,
+            base_iterations=tier.iterations if tier.iterations > 1 else DEFAULT_ITERATIONS,
             max_subgoals=tier.max_subgoals,
         )
     else:

@@ -9,6 +9,11 @@ from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
+# The large tier's budgets. They are not config keys: budget_k and budget_b
+# default to None, which means the named tier's own value.
+DEFAULT_K = 10
+DEFAULT_ITERATIONS = 5
+
 DEFAULTS: dict[str, object] = {
     "tier": "small",
     "budget_b": None,
@@ -24,7 +29,6 @@ DEFAULTS: dict[str, object] = {
     "model": "scripted",
     "script": "",
     "endpoint": "",
-    "embedder": "hash384",
     "embed_endpoint": "",
     "snapshot": "",
     "denylist": "",

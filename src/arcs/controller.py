@@ -20,6 +20,7 @@ from typing import Mapping
 
 from . import planner as planner_mod
 from . import prompting, retrieval
+from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS
 from .corpus import CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import (
@@ -32,20 +33,16 @@ from .errors import (
 from .executor import ExecutionFeedback, Executor, TestSuite, encode_feedback
 from .model import DecodingParams, ProposalModel, Usage, extract_code
 from .planner import Plan
-from .util import json_digest, text_digest, utc_now_iso
+from .util import TIMING, JsonRecord, json_digest, text_digest, utc_now_iso
 
 log = logging.getLogger(__name__)
 
 RUN_LOG_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 
-DEFAULT_K = 10
-DEFAULT_ITERATIONS = 5
-DEFAULT_MAX_SUBGOALS = 4
-
 
 @dataclass(frozen=True)
-class TierConfig:
+class TierConfig(JsonRecord):
     """Projection of the full controller onto (k, iteration budget, planning).
 
     The tier name is derived from the parameters: (k=0, 1 round, planning
@@ -57,8 +54,10 @@ class TierConfig:
 
     k: int
     iterations: int
-    max_subgoals: int = DEFAULT_MAX_SUBGOALS
+    max_subgoals: int = DEFAULTS["max_subgoals"]
     planning: bool = False
+
+    json_derived = ("name",)
 
     def __post_init__(self):
         if self.k < 0:
@@ -89,33 +88,15 @@ class TierConfig:
         cls,
         k: int = DEFAULT_K,
         iterations: int = DEFAULT_ITERATIONS,
-        max_subgoals: int = DEFAULT_MAX_SUBGOALS,
+        max_subgoals: int = DEFAULTS["max_subgoals"],
     ) -> "TierConfig":
         if k <= 0 or iterations <= 1:
             raise ValueError("large tier requires k > 0 and more than one round")
         return cls(k=k, iterations=iterations, max_subgoals=max_subgoals, planning=True)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "k": self.k,
-            "iterations": self.iterations,
-            "max_subgoals": self.max_subgoals,
-            "planning": self.planning,
-            "name": self.name,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "TierConfig":
-        return cls(
-            k=int(data["k"]),
-            iterations=int(data["iterations"]),
-            max_subgoals=int(data["max_subgoals"]),
-            planning=bool(data["planning"]),
-        )
-
 
 @dataclass(frozen=True)
-class AffineCost:
+class AffineCost(JsonRecord):
     """Cost function constant + per_unit * quantity."""
 
     constant: float = 1.0
@@ -124,16 +105,9 @@ class AffineCost:
     def __call__(self, quantity: float) -> float:
         return self.constant + self.per_unit * quantity
 
-    def to_jsonable(self) -> dict:
-        return {"constant": self.constant, "per_unit": self.per_unit}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "AffineCost":
-        return cls(constant=float(data["constant"]), per_unit=float(data["per_unit"]))
-
 
 @dataclass(frozen=True)
-class CostModel:
+class CostModel(JsonRecord):
     """Unit costs for retrieval, prompt tokens, and per-test execution."""
 
     retrieval: AffineCost = AffineCost()
@@ -141,26 +115,9 @@ class CostModel:
     prompt_output: AffineCost = AffineCost()
     exec_per_test: float = 1.0
 
-    def to_jsonable(self) -> dict:
-        return {
-            "retrieval": self.retrieval.to_jsonable(),
-            "prompt_input": self.prompt_input.to_jsonable(),
-            "prompt_output": self.prompt_output.to_jsonable(),
-            "exec_per_test": self.exec_per_test,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CostModel":
-        return cls(
-            retrieval=AffineCost.from_jsonable(data["retrieval"]),
-            prompt_input=AffineCost.from_jsonable(data["prompt_input"]),
-            prompt_output=AffineCost.from_jsonable(data["prompt_output"]),
-            exec_per_test=float(data["exec_per_test"]),
-        )
-
 
 @dataclass(frozen=True)
-class RoundCost:
+class RoundCost(JsonRecord):
     retrieval: float
     prompt_input: float
     prompt_output: float
@@ -170,46 +127,17 @@ class RoundCost:
     def total(self) -> float:
         return self.retrieval + self.prompt_input + self.prompt_output + self.execution
 
-    def to_jsonable(self) -> dict:
-        return {
-            "retrieval": self.retrieval,
-            "prompt_input": self.prompt_input,
-            "prompt_output": self.prompt_output,
-            "execution": self.execution,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "RoundCost":
-        return cls(
-            retrieval=float(data["retrieval"]),
-            prompt_input=float(data["prompt_input"]),
-            prompt_output=float(data["prompt_output"]),
-            execution=float(data["execution"]),
-        )
-
 
 @dataclass
-class CostReport:
+class CostReport(JsonRecord):
     model: CostModel
     rounds: list[RoundCost] = field(default_factory=list)
+
+    json_derived = ("total",)
 
     @property
     def total(self) -> float:
         return sum(round_cost.total for round_cost in self.rounds)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "model": self.model.to_jsonable(),
-            "rounds": [round_cost.to_jsonable() for round_cost in self.rounds],
-            "total": self.total,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CostReport":
-        return cls(
-            model=CostModel.from_jsonable(data["model"]),
-            rounds=[RoundCost.from_jsonable(r) for r in data["rounds"]],
-        )
 
 
 @dataclass(frozen=True)
@@ -260,16 +188,16 @@ class RunDeps:
     embedder: EmbeddingProvider | None = None
     decoding: DecodingParams = field(default_factory=DecodingParams)
     cost_model: CostModel = field(default_factory=CostModel)
-    input_token_cap: int = prompting.DEFAULT_INPUT_TOKEN_CAP
-    redundancy_delta: float = retrieval.DEFAULT_DELTA
-    plan_gate_tokens: int = planner_mod.DEFAULT_GATE_TOKENS
-    max_stack_lines: int = 10
+    input_token_cap: int = DEFAULTS["input_cap"]
+    redundancy_delta: float = DEFAULTS["delta"]
+    plan_gate_tokens: int = DEFAULTS["plan_gate_tokens"]
+    max_stack_lines: int = DEFAULTS["max_stack_lines"]
     denylist: frozenset[str] | None = None
     config_echo: dict = field(default_factory=dict)
 
 
 @dataclass
-class RoundLog:
+class RoundLog(JsonRecord):
     """Complete record of one round, sufficient for bit-exact replay."""
 
     t: int
@@ -282,60 +210,11 @@ class RoundLog:
     program: str | None
     feedback: ExecutionFeedback | None
     usage: Usage | None
-    wall_seconds: float
-
-    def to_jsonable(self, include_timing: bool = True) -> dict:
-        feedback = None
-        if self.feedback is not None:
-            feedback = self.feedback.to_jsonable()
-            if not include_timing:
-                feedback.pop("wall_times", None)
-        record = {
-            "t": self.t,
-            "prompt_state": self.prompt_state,
-            "plan": self.plan.to_jsonable() if self.plan is not None else None,
-            "retrieval": self.retrieval,
-            "composed_text": self.composed_text,
-            "composed_digest": self.composed_digest,
-            "candidate_raw": self.candidate_raw,
-            "program": self.program,
-            "feedback": feedback,
-            "usage": self.usage.to_jsonable() if self.usage is not None else None,
-        }
-        if include_timing:
-            record["wall_seconds"] = self.wall_seconds
-        return record
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "RoundLog":
-        return cls(
-            t=int(data["t"]),
-            prompt_state=data["prompt_state"],
-            plan=Plan.from_jsonable(data["plan"]) if data["plan"] is not None else None,
-            retrieval=data["retrieval"],
-            composed_text=data["composed_text"],
-            composed_digest=data["composed_digest"],
-            candidate_raw=data["candidate_raw"],
-            program=data["program"],
-            feedback=(
-                ExecutionFeedback.from_jsonable(data["feedback"])
-                if data["feedback"] is not None
-                else None
-            ),
-            usage=(
-                Usage(
-                    input_tokens=int(data["usage"]["input_tokens"]),
-                    output_tokens=int(data["usage"]["output_tokens"]),
-                )
-                if data["usage"] is not None
-                else None
-            ),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-        )
+    wall_seconds: float = field(metadata=TIMING)
 
 
 @dataclass
-class RunLog:
+class RunLog(JsonRecord):
     """Per-run record: configuration, assets, rounds, outcome, costs."""
 
     spec: str
@@ -357,65 +236,12 @@ class RunLog:
     cost: CostReport
     rounds: list[RoundLog]
     outcome: dict
-    created_at: str = field(default_factory=utc_now_iso)
+    created_at: str = field(default_factory=utc_now_iso, metadata=TIMING)
     version: int = RUN_LOG_VERSION
 
     @property
     def seed(self) -> int:
         return self.decoding.seed
-
-    def to_jsonable(self, include_timing: bool = True) -> dict:
-        record = {
-            "version": self.version,
-            "spec": self.spec,
-            "suite": self.suite.to_jsonable(),
-            "tier": self.tier.to_jsonable(),
-            "decoding": self.decoding.to_jsonable(),
-            "input_token_cap": self.input_token_cap,
-            "redundancy_delta": self.redundancy_delta,
-            "plan_gate_tokens": self.plan_gate_tokens,
-            "max_stack_lines": self.max_stack_lines,
-            "snapshot_digest": self.snapshot_digest,
-            "embedder_id": self.embedder_id,
-            "model_id": self.model_id,
-            "model_asset_digest": self.model_asset_digest,
-            "template_fingerprints": self.template_fingerprints,
-            "environment_text": self.environment_text,
-            "invariants_text": self.invariants_text,
-            "config": self.config,
-            "cost": self.cost.to_jsonable(),
-            "rounds": [r.to_jsonable(include_timing) for r in self.rounds],
-            "outcome": self.outcome,
-        }
-        if include_timing:
-            record["created_at"] = self.created_at
-        return record
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "RunLog":
-        return cls(
-            spec=data["spec"],
-            suite=TestSuite.from_jsonable(data["suite"]),
-            tier=TierConfig.from_jsonable(data["tier"]),
-            decoding=DecodingParams.from_jsonable(data["decoding"]),
-            input_token_cap=int(data["input_token_cap"]),
-            redundancy_delta=float(data["redundancy_delta"]),
-            plan_gate_tokens=int(data["plan_gate_tokens"]),
-            max_stack_lines=int(data["max_stack_lines"]),
-            snapshot_digest=data["snapshot_digest"],
-            embedder_id=data["embedder_id"],
-            model_id=data["model_id"],
-            model_asset_digest=data["model_asset_digest"],
-            template_fingerprints=data["template_fingerprints"],
-            environment_text=data["environment_text"],
-            invariants_text=data["invariants_text"],
-            config=data["config"],
-            cost=CostReport.from_jsonable(data["cost"]),
-            rounds=[RoundLog.from_jsonable(r) for r in data["rounds"]],
-            outcome=data["outcome"],
-            created_at=data.get("created_at", ""),
-            version=int(data["version"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -640,19 +466,23 @@ def load_run_log(directory: str | Path) -> RunLog:
         raise ReplayAssetError(f"run log manifest {manifest_path} is unreadable: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ReplayAssetError(f"run log manifest {manifest_path} is corrupt") from exc
-    rounds = []
-    for entry in manifest.get("rounds", []):
-        round_path = directory / entry["file"]
-        try:
-            text = round_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ReplayAssetError(f"round file {entry['file']} is missing") from exc
-        if text_digest(text) != entry["digest"]:
-            raise ReplayAssetError(f"round file {entry['file']} failed its digest check")
-        rounds.append(text)
-    data = dict(manifest)
-    data["rounds"] = [json.loads(text) for text in rounds]
-    return RunLog.from_jsonable(data)
+    try:
+        rounds = [
+            _read_round(directory, entry["file"], entry["digest"]) for entry in manifest["rounds"]
+        ]
+        return RunLog.from_jsonable({**manifest, "rounds": rounds})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReplayAssetError(f"run log {directory} is malformed: {exc}") from exc
+
+
+def _read_round(directory: Path, name: str, digest: str) -> dict:
+    try:
+        text = (directory / name).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ReplayAssetError(f"round file {name} is missing") from exc
+    if text_digest(text) != digest:
+        raise ReplayAssetError(f"round file {name} failed its digest check")
+    return json.loads(text)
 
 
 def replay(run_log: RunLog, deps: RunDeps) -> RunLog:

@@ -15,7 +15,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .embedding import EmbeddingProvider
-from .errors import EmptyCorpusError, IngestError, SnapshotCorruptionError
+from .errors import (
+    DimensionMismatchError,
+    EmptyCorpusError,
+    IngestError,
+    SnapshotCorruptionError,
+)
 from .util import text_digest, utc_now_iso
 
 log = logging.getLogger(__name__)
@@ -126,13 +131,10 @@ def embed_metadata(item_metadata: str, embedder: EmbeddingProvider) -> list[floa
         return [0.0] * embedder.dimension
     vector = embedder.embed(item_metadata)
     if len(vector) != embedder.dimension:
-        raise DimensionError(vector, embedder.dimension)
+        raise DimensionMismatchError(
+            f"embedder produced {len(vector)} dimensions, declared {embedder.dimension}"
+        )
     return vector
-
-
-class DimensionError(ValueError):
-    def __init__(self, vector, expected):
-        super().__init__(f"embedder produced {len(vector)} dimensions, declared {expected}")
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,11 @@ from abc import ABC, abstractmethod
 from typing import Callable
 
 from .errors import DimensionMismatchError
-from .util import http_post_json
+from .util import CREDENTIAL_ENV_VAR, http_post_json
 
 log = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 384
-CREDENTIAL_ENV_VAR = "ARCS_API_TOKEN"
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 

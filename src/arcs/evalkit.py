@@ -9,9 +9,11 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
+from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS
 from .controller import RunDeps, TierConfig, best_so_far_trajectory, run
 from .errors import ArcsError, ConfigError
 from .executor import TestSuite, load_suite
+from .util import JsonRecord
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +31,7 @@ class TaskRecord:
 
 
 @dataclass
-class TaskOutcome:
+class TaskOutcome(JsonRecord):
     task_id: str
     passed: bool
     rounds_used: int
@@ -38,22 +40,13 @@ class TaskOutcome:
     cost_total: float
     error: str | None = None
 
-    def to_jsonable(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "passed": self.passed,
-            "rounds_used": self.rounds_used,
-            "trajectory": self.trajectory,
-            "best_pass_count": self.best_pass_count,
-            "cost_total": self.cost_total,
-            "error": self.error,
-        }
-
 
 @dataclass
-class SweepReport:
+class SweepReport(JsonRecord):
     tier: dict
     outcomes: list[TaskOutcome] = field(default_factory=list)
+
+    json_derived = ("pass_at_1", "cost_total")
 
     @property
     def pass_at_1(self) -> float:
@@ -64,14 +57,6 @@ class SweepReport:
     @property
     def cost_total(self) -> float:
         return sum(outcome.cost_total for outcome in self.outcomes)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "tier": self.tier,
-            "pass_at_1": self.pass_at_1,
-            "cost_total": self.cost_total,
-            "outcomes": [outcome.to_jsonable() for outcome in self.outcomes],
-        }
 
 
 def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> SweepReport:
@@ -119,9 +104,9 @@ def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> Sweep
 
 def ablation_tier(
     enabled: Sequence[str],
-    base_k: int = 10,
-    base_iterations: int = 5,
-    max_subgoals: int = 4,
+    base_k: int = DEFAULT_K,
+    base_iterations: int = DEFAULT_ITERATIONS,
+    max_subgoals: int = DEFAULTS["max_subgoals"],
 ) -> TierConfig:
     """Map a set of enabled components onto controller parameters."""
     unknown = set(enabled) - set(ABLATION_TOGGLES)
@@ -139,9 +124,9 @@ def ablation_matrix(
     tasks: Sequence[TaskRecord],
     deps: RunDeps,
     toggles: Sequence[str] = ABLATION_TOGGLES,
-    base_k: int = 10,
-    base_iterations: int = 5,
-    max_subgoals: int = 4,
+    base_k: int = DEFAULT_K,
+    base_iterations: int = DEFAULT_ITERATIONS,
+    max_subgoals: int = DEFAULTS["max_subgoals"],
 ) -> list[tuple[str, SweepReport]]:
     """One sweep per toggle combination; rows keyed by the enabled set."""
     unknown = set(toggles) - set(ABLATION_TOGGLES)
@@ -185,7 +170,7 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
                     tags=frozenset(record.get("tags", [])),
                 )
             )
-        except (KeyError, OSError, ValueError) as exc:
+        except (KeyError, OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"task set {path} has a bad record: {exc}") from exc
     return tasks
 

@@ -23,11 +23,13 @@ import time
 import traceback
 from abc import ABC, abstractmethod
 from contextlib import redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import RuntimeMissingError, SandboxSetupError
+from .config import DEFAULTS
+from .errors import ConfigError, RuntimeMissingError, SandboxSetupError
 from .prompting import PromptSegment
+from .util import TIMING, JsonRecord
 
 try:
     import resource
@@ -43,9 +45,6 @@ TIMEOUT = "timeout"
 MEMORY_EXCEEDED = "memory_exceeded"
 VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 
-DEFAULT_WALL_SECONDS = 10.0
-DEFAULT_MEMORY_BYTES = 4 * 1024**3
-DEFAULT_MAX_STACK_LINES = 10
 _STDERR_KEEP_LINES = 200
 
 _NETWORK_GUARD = """\
@@ -69,7 +68,7 @@ class TestCase:
 
 
 @dataclass(frozen=True)
-class TestSuite:
+class TestSuite(JsonRecord):
     """Ordered test cases plus the output comparison mode."""
 
     cases: tuple[TestCase, ...]
@@ -91,44 +90,23 @@ class TestSuite:
     def ordered_cases(self) -> list[TestCase]:
         return sorted(self.cases, key=lambda case: case.id)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "compare": self.compare,
-            "cases": [
-                {"id": case.id, "input": case.input, "expected": case.expected}
-                for case in self.cases
-            ],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data) -> "TestSuite":
-        if isinstance(data, list):
-            data = {"cases": data}
-        return cls(
-            cases=tuple(
-                TestCase(id=int(c["id"]), input=c["input"], expected=c["expected"])
-                for c in data["cases"]
-            ),
-            compare=data.get("compare", "trim"),
-        )
-
 
 def load_suite(path: str | Path) -> TestSuite:
     """Suite file: {"compare": ..., "cases": [{id, input, expected}, ...]} or a bare list."""
-    return TestSuite.from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return TestSuite.from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad suite file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class ResourceCaps:
-    wall_seconds: float = DEFAULT_WALL_SECONDS
-    memory_bytes: int = DEFAULT_MEMORY_BYTES
+    wall_seconds: float = DEFAULTS["wall_seconds"]
+    memory_bytes: int = DEFAULTS["memory_bytes"]
 
     def __post_init__(self):
         if self.wall_seconds <= 0 or self.memory_bytes <= 0:
             raise ValueError("resource caps must be positive")
-
-    def to_jsonable(self) -> dict:
-        return {"wall_seconds": self.wall_seconds, "memory_bytes": self.memory_bytes}
 
 
 @dataclass(frozen=True)
@@ -141,65 +119,27 @@ class RuntimeSpec:
 
 
 @dataclass(frozen=True)
-class FailureDetail:
+class FailureDetail(JsonRecord):
     test_id: int
     input: str
     kind: str
     summary: str
     detail_lines: tuple[str, ...] = ()
 
-    def to_jsonable(self) -> dict:
-        return {
-            "test_id": self.test_id,
-            "input": self.input,
-            "kind": self.kind,
-            "summary": self.summary,
-            "detail_lines": list(self.detail_lines),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FailureDetail":
-        return cls(
-            test_id=int(data["test_id"]),
-            input=data["input"],
-            kind=data["kind"],
-            summary=data["summary"],
-            detail_lines=tuple(data["detail_lines"]),
-        )
-
 
 @dataclass(frozen=True)
-class ExecutionFeedback:
+class ExecutionFeedback(JsonRecord):
     """Per-test verdicts in test-id order plus observed failure details."""
 
     test_ids: tuple[int, ...]
     verdicts: tuple[str, ...]
     pass_count: int
     failures: tuple[FailureDetail, ...]
-    wall_times: tuple[float, ...]
+    wall_times: tuple[float, ...] = field(metadata=TIMING)
 
     @property
     def all_passed(self) -> bool:
         return self.pass_count == len(self.verdicts)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "test_ids": list(self.test_ids),
-            "verdicts": list(self.verdicts),
-            "pass_count": self.pass_count,
-            "failures": [f.to_jsonable() for f in self.failures],
-            "wall_times": list(self.wall_times),
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "ExecutionFeedback":
-        return cls(
-            test_ids=tuple(int(x) for x in data["test_ids"]),
-            verdicts=tuple(data["verdicts"]),
-            pass_count=int(data["pass_count"]),
-            failures=tuple(FailureDetail.from_jsonable(f) for f in data["failures"]),
-            wall_times=tuple(float(x) for x in data["wall_times"]),
-        )
 
 
 def normalize_output(text: str, mode: str = "trim") -> str:
@@ -482,7 +422,7 @@ class InProcessExecutor(Executor):
 
 
 def encode_feedback(
-    feedback: ExecutionFeedback, max_stack_lines: int = DEFAULT_MAX_STACK_LINES
+    feedback: ExecutionFeedback, max_stack_lines: int = DEFAULTS["max_stack_lines"]
 ) -> PromptSegment:
     """Serialize observed failures only into a feedback prompt segment.
 

@@ -17,49 +17,35 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .errors import ModelProposalError, TransportError
+from .config import DEFAULTS
+from .errors import ConfigError, ModelProposalError, TransportError
 from .prompting import ComposedPrompt, FEEDBACK_MARKER
-from .util import http_post_json, json_digest, token_count
+from .util import (
+    CREDENTIAL_ENV_VAR,
+    JsonRecord,
+    decode_record,
+    http_post_json,
+    json_digest,
+    token_count,
+)
 
 log = logging.getLogger(__name__)
 
-CREDENTIAL_ENV_VAR = "ARCS_API_TOKEN"
-
 
 @dataclass(frozen=True)
-class DecodingParams:
+class DecodingParams(JsonRecord):
     """Sampling configuration carried to the proposal model."""
 
-    temperature: float = 0.7
-    top_p: float = 0.95
-    max_output_tokens: int = 512
-    seed: int = 42
-
-    def to_jsonable(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "max_output_tokens": self.max_output_tokens,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "DecodingParams":
-        return cls(
-            temperature=float(data["temperature"]),
-            top_p=float(data["top_p"]),
-            max_output_tokens=int(data["max_output_tokens"]),
-            seed=int(data["seed"]),
-        )
+    temperature: float = DEFAULTS["temperature"]
+    top_p: float = DEFAULTS["top_p"]
+    max_output_tokens: int = DEFAULTS["max_output_tokens"]
+    seed: int = DEFAULTS["seed"]
 
 
 @dataclass(frozen=True)
-class Usage:
+class Usage(JsonRecord):
     input_tokens: int
     output_tokens: int
-
-    def to_jsonable(self) -> dict:
-        return {"input_tokens": self.input_tokens, "output_tokens": self.output_tokens}
 
 
 class ProposalModel(ABC):
@@ -76,13 +62,14 @@ class ProposalModel(ABC):
 
 
 @dataclass(frozen=True)
-class ScriptEntry:
+class ScriptEntry(JsonRecord):
     """One trigger/response pair of a scripted model.
 
     An entry matches a call when every stated condition holds: ``feedback``
     constrains presence/absence of the feedback marker in the prompt,
     ``needles`` must all appear, ``absent`` must not appear, and ``ordinal``
-    pins the 0-based call number within a run.
+    pins the 0-based call number within a run. Conditions left unstated are
+    also left out of the entry's JSON, which the script digest covers.
     """
 
     response: str
@@ -90,6 +77,8 @@ class ScriptEntry:
     needles: tuple[str, ...] = ()
     absent: tuple[str, ...] = ()
     ordinal: int | None = None
+
+    json_sparse = True
 
     def matches(self, prompt_text: str, ordinal: int) -> bool:
         if self.feedback is not None and (FEEDBACK_MARKER in prompt_text) != self.feedback:
@@ -101,28 +90,6 @@ class ScriptEntry:
         if self.ordinal is not None and self.ordinal != ordinal:
             return False
         return True
-
-    def to_jsonable(self) -> dict:
-        record: dict = {"response": self.response}
-        if self.feedback is not None:
-            record["feedback"] = self.feedback
-        if self.needles:
-            record["needles"] = list(self.needles)
-        if self.absent:
-            record["absent"] = list(self.absent)
-        if self.ordinal is not None:
-            record["ordinal"] = self.ordinal
-        return record
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "ScriptEntry":
-        return cls(
-            response=data["response"],
-            feedback=data.get("feedback"),
-            needles=tuple(data.get("needles", ())),
-            absent=tuple(data.get("absent", ())),
-            ordinal=data.get("ordinal"),
-        )
 
 
 class ScriptedModel(ProposalModel):
@@ -136,15 +103,23 @@ class ScriptedModel(ProposalModel):
     def __init__(self, entries: list[ScriptEntry] | list[dict], model_id: str = "scripted"):
         self.model_id = model_id
         self.entries = tuple(
-            entry if isinstance(entry, ScriptEntry) else ScriptEntry.from_jsonable(entry)
-            for entry in entries
+            entry
+            if isinstance(entry, ScriptEntry)
+            else decode_record(ScriptEntry, entry, f"entries[{position}]")
+            for position, entry in enumerate(entries)
         )
         self._ordinal = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedModel":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(data.get("entries", []), model_id=data.get("model_id", "scripted"))
+        """Script file: {"model_id": ..., "entries": [entry, ...]}."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
+                raise ValueError('expected {"model_id": ..., "entries": [...]}')
+            return cls(data.get("entries", []), model_id=data.get("model_id", "scripted"))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad script file {path}: {exc}") from exc
 
     @property
     def script_digest(self) -> str:

@@ -12,17 +12,15 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .config import DEFAULTS
 from .model import DecodingParams, ProposalModel
 from .prompting import PLANNING_MARKER, single_segment_prompt
-from .util import text_digest, token_count
+from .util import JsonRecord, text_digest, token_count
 
 if TYPE_CHECKING:
     from .executor import ExecutionFeedback
 
 log = logging.getLogger(__name__)
-
-DEFAULT_MAX_SUBGOALS = 4
-DEFAULT_GATE_TOKENS = 120
 
 PLANNING_TEMPLATE = """{marker}
 Write a plan for the task below. Answer with exactly three sections:
@@ -45,7 +43,7 @@ def template_fingerprint() -> dict:
 
 
 @dataclass(frozen=True)
-class Plan:
+class Plan(JsonRecord):
     """Canonicalized plan: contract, sketch, and (name, body) subgoals."""
 
     contract: str
@@ -54,21 +52,6 @@ class Plan:
 
     def subgoal_names(self) -> list[str]:
         return [name for name, _ in self.subgoals]
-
-    def to_jsonable(self) -> dict:
-        return {
-            "contract": self.contract,
-            "sketch": self.sketch,
-            "subgoals": [[name, body] for name, body in self.subgoals],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "Plan":
-        return cls(
-            contract=data["contract"],
-            sketch=data["sketch"],
-            subgoals=tuple((name, body) for name, body in data["subgoals"]),
-        )
 
 
 _PUNCT_RE = re.compile(r"[^\w\s]")
@@ -175,8 +158,8 @@ def plan(
     model: ProposalModel,
     prior: "tuple[Plan, ExecutionFeedback] | None" = None,
     *,
-    max_subgoals: int = DEFAULT_MAX_SUBGOALS,
-    gate_tokens: int = DEFAULT_GATE_TOKENS,
+    max_subgoals: int = DEFAULTS["max_subgoals"],
+    gate_tokens: int = DEFAULTS["plan_gate_tokens"],
     params: DecodingParams | None = None,
 ) -> Plan | None:
     """Produce a canonicalized plan, or None when gated or on model failure.

@@ -12,6 +12,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .config import DEFAULTS
 from .errors import ContextExhaustedError
 from .util import text_digest, token_count
 
@@ -37,8 +38,6 @@ PLANNING_MARKER = "[[PLANNING]]"
 # Prefix form: rendered feedback headers are numbered ("[[FEEDBACK 1]]").
 FEEDBACK_MARKER = "[[FEEDBACK"
 SEGMENT_DELIMITER = "\n\n"
-
-DEFAULT_INPUT_TOKEN_CAP = 4096
 
 TEMPLATE_VERSION = "v1"
 
@@ -189,7 +188,7 @@ def compose(
     return _build(segments)
 
 
-def truncate(prompt: ComposedPrompt, max_tokens: int = DEFAULT_INPUT_TOKEN_CAP) -> ComposedPrompt:
+def truncate(prompt: ComposedPrompt, max_tokens: int = DEFAULTS["input_cap"]) -> ComposedPrompt:
     """Shrink an over-budget prompt with the stable truncation policy.
 
     Drop order: evidence ascending by similarity, then collapse the plan to

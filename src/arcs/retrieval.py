@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .config import DEFAULTS
 from .corpus import CorpusItem, CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import DimensionMismatchError, EmbedderMismatchError
@@ -25,9 +26,6 @@ if TYPE_CHECKING:
     from .planner import Plan
 
 log = logging.getLogger(__name__)
-
-DEFAULT_DELTA = 0.85
-DEFAULT_K = 10
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,9 @@ def top_k(
     )
 
 
-def filter_redundancy(items: Sequence[CorpusItem], delta: float = DEFAULT_DELTA) -> list[CorpusItem]:
+def filter_redundancy(
+    items: Sequence[CorpusItem], delta: float = DEFAULTS["delta"]
+) -> list[CorpusItem]:
     """Drop items whose similarity to a surviving earlier-index item exceeds delta.
 
     Survivors are decided by a greedy scan in ascending corpus-index order;
@@ -196,7 +196,7 @@ def plan_conditioned_retrieve(
     k_total: int,
     snapshot: CorpusSnapshot,
     embedder: EmbeddingProvider,
-    delta: float = DEFAULT_DELTA,
+    delta: float = DEFAULTS["delta"],
     denylist: frozenset[str] | None = None,
 ) -> RetrievalResult:
     """Per-subgoal retrieval with ceil-split budgets, union, and filtering.
@@ -236,7 +236,7 @@ def refresh(
     k: int,
     snapshot: CorpusSnapshot,
     embedder: EmbeddingProvider,
-    delta: float = DEFAULT_DELTA,
+    delta: float = DEFAULTS["delta"],
     denylist: frozenset[str] | None = None,
 ) -> RetrievalResult:
     """Re-retrieve evidence for the updated query; replaces the evidence set.

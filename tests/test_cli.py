@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +296,59 @@ def test_config_file_precedence(tmp_path, task_files, capsys):
     assert manifest["decoding"]["seed"] == 11
     assert manifest["config"]["budget_b"] == 3
     assert manifest["tier"]["iterations"] == 3
+
+
+def _replay_manifest_without_spec(tmp_path, task_files):
+    log_dir = tmp_path / "log"
+    shutil.copytree(Path(__file__).parent / "golden" / "runlog", log_dir)
+    manifest_path = log_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    del manifest["spec"]
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    return ["replay", "--log", str(log_dir)]
+
+
+def _run_script_entry_without_response(tmp_path, task_files):
+    spec, suite, _ = task_files
+    script = tmp_path / "bad_script.json"
+    script.write_text(json.dumps({"entries": [{"feedback": False}]}), encoding="utf-8")
+    return [
+        "run",
+        "--spec", str(spec),
+        "--suite", str(suite),
+        "--script", str(script),
+        "--log-dir", str(tmp_path / "rl"),
+    ]
+
+
+def _exec_suite_not_json(tmp_path, task_files):
+    program = tmp_path / "program.py"
+    program.write_text(FIXED_SUM, encoding="utf-8")
+    suite = tmp_path / "suite.txt"
+    suite.write_text("1 2 -> 3", encoding="utf-8")
+    return ["exec", "--program", str(program), "--suite", str(suite)]
+
+
+def _sweep_task_record_not_object(tmp_path, task_files):
+    _, _, script = task_files
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps(["t1"]), encoding="utf-8")
+    return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        _replay_manifest_without_spec,
+        _run_script_entry_without_response,
+        _exec_suite_not_json,
+        _sweep_task_record_not_object,
+    ],
+)
+def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):
+    argv = malformed(tmp_path, task_files)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err

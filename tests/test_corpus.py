@@ -10,7 +10,13 @@ from arcs.corpus import (
     save_snapshot,
 )
 from arcs.embedding import HashingEmbedder
-from arcs.errors import EmptyCorpusError, IngestError, SnapshotCorruptionError
+from arcs.errors import (
+    ArcsError,
+    DimensionMismatchError,
+    EmptyCorpusError,
+    IngestError,
+    SnapshotCorruptionError,
+)
 
 from conftest import THREE_FUNCTION_FILE
 from helpers import make_item
@@ -62,6 +68,16 @@ def test_ingest_zero_items_is_an_error(embedder, tmp_path):
     empty.write_text("x = 1\n", encoding="utf-8")
     with pytest.raises(EmptyCorpusError):
         ingest([str(empty)], embedder)
+
+
+def test_embedder_breaking_its_dimension_is_a_package_error(corpus_dir):
+    class ShortEmbedder(HashingEmbedder):
+        def embed(self, text):
+            return super().embed(text)[:-1]
+
+    with pytest.raises(DimensionMismatchError) as caught:
+        ingest([str(corpus_dir / "alpha.py")], ShortEmbedder(8))
+    assert isinstance(caught.value, ArcsError)
 
 
 def test_language_tag_recorded_for_c_sources(embedder, tmp_path):

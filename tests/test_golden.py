@@ -1,0 +1,187 @@
+"""Golden pins of the bytes the run-log codec writes.
+
+Each file under ``tests/golden`` holds the text of one record as the codec
+wrote it when the file was pinned: a run log per tier (timing fields left
+out), a run-log directory with timing fields, and a sweep report. The
+script digest below pins the sparse encoding of script entries. A change
+to the codec must reproduce all of them byte for byte.
+
+After an intended change of the format, re-pin with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+from arcs.config import DEFAULTS
+from arcs.controller import (
+    RunDeps,
+    TierConfig,
+    compare_run_logs,
+    load_run_log,
+    replay,
+    run,
+    save_run_log,
+)
+from arcs.corpus import CorpusItem, CorpusSnapshot
+from arcs.embedding import HashingEmbedder
+from arcs.evalkit import TaskRecord, sweep
+from arcs.executor import InProcessExecutor
+from arcs.executor import TestCase as Case
+from arcs.executor import TestSuite as Suite
+from arcs.model import ScriptedModel
+
+GOLDEN = Path(__file__).parent / "golden"
+RUN_LOG_DIR = GOLDEN / "runlog"
+
+SPEC = "Read two integers from one stdin line and print their sum.\n" + " ".join(
+    f"note{i}" for i in range(130)
+)
+SUITE = Suite(
+    cases=(Case(1, "1 2", "3"), Case(2, "2 2", "4"), Case(3, "10 5", "15"))
+)
+PLAN = (
+    "CONTRACT: two integers in, one integer out\n"
+    "SKETCH: parse, add, print\n"
+    "SUBGOALS:\n"
+    "- parse input: split stdin into integers\n"
+    "- compute sum: add the two values\n"
+)
+BUGGY = "```python\na, b = map(int, input().split())\nprint(a - b)\n```"
+FIXED = "```python\na, b = map(int, input().split())\nprint(a + b)\n```"
+SUMMED = "```python\nprint(sum(map(int, input().split())))\n```"
+
+# Sparse entries next to one that states every field; in the large tier the
+# full entry answers the second proposal (call ordinal 3, after two plans).
+SCRIPT = [
+    {"needles": ["[[PLANNING]]"], "response": PLAN},
+    {
+        "response": SUMMED,
+        "feedback": True,
+        "needles": ["wrong output"],
+        "absent": ["[[PLANNING]]"],
+        "ordinal": 3,
+    },
+    {"feedback": False, "response": BUGGY},
+    {"feedback": True, "response": FIXED},
+]
+SCRIPT_DIGEST = "f5d8f27ca31dc5ee4b42c85143254fd867ab40fd97661221e7c1fbf6498400c6"
+
+TIERS = {
+    "small": TierConfig.small(),
+    "medium": TierConfig.medium(),
+    "large": TierConfig.large(k=3, iterations=3),
+}
+
+
+def _text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
+def _snapshot() -> tuple[CorpusSnapshot, HashingEmbedder]:
+    embedder = HashingEmbedder()
+    texts = [
+        ("parse_ints(line)", "Split a line into integers."),
+        ("add(a, b)", "Sum of two numbers."),
+        ("scale(values, factor)", "Multiply every value."),
+        ("read_pair()", "Read two integers from stdin."),
+        ("print_sum(a, b)", "Print the sum of two integers."),
+    ]
+    items = [
+        CorpusItem(
+            index=index,
+            signature=signature,
+            doc=doc,
+            body=f"def {signature}:\n    pass",
+            source_path=f"golden/module_{index % 2}.py",
+            language="python",
+            embedding=tuple(embedder.embed(f"{signature}\n{doc}")),
+        )
+        for index, (signature, doc) in enumerate(texts)
+    ]
+    snapshot = CorpusSnapshot.build(
+        items, embedder.embedder_id, embedder.dimension, created_at="2026-01-01T00:00:00+00:00"
+    )
+    return snapshot, embedder
+
+
+def _deps(tier: TierConfig, **extra) -> RunDeps:
+    snapshot, embedder = _snapshot() if tier.k > 0 else (None, None)
+    return RunDeps(
+        model=ScriptedModel(SCRIPT, model_id="golden"),
+        executor=InProcessExecutor(),
+        snapshot=snapshot,
+        embedder=embedder,
+        **extra,
+    )
+
+
+def tier_log(name: str):
+    tier = TIERS[name]
+    return run(SPEC, SUITE, tier, _deps(tier)).log
+
+
+def sweep_report():
+    tasks = [
+        TaskRecord(id="add", spec=SPEC, suite=SUITE),
+        TaskRecord(id="echo", spec="Print the input back.", suite=SUITE),
+    ]
+    model = ScriptedModel(
+        [{"needles": ["sum"], "feedback": False, "response": BUGGY},
+         {"needles": ["sum"], "feedback": True, "response": FIXED}],
+        model_id="golden",
+    )
+    deps = RunDeps(model=model, executor=InProcessExecutor())
+    return sweep(tasks, TierConfig(k=0, iterations=2), deps)
+
+
+@pytest.mark.parametrize("name", sorted(TIERS))
+def test_tier_run_log_matches_golden(name):
+    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert _text(tier_log(name).to_jsonable(include_timing=False)) == expected
+
+
+def test_saved_run_log_resaves_byte_for_byte(tmp_path):
+    save_run_log(load_run_log(RUN_LOG_DIR), tmp_path)
+    pinned = sorted(path.name for path in RUN_LOG_DIR.iterdir())
+    assert sorted(path.name for path in tmp_path.iterdir()) == pinned
+    for name in pinned:
+        assert (tmp_path / name).read_bytes() == (RUN_LOG_DIR / name).read_bytes(), name
+
+
+def test_pinned_run_log_still_replays():
+    logged = load_run_log(RUN_LOG_DIR)
+    fresh = replay(logged, _deps(logged.tier))
+    assert compare_run_logs(logged, fresh) == []
+
+
+def test_script_digest_matches_golden():
+    assert ScriptedModel(SCRIPT, model_id="golden").script_digest == SCRIPT_DIGEST
+
+
+def test_sweep_report_matches_golden():
+    expected = (GOLDEN / "sweep_report.json").read_text(encoding="utf-8")
+    assert _text(sweep_report().to_jsonable()) == expected
+
+
+def _pin() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in TIERS:
+        (GOLDEN / f"{name}.json").write_text(
+            _text(tier_log(name).to_jsonable(include_timing=False)), encoding="utf-8"
+        )
+    shutil.rmtree(RUN_LOG_DIR, ignore_errors=True)
+    tier = TIERS["large"]
+    logged = run(SPEC, SUITE, tier, _deps(tier, config_echo=dict(DEFAULTS))).log
+    save_run_log(logged, RUN_LOG_DIR)
+    (GOLDEN / "sweep_report.json").write_text(_text(sweep_report().to_jsonable()), encoding="utf-8")
+    print("script digest:", ScriptedModel(SCRIPT, model_id="golden").script_digest)
+
+
+if __name__ == "__main__":
+    _pin()
