@@ -14,7 +14,9 @@ import re
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, load_config_file, resolve_config
+from .config import (
+    DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, load_config_file, read_input_file, resolve_config
+)
 from .controller import (
     RunDeps,
     TierConfig,
@@ -31,8 +33,6 @@ from .evalkit import ablation_matrix, load_tasks, render_table, sweep
 from .executor import ProcessExecutor, ResourceCaps, encode_feedback, load_suite
 from .model import DecodingParams, RemoteModel, ScriptedModel
 from .retrieval import RetrievalQuery, load_denylist, top_k
-
-log = logging.getLogger(__name__)
 
 _HASH_EMBEDDER_RE = re.compile(r"^hash(\d+)$")
 
@@ -249,7 +249,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_exec(args) -> int:
-    program = Path(args.program).read_text(encoding="utf-8")
+    program = read_input_file(args.program, "program")
     suite = load_suite(args.suite)
     caps = ResourceCaps(wall_seconds=args.wall_seconds, memory_bytes=args.memory_bytes)
     feedback = ProcessExecutor(caps=caps).execute(program, suite)
@@ -259,7 +259,7 @@ def _cmd_exec(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _resolved_config(args)
-    spec = Path(args.spec).read_text(encoding="utf-8")
+    spec = read_input_file(args.spec, "spec")
     suite = load_suite(args.suite)
     tier = _tier_from_config(cfg)
     deps = _deps_from_config(cfg, tier)

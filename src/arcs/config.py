@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 
 from .errors import ConfigError
-
-log = logging.getLogger(__name__)
 
 # The large tier's budgets. They are not config keys: budget_k and budget_b
 # default to None, which means the named tier's own value.
@@ -37,21 +34,11 @@ DEFAULTS: dict[str, object] = {
     "max_stack_lines": 10,
 }
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
 
 def _coerce(key: str, raw: str):
     default = DEFAULTS[key]
     if key in ("budget_b", "budget_k"):
         return int(raw)
-    if isinstance(default, bool):
-        lowered = raw.strip().lower()
-        if lowered in _BOOL_TRUE:
-            return True
-        if lowered in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"config key {key} expects a boolean, got {raw!r}")
     if isinstance(default, int):
         return int(raw)
     if isinstance(default, float):
@@ -78,12 +65,16 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def load_config_file(path: str | Path) -> dict:
+def read_input_file(path: str | Path, what: str) -> str:
+    """Text of a user-named input file; an unreadable one is a ConfigError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def load_config_file(path: str | Path) -> dict:
+    return parse_config_text(read_input_file(path, "config file"))
 
 
 def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import os
 import re
@@ -12,8 +11,6 @@ from typing import Callable
 
 from .errors import DimensionMismatchError
 from .util import CREDENTIAL_ENV_VAR, http_post_json
-
-log = logging.getLogger(__name__)
 
 DEFAULT_DIMENSION = 384
 

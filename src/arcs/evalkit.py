@@ -162,14 +162,10 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
                 suite = TestSuite.from_jsonable(record["suite"])
             else:
                 suite = load_suite(path.parent / record["suite_path"])
-            tasks.append(
-                TaskRecord(
-                    id=str(record["id"]),
-                    spec=spec,
-                    suite=suite,
-                    tags=frozenset(record.get("tags", [])),
-                )
-            )
+            tags = record.get("tags", [])
+            if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
+                raise ValueError(f"tags must be a list of strings, got {tags!r:.40}")
+            tasks.append(TaskRecord(str(record["id"]), spec, suite, frozenset(tags)))
         except (KeyError, OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"task set {path} has a bad record: {exc}") from exc
     return tasks

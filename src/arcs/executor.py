@@ -3,15 +3,16 @@
 The default backend runs each test in a fresh OS process inside a throwaway
 temp workspace with resource limits and a best-effort network guard. A fast
 in-process backend exists for trusted fixtures where spawning a process per
-test would dominate (property tests, large sweeps); it honors the same
-verdict semantics but provides no isolation or caps.
+test would dominate (property tests, large sweeps); it provides no
+isolation, caps or timeout. Each backend only runs a test; one judge turns
+the exit status, stdout and stderr of either into the verdict.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import logging
+import linecache
 import os
 import re
 import shutil
@@ -22,7 +23,7 @@ import tempfile
 import time
 import traceback
 from abc import ABC, abstractmethod
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,8 +37,6 @@ try:
 except ImportError:  # non-POSIX platform; limits become best-effort no-ops
     resource = None
 
-log = logging.getLogger(__name__)
-
 PASS = "pass"
 WRONG_OUTPUT = "wrong_output"
 EXCEPTION = "exception"
@@ -46,6 +45,8 @@ MEMORY_EXCEEDED = "memory_exceeded"
 VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 
 _STDERR_KEEP_LINES = 200
+# in-process candidates compile under the file name the process backend shows
+_CANDIDATE_FILE = "candidate.py"
 
 _NETWORK_GUARD = """\
 import socket
@@ -177,21 +178,10 @@ class Executor(ABC):
         """Deterministic text describing runtime, entry point, and caps."""
 
 
-def _assemble(results: list[tuple[int, str, FailureDetail | None, float]]) -> ExecutionFeedback:
-    verdicts = tuple(verdict for _, verdict, _, _ in results)
-    return ExecutionFeedback(
-        test_ids=tuple(test_id for test_id, _, _, _ in results),
-        verdicts=verdicts,
-        pass_count=sum(1 for v in verdicts if v == PASS),
-        failures=tuple(detail for _, _, detail, _ in results if detail is not None),
-        wall_times=tuple(wall for _, _, _, wall in results),
-    )
-
-
 _TRACEBACK_KIND_RE = re.compile(r"^([A-Za-z_][\w.]*)(?::\s|:$|$)")
 
 
-def _exception_kind(stderr_lines: list[str]) -> str:
+def _exception_kind(stderr_lines: tuple[str, ...]) -> str:
     for line in reversed(stderr_lines):
         stripped = line.strip()
         if not stripped:
@@ -201,6 +191,60 @@ def _exception_kind(stderr_lines: list[str]) -> str:
             return match.group(1)
         break
     return "exception"
+
+
+def _judge(
+    case: TestCase,
+    compare: str,
+    returncode: int | None,
+    stdout: str,
+    stderr: str,
+    caps: ResourceCaps | None,
+) -> tuple[str, FailureDetail | None]:
+    """Verdict and failure detail of one test from what its run left behind.
+
+    ``returncode`` is None when the run hit the wall-clock cap. ``caps`` is
+    None for a backend without caps, which can never breach memory.
+    """
+    lines = tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
+    joined = "\n".join(lines)
+    if returncode is None:
+        verdict, kind, lines = TIMEOUT, "timeout", ()
+        summary = f"no result within {caps.wall_seconds:g}s"
+    elif returncode == 0:
+        expected = normalize_output(case.expected, compare)
+        actual = normalize_output(stdout, compare)
+        if expected == actual:
+            return PASS, None
+        verdict, kind, summary = WRONG_OUTPUT, "wrong output", first_difference(expected, actual)
+    # memory breach detection is post-hoc: the rlimit surfaces as MemoryError
+    elif caps is not None and ("MemoryError" in joined or "Cannot allocate memory" in joined):
+        verdict, kind = MEMORY_EXCEEDED, "memory exceeded"
+        summary = f"memory cap {caps.memory_bytes} bytes breached"
+    else:
+        verdict, kind = EXCEPTION, _exception_kind(lines)
+        if kind == "exception" and returncode < 0:
+            kind = f"signal {-returncode}"
+        summary = lines[-1].strip() if lines else f"exit code {returncode}"
+    return verdict, FailureDetail(case.id, case.input, kind, summary, lines)
+
+
+def _run_suite(run_one, program: str, suite: TestSuite, caps: ResourceCaps | None):
+    """Judge ``run_one(program, case)`` for every test, in test-id order."""
+    cases = suite.ordered_cases()
+    judged, wall_times = [], []
+    for case in cases:
+        returncode, stdout, stderr, wall = run_one(program, case)
+        judged.append(_judge(case, suite.compare, returncode, stdout, stderr, caps))
+        wall_times.append(wall)
+    verdicts = tuple(verdict for verdict, _ in judged)
+    return ExecutionFeedback(
+        test_ids=tuple(case.id for case in cases),
+        verdicts=verdicts,
+        pass_count=verdicts.count(PASS),
+        failures=tuple(detail for _, detail in judged if detail is not None),
+        wall_times=tuple(wall_times),
+    )
 
 
 class ProcessExecutor(Executor):
@@ -230,12 +274,9 @@ class ProcessExecutor(Executor):
         binary = self.runtime.command[0]
         if shutil.which(binary) is None and not os.path.isfile(binary):
             raise RuntimeMissingError(f"runtime binary {binary!r} not found")
-        results = []
-        for case in suite.ordered_cases():
-            results.append(self._run_case(program, case, suite.compare))
-        return _assemble(results)
+        return _run_suite(self._run_case, program, suite, self.caps)
 
-    def _run_case(self, program: str, case: TestCase, compare: str):
+    def _run_case(self, program: str, case: TestCase):
         workdir = tempfile.mkdtemp(prefix="arcs-exec-")
         try:
             program_path = Path(workdir) / f"candidate{self.runtime.file_extension}"
@@ -274,19 +315,17 @@ class ProcessExecutor(Executor):
             )
             try:
                 stdout, stderr = process.communicate(case.input, timeout=self.caps.wall_seconds)
+                returncode = process.returncode
             except subprocess.TimeoutExpired:
                 self._kill_group(process)
                 stdout, stderr = process.communicate()
-                wall = time.perf_counter() - started
-                detail = FailureDetail(
-                    test_id=case.id,
-                    input=case.input,
-                    kind="timeout",
-                    summary=f"no result within {self.caps.wall_seconds:g}s",
-                )
-                return case.id, TIMEOUT, detail, wall
+                returncode = None
             wall = time.perf_counter() - started
-            return self._judge(case, compare, process.returncode, stdout, stderr, wall)
+            # background children of the candidate must not outlive its test
+            self._kill_group(process)
+            # the workspace path is random; replay needs the bare file name
+            stderr = stderr.replace(str(program_path), program_path.name)
+            return returncode, stdout, stderr, wall
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
@@ -295,71 +334,27 @@ class ProcessExecutor(Executor):
         cpu = max(1, int(self.caps.wall_seconds) + 1)
 
         def apply():
-            try:
+            with suppress(ValueError, OSError):
                 resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-            except (ValueError, OSError):
-                pass
-            try:
+            with suppress(ValueError, OSError):
                 resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu + 1))
-            except (ValueError, OSError):
-                pass
 
         return apply
 
     @staticmethod
     def _kill_group(process: subprocess.Popen) -> None:
-        try:
+        with suppress(OSError):
             os.killpg(process.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError, OSError):
-            pass
-
-    def _judge(self, case, compare, returncode, stdout, stderr, wall):
-        stderr_lines = stderr.splitlines()[:_STDERR_KEEP_LINES]
-        if returncode == 0:
-            expected = normalize_output(case.expected, compare)
-            actual = normalize_output(stdout, compare)
-            if expected == actual:
-                return case.id, PASS, None, wall
-            detail = FailureDetail(
-                test_id=case.id,
-                input=case.input,
-                kind="wrong output",
-                summary=first_difference(expected, actual),
-                detail_lines=tuple(stderr_lines),
-            )
-            return case.id, WRONG_OUTPUT, detail, wall
-        # memory breach detection is post-hoc: the rlimit surfaces as MemoryError
-        joined = "\n".join(stderr_lines)
-        if "MemoryError" in joined or "Cannot allocate memory" in joined:
-            detail = FailureDetail(
-                test_id=case.id,
-                input=case.input,
-                kind="memory exceeded",
-                summary=f"memory cap {self.caps.memory_bytes} bytes breached",
-                detail_lines=tuple(stderr_lines),
-            )
-            return case.id, MEMORY_EXCEEDED, detail, wall
-        kind = _exception_kind(stderr_lines)
-        if kind == "exception" and returncode < 0:
-            kind = f"signal {-returncode}"
-        summary = stderr_lines[-1].strip() if stderr_lines else f"exit code {returncode}"
-        detail = FailureDetail(
-            test_id=case.id,
-            input=case.input,
-            kind=kind,
-            summary=summary,
-            detail_lines=tuple(stderr_lines),
-        )
-        return case.id, EXCEPTION, detail, wall
 
 
 class InProcessExecutor(Executor):
     """Executes trusted candidate programs in-process via exec().
 
-    No isolation, no caps: intended for fixture-driven property tests and
-    sweeps where per-test process spawning would dominate the runtime. Each
-    test still gets fresh globals and fresh stdio, and verdict semantics
-    match the process backend.
+    No isolation, no caps, no timeout: intended for fixture-driven property
+    tests and sweeps where per-test process spawning would dominate the
+    runtime. Each test still gets fresh globals and fresh stdio, and exits
+    and uncaught exceptions end the run the way the interpreter would, so
+    the shared judge sees what the process backend would show it.
     """
 
     def environment_description(self) -> str:
@@ -369,56 +364,41 @@ class InProcessExecutor(Executor):
         )
 
     def execute(self, program: str, suite: TestSuite) -> ExecutionFeedback:
-        results = []
-        for case in suite.ordered_cases():
-            results.append(self._run_case(program, case, suite.compare))
-        return _assemble(results)
+        return _run_suite(self._run_case, program, suite, None)
 
     @staticmethod
-    def _run_case(program: str, case: TestCase, compare: str):
-        stdout_buffer = io.StringIO()
+    def _run_case(program: str, case: TestCase):
+        stdout, stderr = io.StringIO(), io.StringIO()
         original_stdin = sys.stdin
         started = time.perf_counter()
-        error: BaseException | None = None
-        exit_code = 0
+        returncode = 0
         try:
             sys.stdin = io.StringIO(case.input)
-            with redirect_stdout(stdout_buffer):
-                exec(compile(program, "<candidate>", "exec"), {"__name__": "__main__"})
+            # source lines for tracebacks, shown as the process backend shows them
+            lines = program.splitlines(True)
+            linecache.cache[_CANDIDATE_FILE] = (len(program), None, lines, _CANDIDATE_FILE)
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                exec(compile(program, _CANDIDATE_FILE, "exec"), {"__name__": "__main__"})
         except SystemExit as exc:
-            if exc.code not in (None, 0):
-                error = exc
-                exit_code = exc.code if isinstance(exc.code, int) else 1
-        except BaseException as exc:
-            error = exc
-            exit_code = 1
+            returncode = _exit_status(exc.code, stderr)
+        except Exception as exc:
+            # skip this frame: the traceback starts at the candidate's module
+            frames = exc.__traceback__.tb_next
+            traceback.print_exception(type(exc), exc, frames, file=stderr)
+            returncode = 1
         finally:
             sys.stdin = original_stdin
+            linecache.cache.pop(_CANDIDATE_FILE, None)
         wall = time.perf_counter() - started
-        if error is not None:
-            stack = traceback.format_exception(type(error), error, error.__traceback__)
-            stack_lines = tuple(
-                line.rstrip() for chunk in stack for line in chunk.splitlines()
-            )[:_STDERR_KEEP_LINES]
-            detail = FailureDetail(
-                test_id=case.id,
-                input=case.input,
-                kind=type(error).__name__,
-                summary=str(error) or f"exit code {exit_code}",
-                detail_lines=stack_lines,
-            )
-            return case.id, EXCEPTION, detail, wall
-        expected = normalize_output(case.expected, compare)
-        actual = normalize_output(stdout_buffer.getvalue(), compare)
-        if expected == actual:
-            return case.id, PASS, None, wall
-        detail = FailureDetail(
-            test_id=case.id,
-            input=case.input,
-            kind="wrong output",
-            summary=first_difference(expected, actual),
-        )
-        return case.id, WRONG_OUTPUT, detail, wall
+        return returncode, stdout.getvalue(), stderr.getvalue(), wall
+
+
+def _exit_status(code, stderr) -> int:
+    """The status ``python`` exits with for ``sys.exit(code)``."""
+    if code is None or isinstance(code, int):
+        return (code or 0) & 0xFF
+    print(code, file=stderr)
+    return 1
 
 
 def encode_feedback(

@@ -8,7 +8,6 @@ human-auditable.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -21,10 +20,7 @@ if TYPE_CHECKING:
     from .planner import Plan
     from .retrieval import RetrievalResult
 
-log = logging.getLogger(__name__)
-
 SEGMENT_KINDS = ("env", "inv", "task", "plan", "evid", "fb")
-_PRIORITY = {kind: rank for rank, kind in enumerate(SEGMENT_KINDS)}
 
 SECTION_HEADERS = {
     "env": "[[ENVIRONMENT]]",
@@ -69,10 +65,6 @@ class PromptSegment:
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
-
-    @property
-    def priority(self) -> int:
-        return _PRIORITY[self.kind]
 
 
 @dataclass(frozen=True)

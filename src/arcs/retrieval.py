@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULTS, read_input_file
 from .corpus import CorpusItem, CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import DimensionMismatchError, EmbedderMismatchError
@@ -124,7 +124,7 @@ def signature_name(signature: str) -> str:
 def load_denylist(path: str | Path) -> frozenset[str]:
     """One denylisted identifier per line; blank lines and # comments skipped."""
     entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_input_file(path, "denylist").splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             entries.add(stripped)

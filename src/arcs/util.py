@@ -145,6 +145,8 @@ def _decode(hint, value, where: str):
             for i, (item_hint, item) in enumerate(zip(item_hints, value))
         ]
         return tuple(items) if origin is tuple else items
+    if hint is bool and not isinstance(value, bool):
+        raise ValueError(f"{where}: expected bool, got {value!r:.40}")
     if hint in (int, float, bool):
         try:
             return hint(value)

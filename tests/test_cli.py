@@ -336,6 +336,30 @@ def _sweep_task_record_not_object(tmp_path, task_files):
     return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
 
 
+def _exec_program_missing(tmp_path, task_files):
+    _, suite, _ = task_files
+    return ["exec", "--program", str(tmp_path / "missing.py"), "--suite", str(suite)]
+
+
+def _run_spec_missing(tmp_path, task_files):
+    _, suite, script = task_files
+    return [
+        "run",
+        "--spec", str(tmp_path / "nope.txt"),
+        "--suite", str(suite),
+        "--script", str(script),
+        "--log-dir", str(tmp_path / "rl"),
+    ]
+
+
+def _sweep_task_tags_not_list(tmp_path, task_files):
+    spec, suite, script = task_files
+    tasks = tmp_path / "tasks.json"
+    record = {"id": "t1", "spec_path": str(spec), "suite_path": str(suite), "tags": "group"}
+    tasks.write_text(json.dumps([record]), encoding="utf-8")
+    return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -343,6 +367,9 @@ def _sweep_task_record_not_object(tmp_path, task_files):
         _run_script_entry_without_response,
         _exec_suite_not_json,
         _sweep_task_record_not_object,
+        _exec_program_missing,
+        _run_spec_missing,
+        _sweep_task_tags_not_list,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

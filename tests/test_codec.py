@@ -68,6 +68,7 @@ def test_record_survives_json_round_trip(cls, data):
         (Suite, {"cases": "1 2 -> 3"}, r"cases: expected a list"),
         (Suite, "1 2 -> 3", r"TestSuite: expected an object"),
         (ScriptEntry, {"response": 3}, r"response: expected str"),
+        (ScriptEntry, {"response": "", "feedback": "false"}, r"feedback: expected bool"),
     ],
 )
 def test_decode_names_the_bad_field(cls, data, message):

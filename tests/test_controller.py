@@ -218,6 +218,14 @@ def test_replay_reproduces_the_run(tmp_path):
     assert compare_run_logs(loaded, fresh) == []
 
 
+def test_replay_survives_exception_verdicts_in_the_process_sandbox():
+    # the traceback names the candidate file; its workspace path is random
+    deps = RunDeps(model=constant_model("raise ValueError('boom')"), executor=ProcessExecutor())
+    result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=2), deps)
+    assert set(result.log.rounds[0].feedback.verdicts) == {"exception"}
+    assert compare_run_logs(result.log, replay(result.log, deps)) == []
+
+
 def test_replay_rejects_wrong_script():
     model = buggy_then_fixed_model()
     result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=5, planning=False), _deps(model))

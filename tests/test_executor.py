@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+import signal
 import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,62 @@ def test_exit_code_nonzero_is_exception(executor):
     program = "import sys\nsys.exit(3)"
     feedback = executor.execute(program, make_suite(("", "")))
     assert feedback.verdicts == (EXCEPTION,)
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie counts as gone (its reaper may be slow)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_no_candidate_process_outlives_its_test(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    program = """\
+import subprocess, sys
+child = subprocess.Popen(
+    ["sleep", "20"],
+    stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+)
+with open(sys.stdin.read().strip(), "w") as handle:
+    handle.write(str(child.pid))
+print("started")
+"""
+    feedback = ProcessExecutor().execute(program, make_suite((str(pid_file), "started")))
+    returned = time.monotonic()
+    pid = int(pid_file.read_text(encoding="utf-8"))
+    try:
+        assert feedback.verdicts == (PASS,)
+        while _alive(pid) and time.monotonic() - returned < 2.0:
+            time.sleep(0.05)
+        assert not _alive(pid)
+    finally:
+        with suppress(OSError):  # the child is gone
+            if Path(f"/proc/{pid}/cmdline").read_bytes().split(b"\0")[:2] == [b"sleep", b"20"]:
+                os.kill(pid, signal.SIGKILL)
+
+
+PARITY_PROGRAMS = {
+    "echo": ECHO,
+    "off_by_one": OFF_BY_ONE_ON_22,
+    "raiser": RAISER,
+    "exit_3": "import sys\nsys.exit(3)",
+    "exit_message": "import sys\nsys.exit('no input')",
+    "exit_negative": "import sys\nsys.exit(-1)",
+    "wrong_with_stderr": "import sys\nprint('thinking', file=sys.stderr)\nprint(0)",
+}
+
+
+@pytest.mark.parametrize("program", PARITY_PROGRAMS.values(), ids=PARITY_PROGRAMS.keys())
+def test_backends_reach_the_same_judgement(program):
+    # kind, summary and stderr lines alike: one judge sees the same run
+    suite = make_suite(("1 2", "3"), ("2 2", "4"), ("5", "5"))
+    process = ProcessExecutor(caps=ResourceCaps(wall_seconds=10.0)).execute(program, suite)
+    in_process = InProcessExecutor().execute(program, suite)
+    assert process.verdicts == in_process.verdicts
+    assert process.failures == in_process.failures
 
 
 def test_suite_file_round_trip(tmp_path):
