@@ -7,12 +7,18 @@ item's signature, doc text, and in-span comments.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass
+import struct
+import zlib
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .embedding import EmbeddingProvider
 from .errors import (
@@ -21,12 +27,12 @@ from .errors import (
     IngestError,
     SnapshotCorruptionError,
 )
-from .util import text_digest, utc_now_iso
+from .util import canonical_json, utc_now_iso
 
 log = logging.getLogger(__name__)
 
 SNAPSHOT_FORMAT = "arcs-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 LANGUAGE_BY_EXTENSION = {
     ".py": "python",
@@ -42,12 +48,14 @@ LANGUAGE_BY_EXTENSION = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorpusItem:
     """One extracted top-level definition plus its metadata embedding.
 
     ``index`` is the item's position in the fixed corpus ordering; indices
-    are unique and contiguous from 0 within a snapshot.
+    are unique and contiguous from 0 within a snapshot. Inside a snapshot
+    ``embedding`` is a read-only row of the snapshot's matrix; items built by
+    hand may hold any sequence of floats.
     """
 
     index: int
@@ -56,18 +64,47 @@ class CorpusItem:
     body: str
     source_path: str
     language: str
-    embedding: tuple[float, ...]
+    embedding: Sequence[float]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CorpusItem):
+            return NotImplemented
+        return _metadata(self) == _metadata(other) and np.array_equal(
+            self.embedding, other.embedding
+        )
 
 
-@dataclass(eq=False)
+_METADATA_FIELDS = frozenset(field.name for field in fields(CorpusItem)) - {"embedding"}
+
+
+def _metadata(item: CorpusItem) -> dict:
+    return {
+        "index": item.index,
+        "signature": item.signature,
+        "doc": item.doc,
+        "body": item.body,
+        "source_path": item.source_path,
+        "language": item.language,
+    }
+
+
+@dataclass(frozen=True, eq=False)
 class CorpusSnapshot:
-    """Immutable, digest-verified corpus of embedded items."""
+    """Immutable, digest-verified corpus of embedded items.
+
+    The snapshot owns its embeddings as one read-only, C-contiguous float64
+    ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms and
+    ``names`` the signature name of each item, the columns a top-k scan reads.
+    """
 
     items: tuple[CorpusItem, ...]
     embedder_id: str
     dimension: int
     created_at: str
     content_digest: str
+    matrix: np.ndarray
+    norms: np.ndarray
+    names: tuple[str, ...]
 
     @classmethod
     def build(
@@ -87,36 +124,59 @@ class CorpusSnapshot:
                 raise ValueError(
                     f"item {item.index} has embedding dimension {len(item.embedding)}, expected {dimension}"
                 )
+        # struct packs Python floats faster than np.array reads a list of tuples
+        row = struct.Struct(f"{dimension}d")
+        packed = b"".join([row.pack(*item.embedding) for item in items])
+        matrix = np.frombuffer(packed, dtype=np.float64).reshape(len(items), dimension)
+        records = [_metadata(item) for item in items]
+        digest = compute_content_digest(canonical_json(records), matrix)
+        return cls._from_parts(records, matrix, embedder_id, created_at or utc_now_iso(), digest)
+
+    @classmethod
+    def _from_parts(
+        cls,
+        records: Sequence[dict],
+        matrix: np.ndarray,
+        embedder_id: str,
+        created_at: str,
+        content_digest: str,
+    ) -> "CorpusSnapshot":
+        """The snapshot of item metadata ``records`` whose embeddings are the rows of ``matrix``."""
+        matrix.flags.writeable = False
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        norms.flags.writeable = False
         return cls(
-            items=items,
+            items=tuple(CorpusItem(**record, embedding=row) for record, row in zip(records, matrix)),
             embedder_id=embedder_id,
-            dimension=dimension,
-            created_at=created_at or utc_now_iso(),
-            content_digest=compute_content_digest(items),
+            dimension=matrix.shape[1],
+            created_at=created_at,
+            content_digest=content_digest,
+            matrix=matrix,
+            norms=norms,
+            names=tuple(signature_name(record["signature"]) for record in records),
         )
 
     def __len__(self) -> int:
         return len(self.items)
 
 
-def _item_record(item: CorpusItem) -> dict:
-    return {
-        "index": item.index,
-        "signature": item.signature,
-        "doc": item.doc,
-        "body": item.body,
-        "source_path": item.source_path,
-        "language": item.language,
-        "embedding": list(item.embedding),
-    }
+def compute_content_digest(metadata_json: str, matrix: np.ndarray) -> str:
+    """SHA-256 over the matrix shape, the canonical JSON array of the item
+    metadata records, and the little-endian float64 matrix bytes."""
+    digest = hashlib.sha256(f"{matrix.shape[0]} {matrix.shape[1]}\n{metadata_json}\n".encode("utf-8"))
+    digest.update(np.ascontiguousarray(matrix, dtype="<f8"))
+    return digest.hexdigest()
 
 
-def _item_line(item: CorpusItem) -> str:
-    return json.dumps(_item_record(item), sort_keys=True, separators=(",", ":"))
-
-
-def compute_content_digest(items: Iterable[CorpusItem]) -> str:
-    return text_digest("\n".join(_item_line(item) for item in items))
+def signature_name(signature: str) -> str:
+    """Leading identifier of a signature, used for denylist matching."""
+    name = ""
+    head = signature.split("(", 1)[0]
+    for token in reversed(head.replace("*", " ").replace("&", " ").split()):
+        if token and (token[0].isalpha() or token[0] == "_"):
+            name = token
+            break
+    return name.split("::")[-1].split(".")[-1]
 
 
 def metadata_text(signature: str, doc: str, comments: Sequence[str]) -> str:
@@ -345,7 +405,11 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
-    """Persist a snapshot as a header line plus one JSON record per item."""
+    """Persist a snapshot as a header line, one metadata line per item, one matrix line.
+
+    The matrix line is the base64 text of the zlib-compressed little-endian
+    float64 bytes of ``snapshot.matrix``.
+    """
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -356,16 +420,18 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
         "content_digest": snapshot.content_digest,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(_item_line(item) for item in snapshot.items)
+    lines.extend(canonical_json(_metadata(item)) for item in snapshot.items)
+    matrix_bytes = np.ascontiguousarray(snapshot.matrix, dtype="<f8").tobytes()
+    lines.append(base64.b64encode(zlib.compress(matrix_bytes)).decode("ascii"))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_snapshot(path: str | Path) -> CorpusSnapshot:
-    """Load and integrity-check a snapshot; digest mismatch raises."""
+    """Load and integrity-check a snapshot; any damage or digest mismatch raises."""
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SnapshotCorruptionError(f"cannot read snapshot {path}: {exc}") from exc
     lines = [line for line in raw.splitlines() if line.strip()]
     if not lines:
@@ -374,39 +440,43 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise SnapshotCorruptionError(f"snapshot {path} has an unreadable header") from exc
-    if header.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotCorruptionError(f"snapshot {path} has unknown format {header.get('format')!r}")
-    items: list[CorpusItem] = []
-    for line_number, line in enumerate(lines[1:], start=2):
-        try:
-            record = json.loads(line)
-            items.append(
-                CorpusItem(
-                    index=int(record["index"]),
-                    signature=record["signature"],
-                    doc=record["doc"],
-                    body=record["body"],
-                    source_path=record["source_path"],
-                    language=record["language"],
-                    embedding=tuple(float(x) for x in record["embedding"]),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise SnapshotCorruptionError(f"snapshot {path} line {line_number} is corrupt") from exc
-    if len(items) != header.get("count"):
+    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
+        raise SnapshotCorruptionError(f"snapshot {path} is not an {SNAPSHOT_FORMAT} file")
+    version = header.get("version")
+    if version == 1:
         raise SnapshotCorruptionError(
-            f"snapshot {path} holds {len(items)} items, header declares {header.get('count')}"
+            f"snapshot {path} has format version 1, which is no longer read; "
+            "re-run `arcs index` to rebuild it"
         )
-    digest = compute_content_digest(items)
+    if version != SNAPSHOT_VERSION:
+        raise SnapshotCorruptionError(f"snapshot {path} has unsupported format version {version!r}")
+    try:
+        count, dimension = int(header["count"]), int(header["dimension"])
+        embedder_id, created_at = header["embedder_id"], header["created_at"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
+    metadata_lines = lines[1:-1]
+    if len(metadata_lines) != count:
+        raise SnapshotCorruptionError(
+            f"snapshot {path} holds {len(metadata_lines)} items, header declares {count}"
+        )
+    try:
+        matrix_bytes = zlib.decompress(base64.b64decode(lines[-1], validate=True))
+        # astype copies into an owned, aligned array in native byte order
+        matrix = np.frombuffer(matrix_bytes, dtype="<f8").reshape(count, dimension).astype(np.float64)
+    except (ValueError, zlib.error) as exc:  # binascii.Error and a wrong shape are ValueErrors
+        raise SnapshotCorruptionError(f"snapshot {path} has a corrupt embedding matrix") from exc
+    metadata_json = "[" + ",".join(metadata_lines) + "]"
+    digest = compute_content_digest(metadata_json, matrix)
     if digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
     try:
-        return CorpusSnapshot(
-            items=tuple(items),
-            embedder_id=header["embedder_id"],
-            dimension=int(header["dimension"]),
-            created_at=header["created_at"],
-            content_digest=digest,
-        )
-    except KeyError as exc:
-        raise SnapshotCorruptionError(f"snapshot {path} header lacks field {exc}") from exc
+        records = json.loads(metadata_json)
+    except json.JSONDecodeError as exc:
+        raise SnapshotCorruptionError(f"snapshot {path} has corrupt item metadata") from exc
+    if len(records) != count:
+        raise SnapshotCorruptionError(f"snapshot {path} has corrupt item metadata")
+    for position, record in enumerate(records):
+        if not isinstance(record, dict) or record.keys() != _METADATA_FIELDS or record["index"] != position:
+            raise SnapshotCorruptionError(f"snapshot {path} line {position + 2} is corrupt")
+    return CorpusSnapshot._from_parts(records, matrix, embedder_id, created_at, digest)

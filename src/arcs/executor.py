@@ -368,12 +368,18 @@ class InProcessExecutor(Executor):
 
     @staticmethod
     def _run_case(program: str, case: TestCase):
-        stdout, stderr = io.StringIO(), io.StringIO()
+        # text streams over bytes, with the newline and encoding rules of a
+        # POSIX interpreter's stdio, so ``sys.stdin.buffer`` and
+        # ``sys.stdout.buffer`` exist as they do in the process sandbox
+        stdout_bytes = io.BytesIO()
+        stdout = io.TextIOWrapper(stdout_bytes, encoding="utf-8", newline="\n")
+        stderr = io.StringIO()
         original_stdin = sys.stdin
         started = time.perf_counter()
         returncode = 0
         try:
-            sys.stdin = io.StringIO(case.input)
+            stdin_bytes = io.BytesIO(case.input.encode("utf-8", "replace"))
+            sys.stdin = io.TextIOWrapper(stdin_bytes, encoding="utf-8", newline="\n")
             # source lines for tracebacks, shown as the process backend shows them
             lines = program.splitlines(True)
             linecache.cache[_CANDIDATE_FILE] = (len(program), None, lines, _CANDIDATE_FILE)
@@ -389,8 +395,10 @@ class InProcessExecutor(Executor):
         finally:
             sys.stdin = original_stdin
             linecache.cache.pop(_CANDIDATE_FILE, None)
+            stdout.flush()
         wall = time.perf_counter() - started
-        return returncode, stdout.getvalue(), stderr.getvalue(), wall
+        stdout_text = stdout_bytes.getvalue().decode("utf-8", "replace")
+        return returncode, stdout_text, stderr.getvalue(), wall
 
 
 def _exit_status(code, stderr) -> int:

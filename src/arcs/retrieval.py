@@ -12,12 +12,12 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .config import DEFAULTS, read_input_file
-from .corpus import CorpusItem, CorpusSnapshot
+from .corpus import CorpusItem, CorpusSnapshot, signature_name
 from .embedding import EmbeddingProvider
 from .errors import DimensionMismatchError, EmbedderMismatchError
 from .util import json_digest
@@ -82,18 +82,8 @@ def cosine_sim(v1: Sequence[float], v2: Sequence[float]) -> float:
     return dot / (math.sqrt(n1) * math.sqrt(n2))
 
 
-def _snapshot_arrays(snapshot: CorpusSnapshot) -> tuple[np.ndarray, np.ndarray]:
-    cached = getattr(snapshot, "_retrieval_cache", None)
-    if cached is None:
-        matrix = np.array([item.embedding for item in snapshot.items], dtype=np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        cached = (matrix, norms)
-        snapshot._retrieval_cache = cached
-    return cached
-
-
 def _score_all(snapshot: CorpusSnapshot, query_vector: Sequence[float]) -> np.ndarray:
-    matrix, norms = _snapshot_arrays(snapshot)
+    matrix, norms = snapshot.matrix, snapshot.norms
     q = np.asarray(query_vector, dtype=np.float64)
     if q.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(
@@ -108,17 +98,6 @@ def _score_all(snapshot: CorpusSnapshot, query_vector: Sequence[float]) -> np.nd
     nonzero = norms > 0.0
     scores[nonzero] = raw[nonzero] / (norms[nonzero] * qnorm)
     return scores
-
-
-def signature_name(signature: str) -> str:
-    """Leading identifier of a signature, used for denylist matching."""
-    name = ""
-    head = signature.split("(", 1)[0]
-    for token in reversed(head.replace("*", " ").replace("&", " ").split()):
-        if token and (token[0].isalpha() or token[0] == "_"):
-            name = token
-            break
-    return name.split("::")[-1].split(".")[-1]
 
 
 def load_denylist(path: str | Path) -> frozenset[str]:
@@ -138,16 +117,6 @@ def _check_embedder(snapshot: CorpusSnapshot, embedder: EmbeddingProvider) -> No
         )
 
 
-def _allowed_indices(snapshot: CorpusSnapshot, denylist: frozenset[str] | None) -> list[int]:
-    if not denylist:
-        return list(range(len(snapshot.items)))
-    return [
-        item.index
-        for item in snapshot.items
-        if signature_name(item.signature) not in denylist
-    ]
-
-
 def top_k(
     query: RetrievalQuery,
     snapshot: CorpusSnapshot,
@@ -157,8 +126,18 @@ def top_k(
     """Exact top-k scan: score descending, ties by ascending corpus index."""
     _check_embedder(snapshot, embedder)
     scores = _score_all(snapshot, embedder.embed(query.text))
-    allowed = _allowed_indices(snapshot, denylist)
-    order = sorted(allowed, key=lambda i: (-scores[i], i))[: min(query.k, len(allowed))]
+    candidates = np.arange(len(scores))
+    if denylist:
+        names = snapshot.names
+        allowed = np.fromiter((name not in denylist for name in names), dtype=bool, count=len(names))
+        candidates = candidates[allowed]
+    k = min(query.k, len(candidates))
+    if k:
+        # keep every candidate scoring at least the k-th best, so ties at the boundary stay
+        pool = scores[candidates]
+        kth_best = np.partition(pool, len(pool) - k)[len(pool) - k]
+        candidates = candidates[pool >= kth_best]
+    order = candidates[np.lexsort((candidates, -scores[candidates]))][:k]
     items = tuple((snapshot.items[i], float(scores[i])) for i in order)
     return RetrievalResult(
         items=items,
@@ -179,12 +158,11 @@ def filter_redundancy(
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
     scan_order = sorted(range(len(items)), key=lambda p: (items[p].index, p))
+    # Python floats: cosine_sim over numpy scalars (snapshot rows) is 4x slower
+    vectors = [np.asarray(item.embedding, dtype=np.float64).tolist() for item in items]
     kept: list[int] = []
     for position in scan_order:
-        candidate = items[position]
-        redundant = any(
-            cosine_sim(candidate.embedding, items[q].embedding) > delta for q in kept
-        )
+        redundant = any(cosine_sim(vectors[position], vectors[q]) > delta for q in kept)
         if not redundant:
             kept.append(position)
     kept_set = set(kept)

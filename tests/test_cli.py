@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -360,6 +361,32 @@ def _sweep_task_tags_not_list(tmp_path, task_files):
     return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
 
 
+def _query_v1_snapshot(tmp_path, task_files):
+    # a complete, digest-valid snapshot in the retired format 1
+    item = {
+        "index": 0,
+        "signature": "add(a, b)",
+        "doc": "",
+        "body": "def add(a, b):\n    return a + b",
+        "source_path": "alpha.py",
+        "language": "python",
+        "embedding": [1.0, 0.0, 0.0, 0.0],
+    }
+    line = json.dumps(item, sort_keys=True, separators=(",", ":"))
+    header = {
+        "format": "arcs-snapshot",
+        "version": 1,
+        "embedder_id": "hash4",
+        "dimension": 4,
+        "created_at": "2026-01-01T00:00:00+00:00",
+        "count": 1,
+        "content_digest": hashlib.sha256(line.encode("utf-8")).hexdigest(),
+    }
+    snapshot = tmp_path / "v1.snap"
+    snapshot.write_text(json.dumps(header, sort_keys=True) + "\n" + line + "\n", encoding="utf-8")
+    return ["query", "--snapshot", str(snapshot), "--q", "add"]
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -370,6 +397,7 @@ def _sweep_task_tags_not_list(tmp_path, task_files):
         _exec_program_missing,
         _run_spec_missing,
         _sweep_task_tags_not_list,
+        _query_v1_snapshot,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import base64
+import json
+import zlib
+
+import numpy as np
 import pytest
 
 from arcs.corpus import (
@@ -142,3 +147,41 @@ def test_build_rejects_gapped_indices():
     items = [make_item(0, embedder.embed("a")), make_item(2, embedder.embed("b"))]
     with pytest.raises(ValueError):
         CorpusSnapshot.build(items, embedder.embedder_id, 8)
+
+
+def test_snapshot_items_share_one_read_only_matrix(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    for snap in (snapshot, load_snapshot(path)):
+        assert snap.matrix.shape == (len(snap), snap.dimension)
+        assert snap.matrix.flags.c_contiguous
+        with pytest.raises(ValueError):
+            snap.matrix[0, 0] = 1.0
+        for item in snap.items:
+            assert np.shares_memory(item.embedding, snap.matrix)
+
+
+@pytest.mark.parametrize("version", [1, 99, None])
+def test_snapshot_of_another_version_is_rejected(snapshot, tmp_path, version):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["version"] = version
+    lines[0] = json.dumps(header, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotCorruptionError) as caught:
+        load_snapshot(path)
+    if version == 1:
+        assert "version 1" in str(caught.value) and "arcs index" in str(caught.value)
+
+
+def test_damaged_matrix_line_is_corrupt(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    one_float = base64.b64encode(zlib.compress(bytes(8))).decode("ascii")
+    for damaged in (lines[-1][:-8], "not base64!", lines[-1][:16], one_float):
+        path.write_text("\n".join([*lines[:-1], damaged]) + "\n", encoding="utf-8")
+        with pytest.raises(SnapshotCorruptionError):
+            load_snapshot(path)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from arcs.corpus import embed_metadata
@@ -55,3 +57,22 @@ def test_remote_embedder_uses_transport_and_checks_dimension():
     bad = RemoteEmbedder("https://embed.example/v1", dimension=3, transport=short_transport)
     with pytest.raises(DimensionMismatchError):
         bad.embed("hello")
+
+
+# SHA-256 of the little-endian float64 bytes of each vector below, in order
+PINNED_VECTORS_DIGEST = "46035aa5b0a549a6953d25aac87fc2e3369091f1d75d830ca627fbd06b2b23d3"
+
+
+def test_hashing_embedder_vectors_are_pinned():
+    texts = [
+        "def add(a, b): return a + b",
+        "Split a csv line into fields.",
+        "parse_ints(line)\nSplit a line into integers.",
+        "static int join(char *a, char *b)",
+        "",
+    ]
+    embedder = HashingEmbedder()
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(np.asarray(embedder.embed(text), dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_VECTORS_DIGEST

@@ -205,6 +205,11 @@ PARITY_PROGRAMS = {
     "exit_message": "import sys\nsys.exit('no input')",
     "exit_negative": "import sys\nsys.exit(-1)",
     "wrong_with_stderr": "import sys\nprint('thinking', file=sys.stderr)\nprint(0)",
+    "stdin_buffer": (
+        "import sys\n"
+        "total = sum(map(int, sys.stdin.buffer.read().split()))\n"
+        "sys.stdout.buffer.write(str(total).encode())"
+    ),
 }
 
 

@@ -128,6 +128,40 @@ def test_denylist_excludes_items_by_name():
     assert [item.index for item, _ in result.items] == [1]
 
 
+def test_top_k_with_denylist_orders_boundary_ties_like_a_brute_force_scan():
+    rng = random.Random(21)
+    dimension = 8
+    base = [normalized([rng.gauss(0, 1) for _ in range(dimension)]) for _ in range(12)]
+    # every row appears three times at scattered indices, so exact ties straddle many k
+    rows = [base[i % 12] for i in range(36)]
+    rng.shuffle(rows)
+    query = [rng.gauss(0, 1) for _ in range(dimension)]
+
+    class PlantedEmbedder(HashingEmbedder):
+        def embed(self, text):
+            return list(query)
+
+    embedder = PlantedEmbedder(dimension)
+    snap = snapshot_from_embeddings(rows, embedder_id=embedder.embedder_id)
+    denylist = frozenset(f"item_{i}" for i in range(0, 36, 5))
+
+    # independent oracle: pure-python cosine, denylisted names skipped, full sort
+    query_norm = math.sqrt(sum(x * x for x in query))
+    scores = [
+        sum(a * b for a, b in zip(query, row)) / (query_norm * math.sqrt(sum(b * b for b in row)))
+        for row in rows
+    ]
+    allowed = [i for i in range(len(rows)) if f"item_{i}" not in denylist]
+    oracle = sorted(allowed, key=lambda i: (-scores[i], i))
+    straddled = 0
+    for k in range(1, len(allowed) + 2):
+        result = top_k(RetrievalQuery("q", k), snap, embedder, denylist)
+        assert result.indices() == oracle[:k], k
+        if k < len(oracle) and scores[oracle[k - 1]] == scores[oracle[k]]:
+            straddled += 1
+    assert straddled >= 3
+
+
 def test_signature_name_variants():
     assert signature_name("add(a, b)") == "add"
     assert signature_name("static int join(char *a)") == "join"
