@@ -21,7 +21,6 @@ from .controller import (
     replay,
     run,
     save_run_log,
-    update_best,
 )
 from .corpus import CorpusItem, CorpusSnapshot, ingest, load_snapshot, save_snapshot
 from .embedding import EmbeddingProvider, HashingEmbedder, RemoteEmbedder

@@ -117,27 +117,16 @@ def _add_run_options(sub_parser: argparse.ArgumentParser) -> None:
 
 def _resolved_config(args) -> dict:
     file_values = load_config_file(args.config) if args.config else {}
-    flag_values = {
-        "tier": args.tier,
-        "budget_b": args.budget_b,
-        "budget_k": args.budget_k,
-        "max_subgoals": args.max_subgoals,
-        "snapshot": args.snapshot,
-        "denylist": args.denylist,
-        "model": args.model,
-        "script": args.script,
-        "endpoint": args.endpoint,
-        "embed_endpoint": args.embed_endpoint,
-        "seed": args.seed,
-        "temperature": args.temperature,
-        "top_p": args.top_p,
-        "max_output_tokens": args.max_output_tokens,
-        "input_cap": args.input_cap,
-        "wall_seconds": args.wall_seconds,
-        "memory_bytes": args.memory_bytes,
-        "delta": args.delta,
-    }
+    flag_values = {key: value for key, value in vars(args).items() if key in DEFAULTS}
     return resolve_config(flag_values, file_values)
+
+
+def _checked(record_type, *args, **kwargs):
+    """A record built from user values; a value it rejects is a ConfigError."""
+    try:
+        return record_type(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _tier_from_config(cfg: dict) -> TierConfig:
@@ -149,7 +138,8 @@ def _tier_from_config(cfg: dict) -> TierConfig:
     base = named.get(cfg["tier"])
     if base is None:
         raise ConfigError(f"unknown tier {cfg['tier']!r}; expected small, medium, or large")
-    return TierConfig(
+    return _checked(
+        TierConfig,
         k=cfg["budget_k"] if cfg["budget_k"] is not None else base.k,
         iterations=cfg["budget_b"] if cfg["budget_b"] is not None else base.iterations,
         max_subgoals=cfg["max_subgoals"],
@@ -185,7 +175,7 @@ def _model_from_config(cfg: dict):
 
 
 def _deps_from_config(cfg: dict, tier: TierConfig) -> RunDeps:
-    caps = ResourceCaps(wall_seconds=cfg["wall_seconds"], memory_bytes=cfg["memory_bytes"])
+    caps = _checked(ResourceCaps, wall_seconds=cfg["wall_seconds"], memory_bytes=cfg["memory_bytes"])
     snapshot = None
     embedder = None
     if tier.k > 0:
@@ -242,7 +232,7 @@ def _cmd_query(args) -> int:
     snapshot = load_snapshot(args.snapshot)
     embedder = _embedder_for_snapshot(snapshot, args.embed_endpoint)
     denylist = load_denylist(args.denylist) if args.denylist else None
-    result = top_k(RetrievalQuery(args.q, args.k), snapshot, embedder, denylist)
+    result = top_k(_checked(RetrievalQuery, args.q, args.k), snapshot, embedder, denylist)
     for item, score in result.items:
         print(f"{item.index}\t{score:.6f}\t{item.signature}\t{item.source_path}")
     return 0
@@ -251,7 +241,7 @@ def _cmd_query(args) -> int:
 def _cmd_exec(args) -> int:
     program = read_input_file(args.program, "program")
     suite = load_suite(args.suite)
-    caps = ResourceCaps(wall_seconds=args.wall_seconds, memory_bytes=args.memory_bytes)
+    caps = _checked(ResourceCaps, wall_seconds=args.wall_seconds, memory_bytes=args.memory_bytes)
     feedback = ProcessExecutor(caps=caps).execute(program, suite)
     print(encode_feedback(feedback).text)
     return 0 if feedback.all_passed else 1
@@ -287,29 +277,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     run_log = load_run_log(args.log)
-    cfg = dict(DEFAULTS)
-    cfg.update(run_log.config)
-    caps = ResourceCaps(wall_seconds=cfg["wall_seconds"], memory_bytes=cfg["memory_bytes"])
-    script = args.script or cfg.get("script") or ""
-    if run_log.model_asset_digest is not None and not script:
-        raise ConfigError("replay of a scripted run requires --script")
-    model = ScriptedModel.from_file(script) if script else _model_from_config(cfg)
-    snapshot = None
-    embedder = None
-    if run_log.snapshot_digest is not None:
-        snapshot_path = args.snapshot or cfg.get("snapshot") or ""
-        if not snapshot_path:
-            raise ConfigError("replay of a retrieval run requires --snapshot")
-        snapshot = load_snapshot(snapshot_path)
-        embedder = _embedder_for_snapshot(snapshot, cfg.get("embed_endpoint", ""))
-    deps = RunDeps(
-        model=model,
-        executor=ProcessExecutor(caps=caps),
-        snapshot=snapshot,
-        embedder=embedder,
-        denylist=load_denylist(cfg["denylist"]) if cfg.get("denylist") else None,
-    )
-    fresh = replay(run_log, deps)
+    cfg = {**DEFAULTS, **run_log.config}
+    if args.script:
+        cfg.update(model="scripted", script=args.script)
+    if args.snapshot:
+        cfg["snapshot"] = args.snapshot
+    fresh = replay(run_log, _deps_from_config(cfg, run_log.tier))
     differences = compare_run_logs(run_log, fresh)
     if differences:
         print("replay diverged on:", file=sys.stderr)

@@ -89,4 +89,6 @@ def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
             resolved[key] = value
+    if not 0.0 < resolved["delta"] <= 1.0:
+        raise ConfigError(f"delta must be in (0, 1], got {resolved['delta']}")
     return resolved

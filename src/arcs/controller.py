@@ -3,9 +3,10 @@
 Each round optionally plans, refreshes evidence from the repaired prompt,
 composes and truncates the enriched prompt, proposes a candidate from the
 frozen model, executes it against the suite, and either halts on all-pass or
-appends the encoded feedback. At budget exhaustion the best-so-far candidate
-(most tests passed, earliest round on ties) is returned. Every round is
-logged completely so scripted runs replay bit-exactly.
+appends the encoded feedback. Every round is logged completely so scripted
+runs replay bit-exactly, and the logged rounds are the run's only state: the
+returned candidate (most tests passed, earliest round on ties) and the cost
+report are both read off them after the loop.
 """
 
 from __future__ import annotations
@@ -115,6 +116,16 @@ class CostModel(JsonRecord):
     prompt_output: AffineCost = AffineCost()
     exec_per_test: float = 1.0
 
+    def price(self, round_log: RoundLog, k: int) -> RoundCost:
+        """Cost of one logged round: only the stages it ran are charged."""
+        usage, feedback = round_log.usage, round_log.feedback
+        return RoundCost(
+            retrieval=self.retrieval(k) if round_log.retrieval is not None else 0.0,
+            prompt_input=self.prompt_input(usage.input_tokens) if usage is not None else 0.0,
+            prompt_output=self.prompt_output(usage.output_tokens) if usage is not None else 0.0,
+            execution=len(feedback.verdicts) * self.exec_per_test if feedback is not None else 0.0,
+        )
+
 
 @dataclass(frozen=True)
 class RoundCost(JsonRecord):
@@ -161,21 +172,6 @@ def check_cost_bound(report: CostReport, caps: Mapping[str, float]) -> CostBound
     )
     bound = caps["B"] * per_round
     return CostBound(bound=bound, within_bound=report.total <= bound + 1e-9)
-
-
-def update_best(
-    best: tuple[str, int] | None, candidate: str | None, count: int
-) -> tuple[str, int] | None:
-    """Adopt the candidate only on a strictly greater pass count.
-
-    Keeping the incumbent on ties realizes the earliest-round tie-break of
-    the final argmax.
-    """
-    if candidate is None:
-        return best
-    if best is None or count > best[1]:
-        return (candidate, count)
-    return best
 
 
 @dataclass
@@ -301,13 +297,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
     q_t = spec
     feedback_segments: list = []
     prior: tuple[Plan, ExecutionFeedback] | None = None
-    best: tuple[str, int] | None = None
-    best_round: int | None = None
     rounds: list[RoundLog] = []
-    cost_report = CostReport(model=deps.cost_model)
-    returned_program: str | None = None
-    returned_round: int | None = None
-    passed = False
 
     for t in range(tier.iterations):
         round_start = time.perf_counter()
@@ -342,10 +332,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         )
         composed = prompting.truncate(composed, deps.input_token_cap)
 
-        candidate_raw: str | None = None
-        usage: Usage | None = None
-        program: str | None = None
-        feedback: ExecutionFeedback | None = None
+        candidate_raw = usage = program = feedback = None
         try:
             candidate_raw, usage = deps.model.propose(composed, deps.decoding)
         except ModelProposalError as exc:
@@ -354,18 +341,6 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
             program = extract_code(candidate_raw)
             feedback = deps.executor.execute(program, suite)
 
-        cost_report.rounds.append(
-            RoundCost(
-                retrieval=deps.cost_model.retrieval(tier.k) if evidence is not None else 0.0,
-                prompt_input=(
-                    deps.cost_model.prompt_input(usage.input_tokens) if usage is not None else 0.0
-                ),
-                prompt_output=(
-                    deps.cost_model.prompt_output(usage.output_tokens) if usage is not None else 0.0
-                ),
-                execution=suite.m * deps.cost_model.exec_per_test if feedback is not None else 0.0,
-            )
-        )
         rounds.append(
             RoundLog(
                 t=t,
@@ -383,29 +358,24 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         )
         if feedback is None:
             continue
-        adopted = update_best(best, program, feedback.pass_count)
-        if adopted is not best:
-            best_round = t
-        best = adopted
         if feedback.all_passed:
-            passed = True
-            returned_program = program
-            returned_round = t
             break
         segment = encode_feedback(feedback, deps.max_stack_lines)
         feedback_segments.append(segment)
         q_t = q_t + "\n\n" + segment.text
         prior = (plan_t, feedback) if plan_t is not None else None
 
-    if returned_program is None and best is not None:
-        returned_program, _ = best
-        returned_round = best_round
-
+    # the all-pass round that halted the loop is also the earliest maximum
+    best = max(
+        (round_log for round_log in rounds if round_log.feedback is not None),
+        key=lambda round_log: (round_log.feedback.pass_count, -round_log.t),
+        default=None,
+    )
     outcome = {
-        "passed": passed,
-        "returned_round": returned_round,
-        "returned_program": returned_program,
-        "best_pass_count": best[1] if best is not None else 0,
+        "passed": best is not None and best.feedback.all_passed,
+        "returned_round": best.t if best is not None else None,
+        "returned_program": best.program if best is not None else None,
+        "best_pass_count": best.feedback.pass_count if best is not None else 0,
         "rounds_executed": len(rounds),
         "suite_size": suite.m,
     }
@@ -426,15 +396,18 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         environment_text=environment_text,
         invariants_text=invariants_text,
         config=dict(deps.config_echo),
-        cost=cost_report,
+        cost=CostReport(
+            model=deps.cost_model,
+            rounds=[deps.cost_model.price(round_log, tier.k) for round_log in rounds],
+        ),
         rounds=rounds,
         outcome=outcome,
     )
-    if returned_program is None:
+    if best is None:
         raise NoCandidateError(
             "no candidate: every round ended with an empty proposal", run_log
         )
-    return RunResult(program=returned_program, log=run_log)
+    return RunResult(program=best.program, log=run_log)
 
 
 def save_run_log(run_log: RunLog, directory: str | Path) -> Path:

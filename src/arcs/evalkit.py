@@ -72,33 +72,23 @@ def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> Sweep
         raise ConfigError("task ids must be unique within a task set")
     report = SweepReport(tier=tier.to_jsonable())
     for task in sorted(tasks, key=lambda t: t.id):
+        error = None
         try:
-            result = run(task.spec, task.suite, tier, deps)
-            run_log = result.log
-            report.outcomes.append(
-                TaskOutcome(
-                    task_id=task.id,
-                    passed=bool(run_log.outcome["passed"]),
-                    rounds_used=run_log.outcome["rounds_executed"],
-                    trajectory=best_so_far_trajectory(run_log),
-                    best_pass_count=run_log.outcome["best_pass_count"],
-                    cost_total=run_log.cost.total,
-                )
-            )
+            run_log = run(task.spec, task.suite, tier, deps).log
         except ArcsError as exc:
             log.warning("task %s failed: %s", task.id, exc)
-            run_log = getattr(exc, "run_log", None)
-            report.outcomes.append(
-                TaskOutcome(
-                    task_id=task.id,
-                    passed=False,
-                    rounds_used=run_log.outcome["rounds_executed"] if run_log else 0,
-                    trajectory=best_so_far_trajectory(run_log) if run_log else [],
-                    best_pass_count=run_log.outcome["best_pass_count"] if run_log else 0,
-                    cost_total=run_log.cost.total if run_log else 0.0,
-                    error=str(exc),
-                )
+            run_log, error = getattr(exc, "run_log", None), str(exc)
+        report.outcomes.append(
+            TaskOutcome(
+                task_id=task.id,
+                passed=bool(run_log and run_log.outcome["passed"]),
+                rounds_used=run_log.outcome["rounds_executed"] if run_log else 0,
+                trajectory=best_so_far_trajectory(run_log) if run_log else [],
+                best_pass_count=run_log.outcome["best_pass_count"] if run_log else 0,
+                cost_total=run_log.cost.total if run_log else 0.0,
+                error=error,
             )
+        )
     return report
 
 

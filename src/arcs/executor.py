@@ -369,11 +369,18 @@ class InProcessExecutor(Executor):
     @staticmethod
     def _run_case(program: str, case: TestCase):
         # text streams over bytes, with the newline and encoding rules of a
-        # POSIX interpreter's stdio, so ``sys.stdin.buffer`` and
-        # ``sys.stdout.buffer`` exist as they do in the process sandbox
+        # POSIX interpreter's stdio, so the ``.buffer`` of each standard
+        # stream exists as it does in the process sandbox
         stdout_bytes = io.BytesIO()
         stdout = io.TextIOWrapper(stdout_bytes, encoding="utf-8", newline="\n")
-        stderr = io.StringIO()
+        stderr_bytes = io.BytesIO()
+        stderr = io.TextIOWrapper(
+            stderr_bytes,
+            encoding="utf-8",
+            errors="backslashreplace",
+            newline="\n",
+            write_through=True,
+        )
         original_stdin = sys.stdin
         started = time.perf_counter()
         returncode = 0
@@ -396,9 +403,11 @@ class InProcessExecutor(Executor):
             sys.stdin = original_stdin
             linecache.cache.pop(_CANDIDATE_FILE, None)
             stdout.flush()
+            stderr.flush()
         wall = time.perf_counter() - started
         stdout_text = stdout_bytes.getvalue().decode("utf-8", "replace")
-        return returncode, stdout_text, stderr.getvalue(), wall
+        stderr_text = stderr_bytes.getvalue().decode("utf-8", "replace")
+        return returncode, stdout_text, stderr_text, wall
 
 
 def _exit_status(code, stderr) -> int:

@@ -117,6 +117,8 @@ class ScriptedModel(ProposalModel):
             data = json.loads(Path(path).read_text(encoding="utf-8"))
             if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
                 raise ValueError('expected {"model_id": ..., "entries": [...]}')
+            if not isinstance(data.get("model_id", ""), str):
+                raise ValueError(f"model_id must be a string, got {data['model_id']!r:.40}")
             return cls(data.get("entries", []), model_id=data.get("model_id", "scripted"))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad script file {path}: {exc}") from exc

@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 from arcs.cli import main
+from arcs.controller import RunDeps, TierConfig, run, save_run_log
+from arcs.executor import InProcessExecutor, load_suite
+from arcs.model import ScriptedModel
 
 from conftest import THREE_FUNCTION_FILE
 from helpers import BUGGY_SUM, FIXED_SUM, PLAN_ANSWER, fenced
@@ -45,6 +48,18 @@ def task_files(tmp_path):
         encoding="utf-8",
     )
     return spec, suite, script
+
+
+def _run_args(tmp_path, task_files, *flags, script=None):
+    spec, suite, fixture_script = task_files
+    return [
+        "run",
+        "--spec", str(spec),
+        "--suite", str(suite),
+        "--script", str(script or fixture_script),
+        "--log-dir", str(tmp_path / "rl"),
+        *flags,
+    ]
 
 
 def test_run_success_prints_program_path(tmp_path, task_files, capsys):
@@ -158,6 +173,63 @@ def test_replay_matches_then_detects_tampering(tmp_path, task_files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "round_000.json" in err
+
+
+def _index(tmp_path) -> Path:
+    source_dir = tmp_path / "corpus"
+    source_dir.mkdir()
+    (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+    snapshot_path = tmp_path / "corpus.snap"
+    assert main(["index", "--input", str(source_dir), "--out", str(snapshot_path)]) == 0
+    return snapshot_path
+
+
+def _large_run(tmp_path, task_files) -> tuple[Path, Path]:
+    """A large-tier CLI run with retrieval; its log directory and snapshot."""
+    snapshot_path = _index(tmp_path)
+    flags = ("--tier", "large", "--budget-b", "3", "--snapshot", str(snapshot_path))
+    assert main(_run_args(tmp_path, task_files, *flags)) == 0
+    return tmp_path / "rl", snapshot_path
+
+
+def test_replay_of_a_retrieval_run_reads_its_assets_from_the_logged_config(
+    tmp_path, task_files, capsys
+):
+    log_dir, _ = _large_run(tmp_path, task_files)
+    manifest = json.loads((log_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["snapshot_digest"] is not None
+    capsys.readouterr()
+    assert main(["replay", "--log", str(log_dir)]) == 0
+    assert "identical" in capsys.readouterr().out
+
+
+def _replay_scripted_log_without_script(tmp_path, task_files):
+    # a library run echoes no config, so the script path is nowhere logged
+    model = ScriptedModel([{"response": fenced(FIXED_SUM)}])
+    deps = RunDeps(model=model, executor=InProcessExecutor())
+    suite = load_suite(task_files[1])
+    log_dir = save_run_log(run("Add.", suite, TierConfig.small(), deps).log, tmp_path / "rl")
+    return ["replay", "--log", str(log_dir)]
+
+
+def _replay_with_its_snapshot_gone(tmp_path, task_files):
+    log_dir, snapshot_path = _large_run(tmp_path, task_files)
+    snapshot_path.unlink()
+    return ["replay", "--log", str(log_dir)]
+
+
+@pytest.mark.parametrize(
+    "missing_asset", [_replay_scripted_log_without_script, _replay_with_its_snapshot_gone]
+)
+def test_replay_without_its_assets_exits_two_with_one_line(
+    tmp_path, task_files, capsys, missing_asset
+):
+    argv = missing_asset(tmp_path, task_files)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_replay_with_different_script_is_asset_error(tmp_path, task_files, capsys):
@@ -310,16 +382,9 @@ def _replay_manifest_without_spec(tmp_path, task_files):
 
 
 def _run_script_entry_without_response(tmp_path, task_files):
-    spec, suite, _ = task_files
     script = tmp_path / "bad_script.json"
     script.write_text(json.dumps({"entries": [{"feedback": False}]}), encoding="utf-8")
-    return [
-        "run",
-        "--spec", str(spec),
-        "--suite", str(suite),
-        "--script", str(script),
-        "--log-dir", str(tmp_path / "rl"),
-    ]
+    return _run_args(tmp_path, task_files, script=script)
 
 
 def _exec_suite_not_json(tmp_path, task_files):
@@ -387,6 +452,38 @@ def _query_v1_snapshot(tmp_path, task_files):
     return ["query", "--snapshot", str(snapshot), "--q", "add"]
 
 
+def _run_budget_b_zero(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--budget-b", "0")
+
+
+def _run_budget_k_negative(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--budget-k", "-1")
+
+
+def _run_delta_above_one(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--delta", "1.5")
+
+
+def _exec_wall_seconds_zero(tmp_path, task_files):
+    program = tmp_path / "program.py"
+    program.write_text(FIXED_SUM, encoding="utf-8")
+    _, suite, _ = task_files
+    return ["exec", "--program", str(program), "--suite", str(suite), "--wall-seconds", "0"]
+
+
+def _query_k_zero(tmp_path, task_files):
+    return ["query", "--snapshot", str(_index(tmp_path)), "--q", "add", "-k", "0"]
+
+
+def _run_script_model_id_not_string(tmp_path, task_files):
+    script = tmp_path / "bad_script.json"
+    script.write_text(
+        json.dumps({"model_id": 5, "entries": [{"response": fenced(FIXED_SUM)}]}),
+        encoding="utf-8",
+    )
+    return _run_args(tmp_path, task_files, script=script)
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -398,6 +495,12 @@ def _query_v1_snapshot(tmp_path, task_files):
         _run_spec_missing,
         _sweep_task_tags_not_list,
         _query_v1_snapshot,
+        _run_budget_b_zero,
+        _run_budget_k_negative,
+        _run_delta_above_one,
+        _exec_wall_seconds_zero,
+        _query_k_zero,
+        _run_script_model_id_not_string,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

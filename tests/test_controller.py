@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import accumulate
 
 import pytest
 
@@ -18,7 +19,6 @@ from arcs.controller import (
     replay,
     run,
     save_run_log,
-    update_best,
 )
 from arcs.errors import ConfigError, NoCandidateError, ReplayAssetError
 from arcs.executor import InProcessExecutor, ProcessExecutor
@@ -31,6 +31,7 @@ from helpers import (
     constant_model,
     fenced,
     long_spec,
+    make_suite,
     sum_suite,
 )
 
@@ -106,6 +107,7 @@ def test_model_hard_failure_consumes_round():
     assert result.log.rounds[0].feedback is None
     assert result.log.outcome["passed"] is True
     assert result.log.outcome["returned_round"] == 1
+    assert result.log.cost.rounds[0].total == 0.0
 
 
 def test_all_rounds_empty_raises_no_candidate_with_log():
@@ -124,18 +126,31 @@ def test_empty_response_is_a_failing_candidate():
     assert result.log.outcome["passed"] is False
 
 
-def test_update_best_rules():
-    assert update_best(None, "c1", 1) == ("c1", 1)
-    assert update_best(("inc", 2), "new", 2) == ("inc", 2)
-    assert update_best(("inc", 2), "new", 3) == ("new", 3)
-    assert update_best(("inc", 2), None, 9) == ("inc", 2)
-    # running max over counts [1, 3, 2]
-    best = None
-    trajectory = []
-    for i, count in enumerate([1, 3, 2]):
-        best = update_best(best, f"c{i}", count)
-        trajectory.append(best[1])
-    assert trajectory == [1, 3, 3]
+@pytest.mark.parametrize(
+    "counts, returned",
+    [([1, 3, 2], 1), ([2, 0, 2], 0), ([None, 1, 1], 1)],
+    ids=["greater_count_wins", "tie_keeps_earliest", "hard_failure_never_returned"],
+)
+def test_returned_round_rules(counts, returned):
+    # round t's candidate passes counts[t] of four tests (None: no proposal)
+    suite = make_suite(("1", "1"), ("2", "2"), ("3", "3"), ("4", "4"))
+    programs = {
+        t: f"x = int(input())\nprint(x if x <= {count} else 0)"
+        for t, count in enumerate(counts)
+        if count is not None
+    }
+    model = ScriptedModel(
+        [{"ordinal": t, "response": fenced(code)} for t, code in programs.items()]
+    )
+    tier = TierConfig(k=0, iterations=len(counts), planning=False)
+    result = run(SPEC, suite, tier, _deps(model))
+    outcome = result.log.outcome
+    assert outcome["returned_round"] == returned
+    assert outcome["best_pass_count"] == counts[returned]
+    assert outcome["passed"] is False
+    assert result.program.strip() == programs[returned]
+    assert [r.feedback.pass_count if r.feedback else None for r in result.log.rounds] == counts
+    assert best_so_far_trajectory(result.log) == list(accumulate((c or 0 for c in counts), max))
 
 
 def test_best_so_far_trajectory_is_non_decreasing():

@@ -210,6 +210,7 @@ PARITY_PROGRAMS = {
         "total = sum(map(int, sys.stdin.buffer.read().split()))\n"
         "sys.stdout.buffer.write(str(total).encode())"
     ),
+    "stderr_buffer": 'import sys\nsys.stderr.buffer.write(b"x")\nprint(3)',
 }
 
 

@@ -7,18 +7,18 @@ script digest below pins the sparse encoding of script entries. A change
 to the codec must reproduce all of them byte for byte.
 
 After an intended change of the format, re-pin with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff. The
+run-log directory is re-saved through the codec rather than re-run, so it
+keeps the legacy ``embedder`` config key that the replay test covers.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
-from arcs.config import DEFAULTS
 from arcs.controller import (
     RunDeps,
     TierConfig,
@@ -169,18 +169,29 @@ def test_sweep_report_matches_golden():
     assert _text(sweep_report().to_jsonable()) == expected
 
 
-def _pin() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+def _pin(directory: Path = GOLDEN) -> None:
+    directory.mkdir(exist_ok=True)
     for name in TIERS:
-        (GOLDEN / f"{name}.json").write_text(
+        (directory / f"{name}.json").write_text(
             _text(tier_log(name).to_jsonable(include_timing=False)), encoding="utf-8"
         )
-    shutil.rmtree(RUN_LOG_DIR, ignore_errors=True)
-    tier = TIERS["large"]
-    logged = run(SPEC, SUITE, tier, _deps(tier, config_echo=dict(DEFAULTS))).log
-    save_run_log(logged, RUN_LOG_DIR)
-    (GOLDEN / "sweep_report.json").write_text(_text(sweep_report().to_jsonable()), encoding="utf-8")
+    # re-saved, not re-run: the legacy config key, the timestamp and the
+    # wall times stay as pinned
+    save_run_log(load_run_log(RUN_LOG_DIR), directory / RUN_LOG_DIR.name)
+    (directory / "sweep_report.json").write_text(_text(sweep_report().to_jsonable()), encoding="utf-8")
     print("script digest:", ScriptedModel(SCRIPT, model_id="golden").script_digest)
+
+
+def _files(root: Path) -> list[Path]:
+    return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
+
+
+def test_pin_rewrites_every_golden_file_byte_for_byte(tmp_path):
+    _pin(tmp_path)
+    pinned = _files(GOLDEN)
+    assert _files(tmp_path) == pinned
+    for name in pinned:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 if __name__ == "__main__":
