@@ -462,8 +462,9 @@ def replay(run_log: RunLog, deps: RunDeps) -> RunLog:
     """Re-execute a logged run from its frozen assets and configuration.
 
     Raises ReplayAssetError naming the divergent asset when a required
-    digest or identifier does not match. Returns the fresh log; compare with
-    ``compare_run_logs`` (wall times excluded).
+    digest or identifier does not match. Returns the fresh log, also for a
+    run that found no candidate; compare with ``compare_run_logs`` (wall
+    times excluded).
     """
     if deps.model.model_id != run_log.model_id:
         raise ReplayAssetError(
@@ -497,8 +498,12 @@ def replay(run_log: RunLog, deps: RunDeps) -> RunLog:
         max_stack_lines=run_log.max_stack_lines,
         config_echo=dict(run_log.config),
     )
-    result = run(run_log.spec, run_log.suite, run_log.tier, replay_deps)
-    return result.log
+    try:
+        return run(run_log.spec, run_log.suite, run_log.tier, replay_deps).log
+    except NoCandidateError as exc:
+        if exc.run_log is None:
+            raise
+        return exc.run_log
 
 
 def compare_run_logs(first: RunLog, second: RunLog) -> list[str]:

@@ -11,12 +11,13 @@ import base64
 import hashlib
 import json
 import logging
+import operator
 import re
 import struct
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,7 +75,9 @@ class CorpusItem:
         )
 
 
-_METADATA_FIELDS = frozenset(field.name for field in fields(CorpusItem)) - {"embedding"}
+_METADATA_NAMES = tuple(field.name for field in fields(CorpusItem) if field.name != "embedding")
+_METADATA_FIELDS = frozenset(_METADATA_NAMES)
+_metadata_values = operator.itemgetter(*_METADATA_NAMES)
 
 
 def _metadata(item: CorpusItem) -> dict:
@@ -129,43 +132,63 @@ class CorpusSnapshot:
         packed = b"".join([row.pack(*item.embedding) for item in items])
         matrix = np.frombuffer(packed, dtype=np.float64).reshape(len(items), dimension)
         records = [_metadata(item) for item in items]
-        digest = compute_content_digest(canonical_json(records), matrix)
-        return cls._from_parts(records, matrix, embedder_id, created_at or utc_now_iso(), digest)
+        digest = compute_content_digest((_metadata_line(record) for record in records), matrix)
+        metadata = [_metadata_values(record) for record in records]
+        return cls._from_parts(metadata, matrix, embedder_id, created_at or utc_now_iso(), digest)
 
     @classmethod
     def _from_parts(
         cls,
-        records: Sequence[dict],
+        metadata: Sequence[tuple],
         matrix: np.ndarray,
         embedder_id: str,
         created_at: str,
         content_digest: str,
     ) -> "CorpusSnapshot":
-        """The snapshot of item metadata ``records`` whose embeddings are the rows of ``matrix``."""
+        """The snapshot whose items have the ``metadata`` field values, in field
+        order, and the rows of ``matrix`` as embeddings."""
         matrix.flags.writeable = False
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms.flags.writeable = False
+        items = tuple(CorpusItem(*values, embedding=row) for values, row in zip(metadata, matrix))
         return cls(
-            items=tuple(CorpusItem(**record, embedding=row) for record, row in zip(records, matrix)),
+            items=items,
             embedder_id=embedder_id,
             dimension=matrix.shape[1],
             created_at=created_at,
             content_digest=content_digest,
             matrix=matrix,
             norms=norms,
-            names=tuple(signature_name(record["signature"]) for record in records),
+            names=tuple(signature_name(item.signature) for item in items),
         )
 
     def __len__(self) -> int:
         return len(self.items)
 
 
-def compute_content_digest(metadata_json: str, matrix: np.ndarray) -> str:
+def compute_content_digest(metadata_lines: Iterable[bytes], matrix: np.ndarray) -> str:
     """SHA-256 over the matrix shape, the canonical JSON array of the item
-    metadata records, and the little-endian float64 matrix bytes."""
-    digest = hashlib.sha256(f"{matrix.shape[0]} {matrix.shape[1]}\n{metadata_json}\n".encode("utf-8"))
+    metadata records, and the little-endian float64 matrix bytes; the records
+    arrive as ``metadata_lines``, one UTF-8 line per item as the file holds them."""
+    digest = _metadata_hash(*matrix.shape, metadata_lines)
     digest.update(np.ascontiguousarray(matrix, dtype="<f8"))
     return digest.hexdigest()
+
+
+def _metadata_hash(count: int, dimension: int, metadata_lines: Iterable[bytes]):
+    """The digest's SHA-256 fed the shape line and the JSON array whose
+    elements are ``metadata_lines``; the matrix bytes come next."""
+    digest = hashlib.sha256(f"{count} {dimension}\n[".encode("ascii"))
+    for position, line in enumerate(metadata_lines):
+        if position:
+            digest.update(b",")
+        digest.update(line)
+    digest.update(b"]\n")
+    return digest
+
+
+def _metadata_line(record: dict) -> bytes:
+    return canonical_json(record).encode("utf-8")
 
 
 def signature_name(signature: str) -> str:
@@ -419,26 +442,37 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
         "count": len(snapshot.items),
         "content_digest": snapshot.content_digest,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    lines.extend(canonical_json(_metadata(item)) for item in snapshot.items)
-    matrix_bytes = np.ascontiguousarray(snapshot.matrix, dtype="<f8").tobytes()
-    lines.append(base64.b64encode(zlib.compress(matrix_bytes)).decode("ascii"))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("wb") as file:
+        file.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for item in snapshot.items:
+            file.write(_metadata_line(_metadata(item)) + b"\n")
+        matrix = np.ascontiguousarray(snapshot.matrix, dtype="<f8")
+        file.write(base64.b64encode(zlib.compress(matrix)) + b"\n")
 
 
 def load_snapshot(path: str | Path) -> CorpusSnapshot:
-    """Load and integrity-check a snapshot; any damage or digest mismatch raises."""
+    """Load and integrity-check a snapshot; any damage or digest mismatch raises.
+
+    The file is read one line at a time: each metadata line is hashed and
+    parsed as it arrives, and the matrix line is decoded once into the bytes
+    the snapshot's matrix wraps.
+    """
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with path.open("rb") as file:
+            return _read_snapshot(file, path)
+    except OSError as exc:
         raise SnapshotCorruptionError(f"cannot read snapshot {path}: {exc}") from exc
-    lines = [line for line in raw.splitlines() if line.strip()]
-    if not lines:
-        raise SnapshotCorruptionError(f"snapshot {path} is empty")
+
+
+def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
+    # blank lines are skipped; CRLF line ends read as LF
+    lines = (line.rstrip(b"\r\n") for line in file if not line.isspace())
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        header = json.loads(next(lines).decode("utf-8"))
+    except StopIteration:
+        raise SnapshotCorruptionError(f"snapshot {path} is empty") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise SnapshotCorruptionError(f"snapshot {path} has an unreadable header") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotCorruptionError(f"snapshot {path} is not an {SNAPSHOT_FORMAT} file")
@@ -455,28 +489,42 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
         embedder_id, created_at = header["embedder_id"], header["created_at"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
-    metadata_lines = lines[1:-1]
-    if len(metadata_lines) != count:
+    records: list[tuple] = []
+
+    def item_lines() -> Iterator[bytes]:
+        """The next ``count`` lines, each parsed into ``records`` before it is hashed."""
+        for position, line in zip(range(count), lines):
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+                raise SnapshotCorruptionError(f"snapshot {path} has corrupt item metadata") from exc
+            if not isinstance(record, dict) or record.keys() != _METADATA_FIELDS or record["index"] != position:
+                raise SnapshotCorruptionError(f"snapshot {path} line {position + 2} is corrupt")
+            records.append(_metadata_values(record))
+            yield line
+
+    digest = _metadata_hash(count, dimension, item_lines())
+    matrix_line = next(lines, None)
+    after_header = len(records) + (matrix_line is not None) + sum(1 for _ in lines)
+    if after_header != count + 1:
         raise SnapshotCorruptionError(
-            f"snapshot {path} holds {len(metadata_lines)} items, header declares {count}"
+            f"snapshot {path} holds {max(after_header - 1, 0)} items, header declares {count}"
         )
     try:
-        matrix_bytes = zlib.decompress(base64.b64decode(lines[-1], validate=True))
-        # astype copies into an owned, aligned array in native byte order
-        matrix = np.frombuffer(matrix_bytes, dtype="<f8").reshape(count, dimension).astype(np.float64)
+        compressed = base64.b64decode(matrix_line, validate=True)
+        del matrix_line
+        # an exact first buffer spares zlib joining its output blocks; deflate
+        # expands at most 1032-fold, which bounds a forged dimension
+        bufsize = min(count * dimension * 8, 1032 * len(compressed))
+        matrix_bytes = zlib.decompress(compressed, bufsize=bufsize)
+        del compressed
+        # the matrix wraps the decompressed bytes; astype copies only on a big-endian host
+        matrix = np.frombuffer(matrix_bytes, dtype="<f8").reshape(count, dimension)
+        matrix = matrix.astype(np.float64, copy=False)
     except (ValueError, zlib.error) as exc:  # binascii.Error and a wrong shape are ValueErrors
         raise SnapshotCorruptionError(f"snapshot {path} has a corrupt embedding matrix") from exc
-    metadata_json = "[" + ",".join(metadata_lines) + "]"
-    digest = compute_content_digest(metadata_json, matrix)
-    if digest != header.get("content_digest"):
+    digest.update(matrix_bytes)
+    content_digest = digest.hexdigest()
+    if content_digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
-    try:
-        records = json.loads(metadata_json)
-    except json.JSONDecodeError as exc:
-        raise SnapshotCorruptionError(f"snapshot {path} has corrupt item metadata") from exc
-    if len(records) != count:
-        raise SnapshotCorruptionError(f"snapshot {path} has corrupt item metadata")
-    for position, record in enumerate(records):
-        if not isinstance(record, dict) or record.keys() != _METADATA_FIELDS or record["index"] != position:
-            raise SnapshotCorruptionError(f"snapshot {path} line {position + 2} is corrupt")
-    return CorpusSnapshot._from_parts(records, matrix, embedder_id, created_at, digest)
+    return CorpusSnapshot._from_parts(records, matrix, embedder_id, created_at, content_digest)

@@ -8,8 +8,6 @@ import hashlib
 import json
 import types
 import typing
-import urllib.error
-import urllib.request
 from datetime import datetime, timezone
 
 from .errors import TransportError
@@ -167,6 +165,9 @@ def http_post_json(url: str, payload: dict, timeout: float, token: str | None = 
     Raises TransportError on connection problems, non-2xx statuses, or
     undecodable replies so callers can apply their retry policy.
     """
+    import urllib.error  # imported here: it loads http.client, ssl and email
+    import urllib.request
+
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if token:

@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,19 @@ def test_replay_of_a_retrieval_run_reads_its_assets_from_the_logged_config(
     capsys.readouterr()
     assert main(["replay", "--log", str(log_dir)]) == 0
     assert "identical" in capsys.readouterr().out
+
+
+def test_replay_of_a_run_that_found_no_candidate(tmp_path, task_files, capsys):
+    script = tmp_path / "late.json"
+    script.write_text(
+        json.dumps({"model_id": "fixture", "entries": [{"ordinal": 9, "response": fenced(FIXED_SUM)}]}),
+        encoding="utf-8",
+    )
+    assert main(_run_args(tmp_path, task_files, "--budget-b", "2", script=script)) == 1
+    assert (tmp_path / "rl" / "manifest.json").is_file()
+    capsys.readouterr()
+    assert main(["replay", "--log", str(tmp_path / "rl")]) == 0
+    assert "replay identical" in capsys.readouterr().out
 
 
 def _replay_scripted_log_without_script(tmp_path, task_files):
@@ -510,3 +525,11 @@ def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, caps
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_import_leaves_the_network_stack_unloaded():
+    network = ("urllib.request", "http.client", "ssl")
+    probe = f"import sys, arcs, arcs.cli; print([m for m in {network!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

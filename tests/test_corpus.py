@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import base64
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from arcs.corpus import (
+    CorpusItem,
     CorpusSnapshot,
     extract_definitions,
     ingest,
@@ -185,3 +187,103 @@ def test_damaged_matrix_line_is_corrupt(snapshot, tmp_path):
         path.write_text("\n".join([*lines[:-1], damaged]) + "\n", encoding="utf-8")
         with pytest.raises(SnapshotCorruptionError):
             load_snapshot(path)
+
+
+@pytest.mark.parametrize("dimension", [-3, 10**15, "one_more"])
+def test_header_dimension_that_does_not_fit_the_matrix_is_corrupt(snapshot, tmp_path, dimension):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header["dimension"] = header["dimension"] + 1 if dimension == "one_more" else dimension
+    lines[0] = json.dumps(header, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotCorruptionError):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.replace(b"}\n{", b"}\n\n \t\n{"),
+    ],
+    ids=["crlf", "blank_lines_between_items"],
+)
+def test_reformatted_line_breaks_load_to_the_same_snapshot(snapshot, tmp_path, rewrite):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    path.write_bytes(rewrite(path.read_bytes()))
+    loaded = load_snapshot(path)
+    assert loaded.content_digest == snapshot.content_digest
+    assert loaded.items == snapshot.items
+
+
+def test_invalid_utf8_in_an_item_line_is_corrupt(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = lines[1].replace(b'"doc":"', b'"doc":"\xff', 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SnapshotCorruptionError):
+        load_snapshot(path)
+
+
+def _megabyte_snapshot() -> CorpusSnapshot:
+    """About 1 MB on disk: 1,000 items with 21-line bodies and 32-dimension embeddings."""
+    embedder = HashingEmbedder(dimension=32)
+    items = []
+    for index in range(1000):
+        signature = f"handler_{index}(request, options)"
+        body = "\n".join(
+            [f"def {signature}:"]
+            + [f"    value_{line} = request.field_{line} + {index}" for line in range(20)]
+        )
+        items.append(
+            CorpusItem(
+                index=index,
+                signature=signature,
+                doc=f"Handle request number {index} with the given options.",
+                body=body,
+                source_path=f"pkg/module_{index % 7}.py",
+                language="python",
+                embedding=tuple(embedder.embed(signature)),
+            )
+        )
+    return CorpusSnapshot.build(items, embedder.embedder_id, embedder.dimension)
+
+
+def _traced_load(path) -> tuple[CorpusSnapshot, int, int]:
+    """``load_snapshot(path)``, the bytes it keeps and its peak, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded = load_snapshot(path)
+        kept, peak = (value - before for value in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return loaded, kept, peak
+
+
+def test_snapshot_load_peaks_below_two_and_a_half_file_sizes(tmp_path):
+    path = tmp_path / "big.snap"
+    save_snapshot(_megabyte_snapshot(), path)
+    size = path.stat().st_size
+    assert 900_000 < size < 1_100_000
+    loaded, kept, peak = _traced_load(path)
+    assert len(loaded) == 1000
+    assert peak <= 2.5 * size, f"load peaked at {peak / size:.2f}x the file size"
+    # streamed: beyond the snapshot it returns, the load holds little at once
+    assert peak - kept <= 0.2 * size, f"load held {(peak - kept) / size:.2f}x the file size transiently"
+
+
+def test_snapshot_load_holds_its_matrix_once(tmp_path):
+    # 2 MB of sparse floats compress to a few KB, so a second copy of the
+    # matrix would dominate what the load holds beyond its result
+    embedder = HashingEmbedder(dimension=4096)
+    items = [make_item(i, embedder.embed(f"function number {i}")) for i in range(64)]
+    path = tmp_path / "wide.snap"
+    save_snapshot(CorpusSnapshot.build(items, embedder.embedder_id, 4096), path)
+    loaded, kept, peak = _traced_load(path)
+    matrix = loaded.matrix.nbytes
+    assert peak - kept <= 0.2 * matrix, f"load held {(peak - kept) / matrix:.2f}x the matrix transiently"

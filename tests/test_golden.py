@@ -2,9 +2,11 @@
 
 Each file under ``tests/golden`` holds the text of one record as the codec
 wrote it when the file was pinned: a run log per tier (timing fields left
-out), a run-log directory with timing fields, and a sweep report. The
-script digest below pins the sparse encoding of script entries. A change
-to the codec must reproduce all of them byte for byte.
+out), a run-log directory with timing fields, and a sweep report; beside
+them ``snapshot`` holds the bytes ``save_snapshot`` wrote for the corpus the
+retrieval tiers use. The script digest below pins the sparse encoding of
+script entries. A change to the codec or the snapshot format must
+reproduce all of them byte for byte.
 
 After an intended change of the format, re-pin with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff. The
@@ -28,7 +30,7 @@ from arcs.controller import (
     run,
     save_run_log,
 )
-from arcs.corpus import CorpusItem, CorpusSnapshot
+from arcs.corpus import CorpusItem, CorpusSnapshot, load_snapshot, save_snapshot
 from arcs.embedding import HashingEmbedder
 from arcs.evalkit import TaskRecord, sweep
 from arcs.executor import InProcessExecutor
@@ -38,6 +40,7 @@ from arcs.model import ScriptedModel
 
 GOLDEN = Path(__file__).parent / "golden"
 RUN_LOG_DIR = GOLDEN / "runlog"
+SNAPSHOT = GOLDEN / "snapshot"
 
 SPEC = "Read two integers from one stdin line and print their sum.\n" + " ".join(
     f"note{i}" for i in range(130)
@@ -169,6 +172,18 @@ def test_sweep_report_matches_golden():
     assert _text(sweep_report().to_jsonable()) == expected
 
 
+def test_saved_snapshot_matches_golden(tmp_path):
+    save_snapshot(_snapshot()[0], tmp_path / "snapshot")
+    assert (tmp_path / "snapshot").read_bytes() == SNAPSHOT.read_bytes()
+
+
+def test_golden_snapshot_loads_to_the_logged_digest_and_items():
+    logged_digest = json.loads((GOLDEN / "large.json").read_text(encoding="utf-8"))["snapshot_digest"]
+    loaded = load_snapshot(SNAPSHOT)
+    assert loaded.content_digest == logged_digest
+    assert loaded.items == _snapshot()[0].items
+
+
 def _pin(directory: Path = GOLDEN) -> None:
     directory.mkdir(exist_ok=True)
     for name in TIERS:
@@ -179,6 +194,7 @@ def _pin(directory: Path = GOLDEN) -> None:
     # wall times stay as pinned
     save_run_log(load_run_log(RUN_LOG_DIR), directory / RUN_LOG_DIR.name)
     (directory / "sweep_report.json").write_text(_text(sweep_report().to_jsonable()), encoding="utf-8")
+    save_snapshot(_snapshot()[0], directory / SNAPSHOT.name)
     print("script digest:", ScriptedModel(SCRIPT, model_id="golden").script_digest)
 
 
