@@ -147,10 +147,16 @@ def _tier_from_config(cfg: dict) -> TierConfig:
     )
 
 
+def _hashing_embedder(embedder_id: str) -> HashingEmbedder | None:
+    """The embedder ``hash<dim>`` names, or None for any other id."""
+    match = _HASH_EMBEDDER_RE.match(embedder_id)
+    return _checked(HashingEmbedder, int(match.group(1))) if match else None
+
+
 def _embedder_for_snapshot(snapshot, embed_endpoint: str):
-    match = _HASH_EMBEDDER_RE.match(snapshot.embedder_id)
-    if match:
-        return HashingEmbedder(int(match.group(1)))
+    embedder = _hashing_embedder(snapshot.embedder_id)
+    if embedder is not None:
+        return embedder
     if embed_endpoint:
         return RemoteEmbedder(
             embed_endpoint,
@@ -210,10 +216,9 @@ def _cmd_index(args) -> int:
             raise ConfigError("remote embedder selected but no --embed-endpoint given")
         embedder = RemoteEmbedder(args.embed_endpoint)
     else:
-        match = _HASH_EMBEDDER_RE.match(args.embedder)
-        if not match:
+        embedder = _hashing_embedder(args.embedder)
+        if embedder is None:
             raise ConfigError(f"unknown embedder {args.embedder!r}; expected hash<dim> or remote")
-        embedder = HashingEmbedder(int(match.group(1)))
     root = Path(args.input)
     if not root.is_dir():
         raise ConfigError(f"input {root} is not a directory")

@@ -9,7 +9,7 @@ import re
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, TransportError
 from .util import CREDENTIAL_ENV_VAR, http_post_json
 
 DEFAULT_DIMENSION = 384
@@ -66,8 +66,9 @@ class RemoteEmbedder(EmbeddingProvider):
     """Adapter for a remote embedding endpoint.
 
     Sends ``{"text": ...}`` and expects ``{"embedding": [...]}`` of the
-    configured dimension. The credential, if any, comes from the
-    ``ARCS_API_TOKEN`` environment variable and is never logged.
+    configured dimension; any other reply raises TransportError. The
+    credential, if any, comes from the ``ARCS_API_TOKEN`` environment
+    variable and is never logged.
     """
 
     def __init__(
@@ -89,10 +90,14 @@ class RemoteEmbedder(EmbeddingProvider):
     def embed(self, text: str) -> list[float]:
         token = os.environ.get(CREDENTIAL_ENV_VAR)
         reply = self._transport(self.endpoint, {"text": text}, self._timeout, token=token)
-        vector = reply.get("embedding")
-        if not isinstance(vector, list) or len(vector) != self.dimension:
+        vector = reply.get("embedding") if isinstance(reply, dict) else None
+        if not isinstance(vector, list):
+            raise TransportError(f"malformed embedding reply {reply!r:.80}")
+        if len(vector) != self.dimension:
             raise DimensionMismatchError(
-                f"endpoint returned {0 if not isinstance(vector, list) else len(vector)} "
-                f"dimensions, expected {self.dimension}"
+                f"endpoint returned {len(vector)} dimensions, expected {self.dimension}"
             )
-        return [float(x) for x in vector]
+        try:
+            return [float(x) for x in vector]
+        except (TypeError, ValueError) as exc:
+            raise TransportError(f"malformed embedding reply: {exc}") from exc

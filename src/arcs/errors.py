@@ -43,10 +43,6 @@ class ModelProposalError(ArcsError):
     """The proposal model failed hard for one call (after retries)."""
 
 
-class RuntimeMissingError(ConfigError):
-    """The configured target runtime binary is not available."""
-
-
 class SandboxSetupError(ArcsError):
     """The executor could not prepare an isolated workspace."""
 

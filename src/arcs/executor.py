@@ -28,14 +28,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .config import DEFAULTS
-from .errors import ConfigError, RuntimeMissingError, SandboxSetupError
+from .errors import ConfigError, SandboxSetupError
 from .prompting import PromptSegment
 from .util import TIMING, JsonRecord
-
-try:
-    import resource
-except ImportError:  # non-POSIX platform; limits become best-effort no-ops
-    resource = None
 
 PASS = "pass"
 WRONG_OUTPUT = "wrong_output"
@@ -45,11 +40,21 @@ MEMORY_EXCEEDED = "memory_exceeded"
 VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 
 _STDERR_KEEP_LINES = 200
-# in-process candidates compile under the file name the process backend shows
+# the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
-_NETWORK_GUARD = """\
-import socket
+# left in the workspace by a child that dies of an uncaught memory failure
+_MEMORY_MARKER = ".memory-exceeded"
+
+# the workspace's sitecustomize, which the child runs before the candidate
+_CHILD_SETUP = """\
+import errno, os, resource, socket, sys
+
+for _limit, _cap in ((resource.RLIMIT_AS, ({memory}, {memory})), (resource.RLIMIT_CPU, ({cpu}, {cpu} + 1))):
+    try:
+        resource.setrlimit(_limit, _cap)
+    except (ValueError, OSError):
+        pass
 
 def _blocked(*args, **kwargs):
     raise OSError("network access is disabled in this sandbox")
@@ -58,6 +63,13 @@ socket.socket.connect = _blocked
 socket.socket.connect_ex = _blocked
 socket.create_connection = _blocked
 socket.getaddrinfo = _blocked
+
+def _report_memory(kind, value, frames, _previous=sys.excepthook):
+    if issubclass(kind, MemoryError) or isinstance(value, OSError) and value.errno == errno.ENOMEM:
+        open(os.path.join(os.path.dirname(__file__), "{marker}"), "w").close()
+    _previous(kind, value, frames)
+
+sys.excepthook = _report_memory
 """
 
 
@@ -108,15 +120,6 @@ class ResourceCaps:
     def __post_init__(self):
         if self.wall_seconds <= 0 or self.memory_bytes <= 0:
             raise ValueError("resource caps must be positive")
-
-
-@dataclass(frozen=True)
-class RuntimeSpec:
-    """Names the interpreter command used to run candidate programs."""
-
-    language: str = "python"
-    command: tuple[str, ...] = (sys.executable,)
-    file_extension: str = ".py"
 
 
 @dataclass(frozen=True)
@@ -199,15 +202,16 @@ def _judge(
     returncode: int | None,
     stdout: str,
     stderr: str,
+    memory_exceeded: bool,
     caps: ResourceCaps | None,
 ) -> tuple[str, FailureDetail | None]:
     """Verdict and failure detail of one test from what its run left behind.
 
-    ``returncode`` is None when the run hit the wall-clock cap. ``caps`` is
-    None for a backend without caps, which can never breach memory.
+    ``returncode`` is None when the run hit the wall-clock cap, and
+    ``memory_exceeded`` True when the child reported an uncaught memory
+    failure. ``caps`` is None for a backend without caps.
     """
     lines = tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
-    joined = "\n".join(lines)
     if returncode is None:
         verdict, kind, lines = TIMEOUT, "timeout", ()
         summary = f"no result within {caps.wall_seconds:g}s"
@@ -217,8 +221,7 @@ def _judge(
         if expected == actual:
             return PASS, None
         verdict, kind, summary = WRONG_OUTPUT, "wrong output", first_difference(expected, actual)
-    # memory breach detection is post-hoc: the rlimit surfaces as MemoryError
-    elif caps is not None and ("MemoryError" in joined or "Cannot allocate memory" in joined):
+    elif memory_exceeded:
         verdict, kind = MEMORY_EXCEEDED, "memory exceeded"
         summary = f"memory cap {caps.memory_bytes} bytes breached"
     else:
@@ -234,8 +237,8 @@ def _run_suite(run_one, program: str, suite: TestSuite, caps: ResourceCaps | Non
     cases = suite.ordered_cases()
     judged, wall_times = [], []
     for case in cases:
-        returncode, stdout, stderr, wall = run_one(program, case)
-        judged.append(_judge(case, suite.compare, returncode, stdout, stderr, caps))
+        returncode, stdout, stderr, memory_exceeded, wall = run_one(program, case)
+        judged.append(_judge(case, suite.compare, returncode, stdout, stderr, memory_exceeded, caps))
         wall_times.append(wall)
     verdicts = tuple(verdict for verdict, _ in judged)
     return ExecutionFeedback(
@@ -251,19 +254,18 @@ class ProcessExecutor(Executor):
     """Runs each test in a fresh OS process inside a temp workspace.
 
     Isolation is process-level: fresh working directory per test, a minimal
-    environment, address-space and CPU rlimits where the OS supports them,
-    and a Python-level network guard injected via sitecustomize. A container
-    backend can replace this behind the same interface.
+    environment, and a sitecustomize through which the child sets its own
+    address-space and CPU rlimits and a Python-level network guard before
+    the candidate runs. A container backend can replace this behind the
+    same interface.
     """
 
-    def __init__(self, runtime: RuntimeSpec | None = None, caps: ResourceCaps | None = None):
-        self.runtime = runtime or RuntimeSpec()
+    def __init__(self, caps: ResourceCaps | None = None):
         self.caps = caps or ResourceCaps()
 
     def environment_description(self) -> str:
-        command_name = Path(self.runtime.command[0]).name
         return (
-            f"runtime: {self.runtime.language} via {command_name}; "
+            f"runtime: python via {Path(sys.executable).name}; "
             "entry: the program reads stdin and writes stdout; "
             f"caps per test: {self.caps.wall_seconds:g}s wall clock, "
             f"{self.caps.memory_bytes} bytes memory; network disabled; "
@@ -271,21 +273,17 @@ class ProcessExecutor(Executor):
         )
 
     def execute(self, program: str, suite: TestSuite) -> ExecutionFeedback:
-        binary = self.runtime.command[0]
-        if shutil.which(binary) is None and not os.path.isfile(binary):
-            raise RuntimeMissingError(f"runtime binary {binary!r} not found")
         return _run_suite(self._run_case, program, suite, self.caps)
 
     def _run_case(self, program: str, case: TestCase):
         workdir = tempfile.mkdtemp(prefix="arcs-exec-")
         try:
-            program_path = Path(workdir) / f"candidate{self.runtime.file_extension}"
+            program_path = Path(workdir) / _CANDIDATE_FILE
+            cpu = max(1, int(self.caps.wall_seconds) + 1)
+            setup = _CHILD_SETUP.format(memory=self.caps.memory_bytes, cpu=cpu, marker=_MEMORY_MARKER)
             try:
                 program_path.write_text(program, encoding="utf-8")
-                if self.runtime.language == "python":
-                    (Path(workdir) / "sitecustomize.py").write_text(
-                        _NETWORK_GUARD, encoding="utf-8"
-                    )
+                (Path(workdir) / "sitecustomize.py").write_text(setup, encoding="utf-8")
             except OSError as exc:
                 raise SandboxSetupError(f"cannot prepare workspace: {exc}") from exc
             env = {
@@ -300,19 +298,21 @@ class ProcessExecutor(Executor):
                 "PYTHONPATH": workdir,
             }
             started = time.perf_counter()
-            process = subprocess.Popen(
-                [*self.runtime.command, str(program_path)],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                cwd=workdir,
-                env=env,
-                text=True,
-                encoding="utf-8",
-                errors="replace",
-                start_new_session=True,
-                preexec_fn=self._limits() if resource is not None else None,
-            )
+            try:
+                process = subprocess.Popen(
+                    [sys.executable, str(program_path)],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    cwd=workdir,
+                    env=env,
+                    text=True,
+                    encoding="utf-8",
+                    errors="replace",
+                    start_new_session=True,
+                )
+            except OSError as exc:
+                raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
             try:
                 stdout, stderr = process.communicate(case.input, timeout=self.caps.wall_seconds)
                 returncode = process.returncode
@@ -325,21 +325,10 @@ class ProcessExecutor(Executor):
             self._kill_group(process)
             # the workspace path is random; replay needs the bare file name
             stderr = stderr.replace(str(program_path), program_path.name)
-            return returncode, stdout, stderr, wall
+            memory_exceeded = (Path(workdir) / _MEMORY_MARKER).exists()
+            return returncode, stdout, stderr, memory_exceeded, wall
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
-
-    def _limits(self):
-        memory = self.caps.memory_bytes
-        cpu = max(1, int(self.caps.wall_seconds) + 1)
-
-        def apply():
-            with suppress(ValueError, OSError):
-                resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
-            with suppress(ValueError, OSError):
-                resource.setrlimit(resource.RLIMIT_CPU, (cpu, cpu + 1))
-
-        return apply
 
     @staticmethod
     def _kill_group(process: subprocess.Popen) -> None:
@@ -407,7 +396,7 @@ class InProcessExecutor(Executor):
         wall = time.perf_counter() - started
         stdout_text = stdout_bytes.getvalue().decode("utf-8", "replace")
         stderr_text = stderr_bytes.getvalue().decode("utf-8", "replace")
-        return returncode, stdout_text, stderr_text, wall
+        return returncode, stdout_text, stderr_text, False, wall
 
 
 def _exit_status(code, stderr) -> int:

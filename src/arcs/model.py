@@ -151,7 +151,8 @@ class RemoteModel(ProposalModel):
     One request carries {prompt, temperature, top_p, max_tokens, seed} and
     the reply must contain {"text": ..., "usage": {...}}. The credential is
     read from the environment and never appears in logs. Transport failures
-    are retried with fixed backoff, then surface as a hard model failure.
+    are retried with fixed backoff, then surface as a hard model failure; a
+    malformed reply is one at once.
     """
 
     def __init__(
@@ -195,12 +196,17 @@ class RemoteModel(ProposalModel):
             raise ModelProposalError(
                 f"transport failure after {self._retries} retries"
             ) from last_error
-        text = reply.get("text", "")
-        usage_reply = reply.get("usage") or {}
-        usage = Usage(
-            input_tokens=int(usage_reply.get("input_tokens", prompt.total_tokens)),
-            output_tokens=int(usage_reply.get("output_tokens", token_count(text))),
-        )
+        text = reply.get("text", "") if isinstance(reply, dict) else None
+        usage_reply = (reply.get("usage") or {}) if isinstance(reply, dict) else None
+        if not isinstance(text, str) or not isinstance(usage_reply, dict):
+            raise ModelProposalError(f"malformed model reply {reply!r:.80}")
+        try:
+            usage = Usage(
+                input_tokens=int(usage_reply.get("input_tokens", prompt.total_tokens)),
+                output_tokens=int(usage_reply.get("output_tokens", token_count(text))),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ModelProposalError(f"malformed usage in model reply: {exc}") from exc
         if not text:
             log.warning("model returned an empty response; candidate will fail all tests")
         return text, usage

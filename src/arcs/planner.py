@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .config import DEFAULTS
+from .errors import ModelProposalError
 from .model import DecodingParams, ProposalModel
 from .prompting import PLANNING_MARKER, single_segment_prompt
 from .util import JsonRecord, text_digest, token_count
@@ -174,7 +175,7 @@ def plan(
     prompt = single_segment_prompt(build_planning_prompt(q, max_subgoals, prior))
     try:
         text, _usage = model.propose(prompt, params or DecodingParams())
-    except Exception as exc:
+    except ModelProposalError as exc:
         log.warning("planning model call failed (%s); proceeding without a plan", exc)
         return None
     contract, sketch, raw_subgoals = parse_plan_text(text)

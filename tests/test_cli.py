@@ -499,6 +499,11 @@ def _run_script_model_id_not_string(tmp_path, task_files):
     return _run_args(tmp_path, task_files, script=script)
 
 
+def _index_embedder_hash0(tmp_path, task_files):
+    out = tmp_path / "corpus.snap"
+    return ["index", "--input", str(tmp_path), "--out", str(out), "--embedder", "hash0"]
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -516,6 +521,7 @@ def _run_script_model_id_not_string(tmp_path, task_files):
         _exec_wall_seconds_zero,
         _query_k_zero,
         _run_script_model_id_not_string,
+        _index_embedder_hash0,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

@@ -8,7 +8,7 @@ import pytest
 
 from arcs.corpus import embed_metadata
 from arcs.embedding import HashingEmbedder, RemoteEmbedder
-from arcs.errors import DimensionMismatchError
+from arcs.errors import ArcsError, DimensionMismatchError
 from arcs.retrieval import cosine_sim
 
 
@@ -57,6 +57,19 @@ def test_remote_embedder_uses_transport_and_checks_dimension():
     bad = RemoteEmbedder("https://embed.example/v1", dimension=3, transport=short_transport)
     with pytest.raises(DimensionMismatchError):
         bad.embed("hello")
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [[1.0, 0.0, 0.0], {"embedding": ["a", "b", "c"]}, {"embedding": [1.0, None, 0.0]}],
+    ids=["not_an_object", "entries_not_numbers", "entry_null"],
+)
+def test_remote_embedder_malformed_reply_is_arcs_error(reply):
+    remote = RemoteEmbedder(
+        "https://embed.example/v1", dimension=3, transport=lambda *args, **kwargs: reply
+    )
+    with pytest.raises(ArcsError):
+        remote.embed("hello")
 
 
 # SHA-256 of the little-endian float64 bytes of each vector below, in order

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import time
 from contextlib import suppress
 from pathlib import Path
 
 import pytest
 
-from arcs.errors import RuntimeMissingError
+from arcs.errors import SandboxSetupError
 from arcs.executor import (
     EXCEPTION,
     MEMORY_EXCEEDED,
@@ -18,7 +19,6 @@ from arcs.executor import (
     InProcessExecutor,
     ProcessExecutor,
     ResourceCaps,
-    RuntimeSpec,
     encode_feedback,
     first_difference,
     load_suite,
@@ -97,10 +97,43 @@ def test_memory_cap_maps_to_memory_exceeded():
     assert feedback.verdicts == (MEMORY_EXCEEDED,)
 
 
-def test_runtime_missing_is_config_error():
-    runtime = RuntimeSpec(language="python", command=("/no/such/interpreter",))
-    with pytest.raises(RuntimeMissingError):
-        ProcessExecutor(runtime=runtime).execute("print(1)", make_suite(("", "1")))
+@pytest.mark.parametrize(
+    ("program", "verdict"),
+    [
+        ("import errno\nraise OSError(errno.ENOMEM, 'Cannot allocate memory')", MEMORY_EXCEEDED),
+        ("import sys\nprint('MemoryError', file=sys.stderr)\nsys.exit(1)", EXCEPTION),
+        (
+            "import sys\nprint('OSError: [Errno 12] Cannot allocate memory', file=sys.stderr)\n"
+            "sys.exit(1)",
+            EXCEPTION,
+        ),
+    ],
+    ids=["raised_enomem", "printed_memory_error", "printed_enomem"],
+)
+def test_only_an_uncaught_memory_failure_is_a_breach(program, verdict):
+    caps = ResourceCaps(wall_seconds=10.0, memory_bytes=256 * 1024 * 1024)
+    feedback = ProcessExecutor(caps=caps).execute(program, make_suite(("", "never")))
+    assert feedback.verdicts == (verdict,)
+
+
+def test_missing_interpreter_is_sandbox_setup_error(monkeypatch):
+    monkeypatch.setattr(sys, "executable", "/no/such/interpreter")
+    with pytest.raises(SandboxSetupError):
+        ProcessExecutor().execute("print(1)", make_suite(("", "1")))
+
+
+def test_environment_descriptions_are_pinned():
+    # run logs embed these texts, so old logs replay only while they stay the same
+    caps = ResourceCaps(wall_seconds=2.5, memory_bytes=1000)
+    assert ProcessExecutor(caps=caps).environment_description() == (
+        f"runtime: python via {Path(sys.executable).name}; entry: the program reads stdin "
+        "and writes stdout; caps per test: 2.5s wall clock, 1000 bytes memory; network "
+        "disabled; fresh temporary working directory per test"
+    )
+    assert InProcessExecutor().environment_description() == (
+        "runtime: python (in-process); entry: the program reads stdin and writes stdout; "
+        "no resource caps; trusted fixtures only"
+    )
 
 
 def test_each_test_gets_a_fresh_workspace():

@@ -134,6 +134,22 @@ def test_remote_model_carries_decoding_params():
     assert seen["max_tokens"] == 512
 
 
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"text": "x", "usage": {"input_tokens": "lots"}},
+        ["text", "x"],
+        {"text": 5},
+        {"text": "x", "usage": [1, 2]},
+    ],
+    ids=["usage_not_a_number", "not_an_object", "text_not_a_string", "usage_not_an_object"],
+)
+def test_remote_model_malformed_reply_is_hard_failure(reply):
+    model = RemoteModel("https://model.example/v1", transport=lambda *args, **kwargs: reply)
+    with pytest.raises(ModelProposalError):
+        model.propose(single_segment_prompt("p"), DecodingParams())
+
+
 def test_extract_code_variants():
     code = "print('hi')"
     assert extract_code(fenced(code)) == code

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arcs.errors import ModelProposalError
-from arcs.model import ScriptedModel
+from arcs.model import ProposalModel, ScriptedModel
 from arcs.planner import (
     Plan,
     build_planning_prompt,
@@ -75,6 +75,17 @@ def test_case_and_whitespace_duplicates_collapse():
 def test_model_failure_yields_absent_plan():
     failing = ScriptedModel([])  # no entry ever matches
     assert plan(long_spec("task"), failing) is None
+
+
+def test_adapter_bug_is_not_swallowed():
+    class Broken(ProposalModel):
+        model_id = "broken"
+
+        def propose(self, prompt, params):
+            raise TypeError("adapter bug")
+
+    with pytest.raises(TypeError):
+        plan(long_spec("task"), Broken())
 
 
 def test_canonicalize_rules():
