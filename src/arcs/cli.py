@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .config import (
-    DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, load_config_file, read_input_file, resolve_config
+    DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, coerce, load_config_file, read_input_file, resolve_config
 )
 from .controller import (
     RunDeps,
@@ -31,7 +31,7 @@ from .embedding import HashingEmbedder, RemoteEmbedder
 from .errors import ArcsError, ConfigError, NoCandidateError
 from .evalkit import ablation_matrix, load_tasks, render_table, sweep
 from .executor import ProcessExecutor, ResourceCaps, encode_feedback, load_suite
-from .model import DecodingParams, RemoteModel, ScriptedModel
+from .model import RemoteModel, ScriptedModel
 from .retrieval import RetrievalQuery, load_denylist, top_k
 
 _HASH_EMBEDDER_RE = re.compile(r"^hash(\d+)$")
@@ -95,29 +95,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_run_options(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--config", default="", help="key = value config file")
-    sub_parser.add_argument("--tier", default=None, choices=("small", "medium", "large"))
-    sub_parser.add_argument("--budget-b", type=int, default=None, help="iteration budget")
-    sub_parser.add_argument("--budget-k", type=int, default=None, help="retrieval budget")
-    sub_parser.add_argument("--max-subgoals", type=int, default=None)
-    sub_parser.add_argument("--snapshot", default=None)
-    sub_parser.add_argument("--denylist", default=None)
-    sub_parser.add_argument("--model", default=None, choices=("scripted", "remote"))
-    sub_parser.add_argument("--script", default=None, help="scripted model file")
-    sub_parser.add_argument("--endpoint", default=None, help="remote model endpoint URL")
-    sub_parser.add_argument("--embed-endpoint", default=None)
-    sub_parser.add_argument("--seed", type=int, default=None)
-    sub_parser.add_argument("--temperature", type=float, default=None)
-    sub_parser.add_argument("--top-p", type=float, default=None)
-    sub_parser.add_argument("--max-output-tokens", type=int, default=None)
-    sub_parser.add_argument("--input-cap", type=int, default=None)
-    sub_parser.add_argument("--wall-seconds", type=float, default=None)
-    sub_parser.add_argument("--memory-bytes", type=int, default=None)
-    sub_parser.add_argument("--delta", type=float, default=None)
+    for key in DEFAULTS:
+        sub_parser.add_argument("--" + key.replace("_", "-"), help=f"config key {key}")
 
 
 def _resolved_config(args) -> dict:
     file_values = load_config_file(args.config) if args.config else {}
-    flag_values = {key: value for key, value in vars(args).items() if key in DEFAULTS}
+    flag_values = {
+        key: coerce(key, raw) for key, raw in vars(args).items() if key in DEFAULTS and raw is not None
+    }
     return resolve_config(flag_values, file_values)
 
 
@@ -195,18 +181,8 @@ def _deps_from_config(cfg: dict, tier: TierConfig) -> RunDeps:
         executor=ProcessExecutor(caps=caps),
         snapshot=snapshot,
         embedder=embedder,
-        decoding=DecodingParams(
-            temperature=cfg["temperature"],
-            top_p=cfg["top_p"],
-            max_output_tokens=cfg["max_output_tokens"],
-            seed=cfg["seed"],
-        ),
-        input_token_cap=cfg["input_cap"],
-        redundancy_delta=cfg["delta"],
-        plan_gate_tokens=cfg["plan_gate_tokens"],
-        max_stack_lines=cfg["max_stack_lines"],
         denylist=denylist,
-        config_echo=dict(cfg),
+        config=dict(cfg),
     )
 
 
@@ -305,14 +281,12 @@ def _cmd_sweep(args) -> int:
     deps = _deps_from_config(cfg, tier)
     if args.ablate:
         toggles = tuple(part.strip() for part in args.ablate.split(",") if part.strip())
-        rows = ablation_matrix(
-            tasks,
-            deps,
-            toggles,
-            base_k=tier.k or DEFAULT_K,
-            base_iterations=tier.iterations if tier.iterations > 1 else DEFAULT_ITERATIONS,
+        base = TierConfig.large(
+            k=tier.k or DEFAULT_K,
+            iterations=tier.iterations if tier.iterations > 1 else DEFAULT_ITERATIONS,
             max_subgoals=tier.max_subgoals,
         )
+        rows = ablation_matrix(tasks, deps, toggles, base)
     else:
         rows = [(tier.name, sweep(tasks, tier, deps))]
     print(render_table(rows))

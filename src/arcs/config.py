@@ -35,14 +35,18 @@ DEFAULTS: dict[str, object] = {
 }
 
 
-def _coerce(key: str, raw: str):
+def coerce(key: str, raw: str):
+    """A key's value typed like its default; the one parse of flags and file lines."""
     default = DEFAULTS[key]
-    if key in ("budget_b", "budget_k"):
-        return int(raw)
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
+    try:
+        if key in ("budget_b", "budget_k"):
+            return int(raw)
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key} has a bad value {raw!r}") from exc
     return raw
 
 
@@ -58,10 +62,7 @@ def parse_config_text(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r} on line {number}")
-        try:
-            values[key] = _coerce(key, raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key} has a bad value {raw!r}") from exc
+        values[key] = coerce(key, raw)
     return values
 
 

@@ -176,20 +176,17 @@ def check_cost_bound(report: CostReport, caps: Mapping[str, float]) -> CostBound
 
 @dataclass
 class RunDeps:
-    """Everything a run needs besides the task: adapters, caps, unit costs."""
+    """Everything a run needs besides the task.
+
+    ``config`` overrides keys of ``DEFAULTS``; the run log echoes it as given.
+    """
 
     model: ProposalModel
     executor: Executor
     snapshot: CorpusSnapshot | None = None
     embedder: EmbeddingProvider | None = None
-    decoding: DecodingParams = field(default_factory=DecodingParams)
-    cost_model: CostModel = field(default_factory=CostModel)
-    input_token_cap: int = DEFAULTS["input_cap"]
-    redundancy_delta: float = DEFAULTS["delta"]
-    plan_gate_tokens: int = DEFAULTS["plan_gate_tokens"]
-    max_stack_lines: int = DEFAULTS["max_stack_lines"]
     denylist: frozenset[str] | None = None
-    config_echo: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -290,6 +287,9 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
                 f"snapshot embedder {deps.snapshot.embedder_id!r} does not match "
                 f"provided embedder {deps.embedder.embedder_id!r}"
             )
+    cfg = {**DEFAULTS, **deps.config}
+    # the decoding keys of the config are the record's field names
+    decoding = DecodingParams.from_jsonable(cfg)
     deps.model.reset()
     environment_text = deps.executor.environment_description()
     invariants_text = _invariants_text(suite)
@@ -308,8 +308,8 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
                 deps.model,
                 prior,
                 max_subgoals=tier.max_subgoals,
-                gate_tokens=deps.plan_gate_tokens,
-                params=deps.decoding,
+                gate_tokens=cfg["plan_gate_tokens"],
+                params=decoding,
             )
         evidence = None
         if tier.k > 0:
@@ -319,7 +319,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
                 tier.k,
                 deps.snapshot,
                 deps.embedder,
-                deps.redundancy_delta,
+                cfg["delta"],
                 deps.denylist,
             )
         composed = prompting.compose(
@@ -330,11 +330,11 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
             invariants=invariants_text,
             environment=environment_text,
         )
-        composed = prompting.truncate(composed, deps.input_token_cap)
+        composed = prompting.truncate(composed, cfg["input_cap"])
 
         candidate_raw = usage = program = feedback = None
         try:
-            candidate_raw, usage = deps.model.propose(composed, deps.decoding)
+            candidate_raw, usage = deps.model.propose(composed, decoding)
         except ModelProposalError as exc:
             log.warning("round %d: model hard failure (%s); recording an empty round", t, exc)
         if candidate_raw is not None:
@@ -360,7 +360,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
             continue
         if feedback.all_passed:
             break
-        segment = encode_feedback(feedback, deps.max_stack_lines)
+        segment = encode_feedback(feedback, cfg["max_stack_lines"])
         feedback_segments.append(segment)
         q_t = q_t + "\n\n" + segment.text
         prior = (plan_t, feedback) if plan_t is not None else None
@@ -371,6 +371,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         key=lambda round_log: (round_log.feedback.pass_count, -round_log.t),
         default=None,
     )
+    cost_model = CostModel()
     outcome = {
         "passed": best is not None and best.feedback.all_passed,
         "returned_round": best.t if best is not None else None,
@@ -383,11 +384,11 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         spec=spec,
         suite=suite,
         tier=tier,
-        decoding=deps.decoding,
-        input_token_cap=deps.input_token_cap,
-        redundancy_delta=deps.redundancy_delta,
-        plan_gate_tokens=deps.plan_gate_tokens,
-        max_stack_lines=deps.max_stack_lines,
+        decoding=decoding,
+        input_token_cap=cfg["input_cap"],
+        redundancy_delta=cfg["delta"],
+        plan_gate_tokens=cfg["plan_gate_tokens"],
+        max_stack_lines=cfg["max_stack_lines"],
         snapshot_digest=deps.snapshot.content_digest if tier.k > 0 else None,
         embedder_id=deps.embedder.embedder_id if tier.k > 0 else None,
         model_id=deps.model.model_id,
@@ -395,10 +396,10 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         template_fingerprints=current_template_fingerprints(),
         environment_text=environment_text,
         invariants_text=invariants_text,
-        config=dict(deps.config_echo),
+        config=dict(deps.config),
         cost=CostReport(
-            model=deps.cost_model,
-            rounds=[deps.cost_model.price(round_log, tier.k) for round_log in rounds],
+            model=cost_model,
+            rounds=[cost_model.price(round_log, tier.k) for round_log in rounds],
         ),
         rounds=rounds,
         outcome=outcome,
@@ -488,16 +489,7 @@ def replay(run_log: RunLog, deps: RunDeps) -> RunLog:
             raise ReplayAssetError(f"embedder {run_log.embedder_id!r} is required for replay")
     if current_template_fingerprints() != run_log.template_fingerprints:
         raise ReplayAssetError("prompt template fingerprints differ from the logged versions")
-    replay_deps = dataclasses.replace(
-        deps,
-        decoding=run_log.decoding,
-        cost_model=run_log.cost.model,
-        input_token_cap=run_log.input_token_cap,
-        redundancy_delta=run_log.redundancy_delta,
-        plan_gate_tokens=run_log.plan_gate_tokens,
-        max_stack_lines=run_log.max_stack_lines,
-        config_echo=dict(run_log.config),
-    )
+    replay_deps = dataclasses.replace(deps, config=dict(run_log.config))
     try:
         return run(run_log.spec, run_log.suite, run_log.tier, replay_deps).log
     except NoCandidateError as exc:

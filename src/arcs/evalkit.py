@@ -9,7 +9,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS
 from .controller import RunDeps, TierConfig, best_so_far_trajectory, run
 from .errors import ArcsError, ConfigError
 from .executor import TestSuite, load_suite
@@ -92,20 +91,15 @@ def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> Sweep
     return report
 
 
-def ablation_tier(
-    enabled: Sequence[str],
-    base_k: int = DEFAULT_K,
-    base_iterations: int = DEFAULT_ITERATIONS,
-    max_subgoals: int = DEFAULTS["max_subgoals"],
-) -> TierConfig:
-    """Map a set of enabled components onto controller parameters."""
+def ablation_tier(enabled: Sequence[str], base: TierConfig = TierConfig.large()) -> TierConfig:
+    """Map a set of enabled components onto ``base``'s budgets."""
     unknown = set(enabled) - set(ABLATION_TOGGLES)
     if unknown:
         raise ConfigError(f"unknown ablation toggles: {sorted(unknown)}")
     return TierConfig(
-        k=base_k if "retrieval" in enabled else 0,
-        iterations=base_iterations if "feedback" in enabled else 1,
-        max_subgoals=max_subgoals,
+        k=base.k if "retrieval" in enabled else 0,
+        iterations=base.iterations if "feedback" in enabled else 1,
+        max_subgoals=base.max_subgoals,
         planning="planning" in enabled,
     )
 
@@ -114,9 +108,7 @@ def ablation_matrix(
     tasks: Sequence[TaskRecord],
     deps: RunDeps,
     toggles: Sequence[str] = ABLATION_TOGGLES,
-    base_k: int = DEFAULT_K,
-    base_iterations: int = DEFAULT_ITERATIONS,
-    max_subgoals: int = DEFAULTS["max_subgoals"],
+    base: TierConfig = TierConfig.large(),
 ) -> list[tuple[str, SweepReport]]:
     """One sweep per toggle combination; rows keyed by the enabled set."""
     unknown = set(toggles) - set(ABLATION_TOGGLES)
@@ -127,7 +119,7 @@ def ablation_matrix(
     for size in range(len(ordered_toggles) + 1):
         for combo in combinations(ordered_toggles, size):
             label = "baseline" if not combo else "+" + "+".join(combo)
-            tier = ablation_tier(combo, base_k, base_iterations, max_subgoals)
+            tier = ablation_tier(combo, base)
             rows.append((label, sweep(tasks, tier, deps)))
     return rows
 

@@ -323,8 +323,8 @@ class ProcessExecutor(Executor):
             wall = time.perf_counter() - started
             # background children of the candidate must not outlive its test
             self._kill_group(process)
-            # the workspace path is random; replay needs the bare file name
-            stderr = stderr.replace(str(program_path), program_path.name)
+            # the workspace path is random; replay needs bare file names
+            stderr = stderr.replace(workdir + os.sep, "")
             memory_exceeded = (Path(workdir) / _MEMORY_MARKER).exists()
             return returncode, stdout, stderr, memory_exceeded, wall
         finally:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from arcs.cli import main
+from arcs.cli import _build_parser, _resolved_config, main
+from arcs.config import DEFAULTS
 from arcs.controller import RunDeps, TierConfig, run, save_run_log
 from arcs.executor import InProcessExecutor, load_suite
 from arcs.model import ScriptedModel
@@ -386,6 +388,35 @@ def test_config_file_precedence(tmp_path, task_files, capsys):
     assert manifest["tier"]["iterations"] == 3
 
 
+def _other_value(key: str) -> str:
+    """A value for ``key`` other than its default, written as a flag or file gives it."""
+    default = DEFAULTS[key]
+    if default is None:
+        return "3"
+    if isinstance(default, str):
+        return {"tier": "large", "model": "remote"}.get(key, "other")
+    return str(default + 1) if isinstance(default, int) else str(default / 2)
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_every_config_key_is_a_flag_parsed_like_its_file_line(tmp_path, key):
+    value = _other_value(key)
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    parser = _build_parser()
+    common = ["run", "--spec", "spec.txt", "--suite", "suite.json"]
+    from_flag = _resolved_config(parser.parse_args([*common, "--" + key.replace("_", "-"), value]))
+    from_file = _resolved_config(parser.parse_args([*common, "--config", str(config)]))
+    assert from_flag == from_file
+    assert from_flag[key] != DEFAULTS[key]
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"The keys, in order: (.*?)\.\n", readme, re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(DEFAULTS)
+
+
 def _replay_manifest_without_spec(tmp_path, task_files):
     log_dir = tmp_path / "log"
     shutil.copytree(Path(__file__).parent / "golden" / "runlog", log_dir)
@@ -479,6 +510,22 @@ def _run_delta_above_one(tmp_path, task_files):
     return _run_args(tmp_path, task_files, "--delta", "1.5")
 
 
+def _run_seed_not_int(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--seed", "x")
+
+
+def _run_top_p_not_float(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--top-p", "abc")
+
+
+def _run_tier_huge(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--tier", "huge")
+
+
+def _run_model_nope(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--model", "nope")
+
+
 def _exec_wall_seconds_zero(tmp_path, task_files):
     program = tmp_path / "program.py"
     program.write_text(FIXED_SUM, encoding="utf-8")
@@ -518,6 +565,10 @@ def _index_embedder_hash0(tmp_path, task_files):
         _run_budget_b_zero,
         _run_budget_k_negative,
         _run_delta_above_one,
+        _run_seed_not_int,
+        _run_top_p_not_float,
+        _run_tier_huge,
+        _run_model_nope,
         _exec_wall_seconds_zero,
         _query_k_zero,
         _run_script_model_id_not_string,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from itertools import accumulate
 
 import pytest
@@ -233,12 +234,43 @@ def test_replay_reproduces_the_run(tmp_path):
     assert compare_run_logs(loaded, fresh) == []
 
 
+def test_replay_runs_with_the_logged_config_overrides(tmp_path):
+    deps = _deps(buggy_then_fixed_model(), config={"input_cap": 300, "seed": 7})
+    result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=5, planning=False), deps)
+    assert (result.log.input_token_cap, result.log.seed) == (300, 7)
+    assert result.log.config == {"input_cap": 300, "seed": 7}
+    loaded = load_run_log(save_run_log(result.log, tmp_path / "log"))
+    assert compare_run_logs(loaded, replay(loaded, _deps(buggy_then_fixed_model()))) == []
+
+
+def test_replay_reports_a_typed_field_edited_away_from_the_logged_config(tmp_path):
+    deps = _deps(buggy_then_fixed_model())
+    result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=5, planning=False), deps)
+    directory = save_run_log(result.log, tmp_path / "log")
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    # large enough that no prompt is truncated: only the typed field can differ
+    manifest["input_token_cap"] = 8192
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    loaded = load_run_log(directory)
+    assert compare_run_logs(loaded, replay(loaded, deps)) == ["/input_token_cap"]
+
+
 def test_replay_survives_exception_verdicts_in_the_process_sandbox():
     # the traceback names the candidate file; its workspace path is random
     deps = RunDeps(model=constant_model("raise ValueError('boom')"), executor=ProcessExecutor())
     result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=2), deps)
     assert set(result.log.rounds[0].feedback.verdicts) == {"exception"}
     assert compare_run_logs(result.log, replay(result.log, deps)) == []
+
+
+def test_saved_sandbox_run_through_the_network_guard_replays(tmp_path):
+    program = 'import socket\nsocket.create_connection(("127.0.0.1", 9))'
+    deps = RunDeps(model=constant_model(program), executor=ProcessExecutor())
+    result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=2), deps)
+    assert set(result.log.rounds[0].feedback.verdicts) == {"exception"}
+    loaded = load_run_log(save_run_log(result.log, tmp_path / "log"))
+    assert compare_run_logs(loaded, replay(loaded, deps)) == []
 
 
 def test_replay_rejects_wrong_script():

@@ -137,7 +137,7 @@ def _component_fixture():
 
 def test_ablation_matrix_shape_and_baseline():
     tasks, deps = _component_fixture()
-    rows = ablation_matrix(tasks, deps(), base_k=2, base_iterations=3)
+    rows = ablation_matrix(tasks, deps(), base=TierConfig.large(k=2, iterations=3))
     labels = [label for label, _ in rows]
     assert len(rows) == 8
     assert labels[0] == "baseline"
@@ -149,7 +149,7 @@ def test_ablation_matrix_shape_and_baseline():
 
 def test_ablation_full_row_dominates_single_toggles():
     tasks, deps = _component_fixture()
-    rows = dict(ablation_matrix(tasks, deps(), base_k=2, base_iterations=3))
+    rows = dict(ablation_matrix(tasks, deps(), base=TierConfig.large(k=2, iterations=3)))
     full = rows["+retrieval+planning+feedback"].pass_at_1
     assert full == pytest.approx(1.0)
     for single in ("+retrieval", "+planning", "+feedback"):

@@ -164,6 +164,17 @@ except OSError:
     assert feedback.verdicts == (PASS,)
 
 
+def test_traceback_through_the_network_guard_is_the_same_on_every_run():
+    # the guard's frame is in the workspace's sitecustomize; the workspace path is random
+    program = 'import socket\nsocket.create_connection(("127.0.0.1", 9))'
+    suite = make_suite(("", ""))
+    first = ProcessExecutor().execute(program, suite)
+    second = ProcessExecutor().execute(program, suite)
+    assert first.verdicts == (EXCEPTION,)
+    assert any("sitecustomize.py" in line for line in first.failures[0].detail_lines)
+    assert first.failures == second.failures
+
+
 def test_deterministic_verdicts_across_runs(executor):
     suite = make_suite(("1 2", "3"), ("4 4", "8"))
     first = executor.execute(SUM, suite)
