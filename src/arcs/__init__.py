@@ -7,9 +7,7 @@ bit-exact replay logging.
 """
 
 from .controller import (
-    AffineCost,
     CostBound,
-    CostModel,
     CostReport,
     RunDeps,
     RunLog,

@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="top-k retrieval against a snapshot")
     p_query.add_argument("--snapshot", required=True)
     p_query.add_argument("--q", required=True, help="query text")
-    p_query.add_argument("-k", type=int, default=DEFAULT_K)
+    p_query.add_argument("-k", default=str(DEFAULT_K))
     p_query.add_argument("--denylist", default="", help="file with one blocked identifier per line")
     p_query.add_argument("--embed-endpoint", default="")
     p_query.set_defaults(handler=_cmd_query)
@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exec = sub.add_parser("exec", help="run a program against a suite in the sandbox")
     p_exec.add_argument("--program", required=True)
     p_exec.add_argument("--suite", required=True)
-    p_exec.add_argument("--wall-seconds", type=float, default=DEFAULTS["wall_seconds"])
-    p_exec.add_argument("--memory-bytes", type=int, default=DEFAULTS["memory_bytes"])
+    p_exec.add_argument("--wall-seconds", default=str(DEFAULTS["wall_seconds"]))
+    p_exec.add_argument("--memory-bytes", default=str(DEFAULTS["memory_bytes"]))
     p_exec.set_defaults(handler=_cmd_exec)
 
     p_run = sub.add_parser("run", help="run the synthesize-execute-repair loop on one task")
@@ -128,7 +128,6 @@ def _tier_from_config(cfg: dict) -> TierConfig:
         TierConfig,
         k=cfg["budget_k"] if cfg["budget_k"] is not None else base.k,
         iterations=cfg["budget_b"] if cfg["budget_b"] is not None else base.iterations,
-        max_subgoals=cfg["max_subgoals"],
         planning=base.planning,
     )
 
@@ -213,7 +212,8 @@ def _cmd_query(args) -> int:
     snapshot = load_snapshot(args.snapshot)
     embedder = _embedder_for_snapshot(snapshot, args.embed_endpoint)
     denylist = load_denylist(args.denylist) if args.denylist else None
-    result = top_k(_checked(RetrievalQuery, args.q, args.k), snapshot, embedder, denylist)
+    query = _checked(RetrievalQuery, args.q, coerce("budget_k", args.k))
+    result = top_k(query, snapshot, embedder, denylist)
     for item, score in result.items:
         print(f"{item.index}\t{score:.6f}\t{item.signature}\t{item.source_path}")
     return 0
@@ -222,8 +222,8 @@ def _cmd_query(args) -> int:
 def _cmd_exec(args) -> int:
     program = read_input_file(args.program, "program")
     suite = load_suite(args.suite)
-    caps = _checked(ResourceCaps, wall_seconds=args.wall_seconds, memory_bytes=args.memory_bytes)
-    feedback = ProcessExecutor(caps=caps).execute(program, suite)
+    caps = {key: coerce(key, getattr(args, key)) for key in ("wall_seconds", "memory_bytes")}
+    feedback = ProcessExecutor(caps=_checked(ResourceCaps, **caps)).execute(program, suite)
     print(encode_feedback(feedback).text)
     return 0 if feedback.all_passed else 1
 
@@ -284,7 +284,6 @@ def _cmd_sweep(args) -> int:
         base = TierConfig.large(
             k=tier.k or DEFAULT_K,
             iterations=tier.iterations if tier.iterations > 1 else DEFAULT_ITERATIONS,
-            max_subgoals=tier.max_subgoals,
         )
         rows = ablation_matrix(tasks, deps, toggles, base)
     else:

@@ -90,6 +90,14 @@ def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
             resolved[key] = value
-    if not 0.0 < resolved["delta"] <= 1.0:
-        raise ConfigError(f"delta must be in (0, 1], got {resolved['delta']}")
+    check_loop_settings(resolved)
     return resolved
+
+
+def check_loop_settings(cfg: dict) -> None:
+    """Range checks on the loop's settings, for flags, files and library configs alike."""
+    if not 0.0 < cfg["delta"] <= 1.0:
+        raise ConfigError(f"delta must be in (0, 1], got {cfg['delta']}")
+    for key in ("max_subgoals", "plan_gate_tokens", "max_stack_lines"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")

@@ -21,7 +21,7 @@ from typing import Mapping
 
 from . import planner as planner_mod
 from . import prompting, retrieval
-from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS
+from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, check_loop_settings
 from .corpus import CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import (
@@ -44,18 +44,17 @@ MANIFEST_NAME = "manifest.json"
 
 @dataclass(frozen=True)
 class TierConfig(JsonRecord):
-    """Projection of the full controller onto (k, iteration budget, planning).
+    """The paper's projection of the controller onto (k, iteration budget, planning).
 
     The tier name is derived from the parameters: (k=0, 1 round, planning
     off) is small, (k=0, 1 round, planning on) is medium, (k>0, >1 rounds,
     planning on) is large, anything else is custom. Deriving the name keeps
     a large-tier controller projected to small-tier parameters identical to
-    the small tier, log for log.
+    the small tier, log for log. The subgoal cap is the config key ``max_subgoals``.
     """
 
     k: int
     iterations: int
-    max_subgoals: int = DEFAULTS["max_subgoals"]
     planning: bool = False
 
     json_derived = ("name",)
@@ -65,8 +64,6 @@ class TierConfig(JsonRecord):
             raise ValueError("retrieval budget k must be >= 0")
         if self.iterations < 1:
             raise ValueError("iteration budget must be >= 1")
-        if self.max_subgoals < 0:
-            raise ValueError("max subgoals must be >= 0")
 
     @property
     def name(self) -> str:
@@ -85,54 +82,26 @@ class TierConfig(JsonRecord):
         return cls(k=0, iterations=1, planning=True)
 
     @classmethod
-    def large(
-        cls,
-        k: int = DEFAULT_K,
-        iterations: int = DEFAULT_ITERATIONS,
-        max_subgoals: int = DEFAULTS["max_subgoals"],
-    ) -> "TierConfig":
+    def large(cls, k: int = DEFAULT_K, iterations: int = DEFAULT_ITERATIONS) -> "TierConfig":
         if k <= 0 or iterations <= 1:
             raise ValueError("large tier requires k > 0 and more than one round")
-        return cls(k=k, iterations=iterations, max_subgoals=max_subgoals, planning=True)
-
-
-@dataclass(frozen=True)
-class AffineCost(JsonRecord):
-    """Cost function constant + per_unit * quantity."""
-
-    constant: float = 1.0
-    per_unit: float = 0.0
-
-    def __call__(self, quantity: float) -> float:
-        return self.constant + self.per_unit * quantity
-
-
-@dataclass(frozen=True)
-class CostModel(JsonRecord):
-    """Unit costs for retrieval, prompt tokens, and per-test execution."""
-
-    retrieval: AffineCost = AffineCost()
-    prompt_input: AffineCost = AffineCost()
-    prompt_output: AffineCost = AffineCost()
-    exec_per_test: float = 1.0
-
-    def price(self, round_log: RoundLog, k: int) -> RoundCost:
-        """Cost of one logged round: only the stages it ran are charged."""
-        usage, feedback = round_log.usage, round_log.feedback
-        return RoundCost(
-            retrieval=self.retrieval(k) if round_log.retrieval is not None else 0.0,
-            prompt_input=self.prompt_input(usage.input_tokens) if usage is not None else 0.0,
-            prompt_output=self.prompt_output(usage.output_tokens) if usage is not None else 0.0,
-            execution=len(feedback.verdicts) * self.exec_per_test if feedback is not None else 0.0,
-        )
+        return cls(k=k, iterations=iterations, planning=True)
 
 
 @dataclass(frozen=True)
 class RoundCost(JsonRecord):
+    """Unit cost of one logged round: 1 per retrieval, prompt, answer and test it ran."""
+
     retrieval: float
     prompt_input: float
     prompt_output: float
     execution: float
+
+    @classmethod
+    def of(cls, round_log: RoundLog) -> "RoundCost":
+        called = float(round_log.usage is not None)
+        tests = len(round_log.feedback.verdicts) if round_log.feedback is not None else 0
+        return cls(float(round_log.retrieval is not None), called, called, float(tests))
 
     @property
     def total(self) -> float:
@@ -141,7 +110,6 @@ class RoundCost(JsonRecord):
 
 @dataclass
 class CostReport(JsonRecord):
-    model: CostModel
     rounds: list[RoundCost] = field(default_factory=list)
 
     json_derived = ("total",)
@@ -158,19 +126,11 @@ class CostBound:
 
 
 def check_cost_bound(report: CostReport, caps: Mapping[str, float]) -> CostBound:
-    """Per-round worst case times the iteration budget vs. accumulated actuals.
+    """B rounds at their worst unit cost, 3 + m (retrieval, prompt, answer, m tests), vs. the total.
 
-    ``caps`` carries B (iterations), k (retrieval budget), L_max (token
-    cap), and m (suite size).
+    ``caps`` carries B (iterations) and m (suite size).
     """
-    model = report.model
-    per_round = (
-        model.retrieval(caps["k"])
-        + model.prompt_input(caps["L_max"])
-        + model.prompt_output(caps["L_max"])
-        + caps["m"] * model.exec_per_test
-    )
-    bound = caps["B"] * per_round
+    bound = float(caps["B"] * (3 + caps["m"]))
     return CostBound(bound=bound, within_bound=report.total <= bound + 1e-9)
 
 
@@ -178,7 +138,8 @@ def check_cost_bound(report: CostReport, caps: Mapping[str, float]) -> CostBound
 class RunDeps:
     """Everything a run needs besides the task.
 
-    ``config`` overrides keys of ``DEFAULTS``; the run log echoes it as given.
+    ``config`` overrides keys of ``DEFAULTS``, range-checked as a flag is (a
+    ConfigError); the run log echoes it as given.
     """
 
     model: ProposalModel
@@ -288,6 +249,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
                 f"provided embedder {deps.embedder.embedder_id!r}"
             )
     cfg = {**DEFAULTS, **deps.config}
+    check_loop_settings(cfg)
     # the decoding keys of the config are the record's field names
     decoding = DecodingParams.from_jsonable(cfg)
     deps.model.reset()
@@ -307,7 +269,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
                 q_t,
                 deps.model,
                 prior,
-                max_subgoals=tier.max_subgoals,
+                max_subgoals=cfg["max_subgoals"],
                 gate_tokens=cfg["plan_gate_tokens"],
                 params=decoding,
             )
@@ -371,7 +333,6 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         key=lambda round_log: (round_log.feedback.pass_count, -round_log.t),
         default=None,
     )
-    cost_model = CostModel()
     outcome = {
         "passed": best is not None and best.feedback.all_passed,
         "returned_round": best.t if best is not None else None,
@@ -397,10 +358,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         environment_text=environment_text,
         invariants_text=invariants_text,
         config=dict(deps.config),
-        cost=CostReport(
-            model=cost_model,
-            rounds=[cost_model.price(round_log, tier.k) for round_log in rounds],
-        ),
+        cost=CostReport(rounds=[RoundCost.of(round_log) for round_log in rounds]),
         rounds=rounds,
         outcome=outcome,
     )

@@ -99,7 +99,6 @@ def ablation_tier(enabled: Sequence[str], base: TierConfig = TierConfig.large())
     return TierConfig(
         k=base.k if "retrieval" in enabled else 0,
         iterations=base.iterations if "feedback" in enabled else 1,
-        max_subgoals=base.max_subgoals,
         planning="planning" in enabled,
     )
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from arcs.controller import (
-    CostModel,
     CostReport,
     RunDeps,
     TierConfig,
@@ -313,7 +312,7 @@ def test_criterion_7_tier_projection(snapshot, embedder):
     projected = run(
         SPEC,
         suite,
-        TierConfig(k=0, iterations=1, max_subgoals=4, planning=False),
+        TierConfig(k=0, iterations=1, planning=False),
         RunDeps(
             model=buggy_then_fixed_model(),
             executor=executor,
@@ -334,7 +333,7 @@ def test_criterion_7_tier_projection(snapshot, embedder):
 
 def test_criterion_8_cost_bound():
     reference = check_cost_bound(
-        CostReport(model=CostModel()), {"B": 5, "k": 10, "L_max": 512, "m": 3}
+        CostReport(), {"B": 5, "k": 10, "L_max": 512, "m": 3}
     )
     assert reference.bound == 30.0
 

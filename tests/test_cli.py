@@ -537,6 +537,25 @@ def _query_k_zero(tmp_path, task_files):
     return ["query", "--snapshot", str(_index(tmp_path)), "--q", "add", "-k", "0"]
 
 
+def _run_max_stack_lines_negative(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--budget-b", "2", "--max-stack-lines", "-1")
+
+
+def _run_max_subgoals_negative(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--max-subgoals", "-1")
+
+
+def _exec_wall_seconds_not_float(tmp_path, task_files):
+    program = tmp_path / "program.py"
+    program.write_text(FIXED_SUM, encoding="utf-8")
+    _, suite, _ = task_files
+    return ["exec", "--program", str(program), "--suite", str(suite), "--wall-seconds", "x"]
+
+
+def _query_k_not_int(tmp_path, task_files):
+    return ["query", "--snapshot", str(_index(tmp_path)), "--q", "add", "-k", "x"]
+
+
 def _run_script_model_id_not_string(tmp_path, task_files):
     script = tmp_path / "bad_script.json"
     script.write_text(
@@ -573,6 +592,10 @@ def _index_embedder_hash0(tmp_path, task_files):
         _query_k_zero,
         _run_script_model_id_not_string,
         _index_embedder_hash0,
+        _run_max_stack_lines_negative,
+        _run_max_subgoals_negative,
+        _exec_wall_seconds_not_float,
+        _query_k_not_int,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

@@ -7,8 +7,6 @@ from itertools import accumulate
 import pytest
 
 from arcs.controller import (
-    AffineCost,
-    CostModel,
     CostReport,
     RoundCost,
     RunDeps,
@@ -47,7 +45,7 @@ def test_tier_projections_and_names():
     assert TierConfig.small().name == "small"
     assert TierConfig.medium().name == "medium"
     assert TierConfig.large().name == "large"
-    assert TierConfig.large() == TierConfig(k=10, iterations=5, max_subgoals=4, planning=True)
+    assert TierConfig.large() == TierConfig(k=10, iterations=5, planning=True)
     projected = TierConfig(k=0, iterations=1, planning=False)
     assert projected == TierConfig.small()
     with pytest.raises(ValueError):
@@ -166,7 +164,7 @@ def test_best_so_far_trajectory_is_non_decreasing():
 
 
 def test_cost_bound_reference_value():
-    report = CostReport(model=CostModel())
+    report = CostReport()
     bound = check_cost_bound(report, {"B": 5, "k": 10, "L_max": 512, "m": 3})
     assert bound.bound == 30.0
     assert bound.within_bound  # zero rounds executed
@@ -184,17 +182,20 @@ def test_cost_bound_holds_for_a_real_run():
     assert report.total == pytest.approx(2 * (2 + suite.m))
 
 
-def test_affine_cost_model():
-    model = CostModel(
-        retrieval=AffineCost(constant=2.0, per_unit=0.1),
-        prompt_input=AffineCost(constant=0.0, per_unit=0.01),
-        prompt_output=AffineCost(constant=0.0, per_unit=0.02),
-        exec_per_test=0.5,
-    )
-    report = CostReport(model=model, rounds=[RoundCost(3.0, 5.12, 10.24, 1.5)])
-    bound = check_cost_bound(report, {"B": 1, "k": 10, "L_max": 512, "m": 3})
-    assert bound.bound == pytest.approx(3.0 + 5.12 + 10.24 + 1.5)
-    assert bound.within_bound
+def test_each_stage_is_priced_at_unit_cost(snapshot, embedder):
+    # round 0 is a hard model failure: only its retrieval ran
+    model = ScriptedModel([{"ordinal": 1, "response": fenced(FIXED_SUM)}])
+    deps = _deps(model, snapshot=snapshot, embedder=embedder)
+    suite = sum_suite()
+    report = run(SPEC, suite, TierConfig(k=2, iterations=2, planning=False), deps).log.cost
+    assert report.rounds == [RoundCost(1.0, 0.0, 0.0, 0.0), RoundCost(1.0, 1.0, 1.0, suite.m)]
+    assert report.total == 1.0 + 3.0 + suite.m
+
+
+def test_library_config_is_range_checked_like_a_flag():
+    deps = _deps(buggy_then_fixed_model(), config={"max_stack_lines": -1})
+    with pytest.raises(ConfigError, match="max_stack_lines"):
+        run(SPEC, sum_suite(), TierConfig(k=0, iterations=2, planning=False), deps)
 
 
 def test_retrieval_requires_snapshot():
@@ -320,7 +321,7 @@ def test_large_projected_to_small_produces_identical_log(snapshot, embedder):
         TierConfig.small(),
         RunDeps(model=buggy_then_fixed_model(), executor=InProcessExecutor()),
     )
-    projected = TierConfig(k=0, iterations=1, max_subgoals=4, planning=False)
+    projected = TierConfig(k=0, iterations=1, planning=False)
     projected_result = run(
         SPEC,
         suite,
