@@ -97,7 +97,7 @@ class CorpusSnapshot:
 
     The snapshot owns its embeddings as one read-only, C-contiguous float64
     ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms and
-    ``names`` the signature name of each item, the columns a top-k scan reads.
+    ``rows_by_name`` the rows of each signature name, for a top-k denylist.
     """
 
     items: tuple[CorpusItem, ...]
@@ -107,7 +107,7 @@ class CorpusSnapshot:
     content_digest: str
     matrix: np.ndarray
     norms: np.ndarray
-    names: tuple[str, ...]
+    rows_by_name: dict[str, list[int]]
 
     @classmethod
     def build(
@@ -151,6 +151,9 @@ class CorpusSnapshot:
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms.flags.writeable = False
         items = tuple(CorpusItem(*values, embedding=row) for values, row in zip(metadata, matrix))
+        rows_by_name: dict[str, list[int]] = {}
+        for row, item in enumerate(items):
+            rows_by_name.setdefault(signature_name(item.signature), []).append(row)
         return cls(
             items=items,
             embedder_id=embedder_id,
@@ -159,7 +162,7 @@ class CorpusSnapshot:
             content_digest=content_digest,
             matrix=matrix,
             norms=norms,
-            names=tuple(signature_name(item.signature) for item in items),
+            rows_by_name=rows_by_name,
         )
 
     def __len__(self) -> int:

@@ -128,8 +128,8 @@ def top_k(
     scores = _score_all(snapshot, embedder.embed(query.text))
     candidates = np.arange(len(scores))
     if denylist:
-        names = snapshot.names
-        allowed = np.fromiter((name not in denylist for name in names), dtype=bool, count=len(names))
+        allowed = np.ones(len(scores), dtype=bool)
+        allowed[[row for name in denylist for row in snapshot.rows_by_name.get(name, ())]] = False
         candidates = candidates[allowed]
     k = min(query.k, len(candidates))
     if k:
@@ -153,16 +153,27 @@ def filter_redundancy(
 
     Survivors are decided by a greedy scan in ascending corpus-index order;
     the input's relative order is preserved in the output. The earliest-index
-    item always survives.
+    item always survives. Similarities come from one Gram matrix; a pair
+    within 1e-12 of delta (or NaN) is decided by ``cosine_sim``'s arithmetic.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
+    if len({len(item.embedding) for item in items}) > 1:
+        raise DimensionMismatchError("redundancy filter over embeddings of different dimensions")
     scan_order = sorted(range(len(items)), key=lambda p: (items[p].index, p))
-    # Python floats: cosine_sim over numpy scalars (snapshot rows) is 4x slower
-    vectors = [np.asarray(item.embedding, dtype=np.float64).tolist() for item in items]
+    vectors = np.array([item.embedding for item in items], dtype=np.float64, ndmin=2)
+    gram = vectors @ vectors.T
+    norms = np.sqrt(gram.diagonal())
+    scale = np.outer(norms, norms)
+    cosines = np.divide(gram, scale, out=np.zeros_like(gram), where=scale > 0.0)
     kept: list[int] = []
     for position in scan_order:
-        redundant = any(cosine_sim(vectors[position], vectors[q]) > delta for q in kept)
+        sims = cosines[position, kept]
+        near = ~(np.abs(sims - delta) > 1e-12)
+        redundant = (sims[~near] > delta).any() or any(
+            cosine_sim(items[position].embedding, items[kept[q]].embedding) > delta
+            for q in np.flatnonzero(near)
+        )
         if not redundant:
             kept.append(position)
     kept_set = set(kept)

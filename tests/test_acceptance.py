@@ -254,6 +254,21 @@ def test_criterion_5_redundancy_filter_oracle():
     print(f"ACCEPTANCE 5 PASS: filter matches the greedy oracle on 30 instances ({total_planted} planted pairs)")
 
 
+def test_redundancy_filter_matches_the_oracle_at_the_planted_cosine():
+    # similarities that sit on delta: the filter's own arithmetic must not decide them
+    rng = np.random.default_rng(11)
+    py_rng = random.Random(11)
+    for _ in range(30):
+        items, _ = _planted_pair_instance(rng, py_rng)
+        survivors = filter_redundancy(items, 0.95)
+        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 0.95)
+    for _ in range(30):
+        originals = rng.standard_normal((py_rng.randint(2, 6), 64)) * py_rng.uniform(0.1, 10.0)
+        items = [make_item(i, tuple(float(x) for x in originals[i % len(originals)])) for i in range(12)]
+        survivors = filter_redundancy(items, 1.0)
+        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 1.0)
+
+
 # ------------------------------------------------------------------ criterion 6
 
 

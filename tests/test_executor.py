@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import signal
+import subprocess
 import sys
 import time
 from contextlib import suppress
@@ -11,6 +12,7 @@ import pytest
 
 from arcs.errors import SandboxSetupError
 from arcs.executor import (
+    _CHILD_SETUP,
     EXCEPTION,
     MEMORY_EXCEEDED,
     PASS,
@@ -152,15 +154,17 @@ else:
 
 
 def test_network_is_disabled_in_sandbox():
+    # port 9 refuses connections with an OSError of its own: match the guard's message
     program = """\
 import socket
 try:
     socket.create_connection(("127.0.0.1", 9))
     print("connected")
-except OSError:
-    print("blocked")
+except OSError as exc:
+    print(exc)
 """
-    feedback = ProcessExecutor().execute(program, make_suite(("", "blocked")))
+    expected = "network access is disabled in this sandbox"
+    feedback = ProcessExecutor().execute(program, make_suite(("", expected)))
     assert feedback.verdicts == (PASS,)
 
 
@@ -171,8 +175,50 @@ def test_traceback_through_the_network_guard_is_the_same_on_every_run():
     first = ProcessExecutor().execute(program, suite)
     second = ProcessExecutor().execute(program, suite)
     assert first.verdicts == (EXCEPTION,)
-    assert any("sitecustomize.py" in line for line in first.failures[0].detail_lines)
+    # recorded sandbox run logs hold this frame; they replay only while it stays put
+    assert 'File "sitecustomize.py", line 10, in _blocked' in "\n".join(
+        first.failures[0].detail_lines
+    )
     assert first.failures == second.failures
+
+
+def test_the_sandbox_imports_socket_only_for_the_candidate():
+    program = 'import sys\nprint("socket" in sys.modules)'
+    feedback = ProcessExecutor().execute(program, make_suite(("", "False")))
+    assert feedback.verdicts == (PASS,)
+
+
+def test_network_guard_reaches_sockets_opened_by_the_standard_library():
+    program = """\
+import urllib.request
+try:
+    urllib.request.urlopen("http://127.0.0.1:9", timeout=5)
+except OSError as exc:
+    print(exc)
+"""
+    expected = "<urlopen error network access is disabled in this sandbox>"
+    feedback = ProcessExecutor().execute(program, make_suite(("", expected)))
+    assert feedback.verdicts == (PASS,)
+
+
+def test_network_guard_covers_a_socket_module_imported_before_the_setup(tmp_path):
+    setup = _CHILD_SETUP.format(memory=2**31, cpu=10, marker=".memory")
+    program = (
+        "import socket\n"
+        + setup
+        + "try:\n"
+        + '    socket.create_connection(("127.0.0.1", 9))\n'
+        + "except OSError as exc:\n"
+        + "    print(exc)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", program],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=30,
+    )
+    assert child.stdout == "network access is disabled in this sandbox\n", child.stderr
 
 
 def test_deterministic_verdicts_across_runs(executor):

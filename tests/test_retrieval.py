@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcs import retrieval
+from arcs.corpus import CorpusSnapshot
 from arcs.embedding import HashingEmbedder
 from arcs.errors import DimensionMismatchError, EmbedderMismatchError
 from arcs.planner import Plan
@@ -162,6 +164,36 @@ def test_top_k_with_denylist_orders_boundary_ties_like_a_brute_force_scan():
     assert straddled >= 3
 
 
+def test_top_k_denylist_covers_every_row_of_a_shared_name():
+    rng = random.Random(34)
+    dimension = 8
+    query = [rng.gauss(0, 1) for _ in range(dimension)]
+
+    class PlantedEmbedder(HashingEmbedder):
+        def embed(self, text):
+            return list(query)
+
+    # several rows share the denylisted name "dup", several the allowed name "keep"
+    names = ["dup", "keep", "solo_a", "dup", "keep", "dup", "solo_b", "keep", "dup", "solo_c"]
+    rows = [normalized([rng.gauss(0, 1) for _ in range(dimension)]) for _ in names]
+    items = [make_item(i, row, signature=f"{name}(x)") for i, (name, row) in enumerate(zip(names, rows))]
+    embedder = PlantedEmbedder(dimension)
+    snap = CorpusSnapshot.build(items, embedder.embedder_id, dimension, created_at="2026-01-01T00:00:00+00:00")
+    denylist = frozenset({"dup", "solo_b", "absent"})
+
+    # independent oracle: pure-python cosine, denylisted names skipped, full sort
+    query_norm = math.sqrt(sum(x * x for x in query))
+    scores = [
+        sum(a * b for a, b in zip(query, row)) / (query_norm * math.sqrt(sum(b * b for b in row)))
+        for row in rows
+    ]
+    oracle = sorted(
+        (i for i, name in enumerate(names) if name not in denylist), key=lambda i: (-scores[i], i)
+    )
+    for k in range(1, len(names) + 1):
+        assert top_k(RetrievalQuery("q", k), snap, embedder, denylist).indices() == oracle[:k], k
+
+
 def test_signature_name_variants():
     assert signature_name("add(a, b)") == "add"
     assert signature_name("static int join(char *a)") == "join"
@@ -288,6 +320,23 @@ def test_plan_conditioned_splits_budget_across_disjoint_clusters():
     indices = {item.index for item, _ in result.items}
     assert len(result.items) <= 4
     assert indices & {0, 1} and indices & {2, 3}
+
+
+def test_plan_conditioned_scans_once_per_subgoal_through_the_module_attribute(monkeypatch):
+    # a traced run times each scan by swapping retrieval.top_k; every scan must pass through it
+    embedder = HashingEmbedder(8)
+    snap = snapshot_from_embeddings(
+        [embedder.embed(f"topic {i}") for i in range(6)], embedder_id="hash8"
+    )
+    calls = []
+
+    def counting_top_k(*args, **kwargs):
+        calls.append(args[0].text)
+        return top_k(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, "top_k", counting_top_k)
+    plan_conditioned_retrieve(["topic 1", "", "topic 4", "topic 5"], 4, snap, embedder)
+    assert calls == ["topic 1", "topic 4", "topic 5"]
 
 
 def test_plan_conditioned_union_deduplicates():
