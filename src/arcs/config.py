@@ -96,8 +96,16 @@ def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
 
 def check_loop_settings(cfg: dict) -> None:
     """Range checks on the loop's settings, for flags, files and library configs alike."""
-    if not 0.0 < cfg["delta"] <= 1.0:
-        raise ConfigError(f"delta must be in (0, 1], got {cfg['delta']}")
-    for key in ("max_subgoals", "plan_gate_tokens", "max_stack_lines"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    for key in ("delta", "top_p"):
+        if not 0.0 < cfg[key] <= 1.0:
+            raise ConfigError(f"{key} must be in (0, 1], got {cfg[key]}")
+    for key, low in (
+        ("max_subgoals", 0),
+        ("plan_gate_tokens", 0),
+        ("max_stack_lines", 0),
+        ("temperature", 0),
+        ("input_cap", 1),
+        ("max_output_tokens", 1),
+    ):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")

@@ -5,8 +5,8 @@ composes and truncates the enriched prompt, proposes a candidate from the
 frozen model, executes it against the suite, and either halts on all-pass or
 appends the encoded feedback. Every round is logged completely so scripted
 runs replay bit-exactly, and the logged rounds are the run's only state: the
-returned candidate (most tests passed, earliest round on ties) and the cost
-report are both read off them after the loop.
+returned candidate (most tests passed, earliest round on ties) is read off
+them after the loop, and the log derives its cost report from them.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class RunDeps:
     """Everything a run needs besides the task.
 
     ``config`` overrides keys of ``DEFAULTS``, range-checked as a flag is (a
-    ConfigError); the run log echoes it as given.
+    ConfigError); the run log holds it once, as given.
     """
 
     model: ProposalModel
@@ -169,33 +169,36 @@ class RoundLog(JsonRecord):
 
 @dataclass
 class RunLog(JsonRecord):
-    """Per-run record: configuration, assets, rounds, outcome, costs."""
+    """Per-run record: task, settings (``config`` only), assets, rounds, outcome.
+
+    The cost is derived from the rounds; an older log's setting echoes and
+    stored cost are not fields, so loading ignores them.
+    """
 
     spec: str
     suite: TestSuite
     tier: TierConfig
-    decoding: DecodingParams
-    input_token_cap: int
-    redundancy_delta: float
-    plan_gate_tokens: int
-    max_stack_lines: int
     snapshot_digest: str | None
     embedder_id: str | None
     model_id: str
     model_asset_digest: str | None
     template_fingerprints: dict
     environment_text: str
-    invariants_text: str
     config: dict
-    cost: CostReport
     rounds: list[RoundLog]
     outcome: dict
     created_at: str = field(default_factory=utc_now_iso, metadata=TIMING)
     version: int = RUN_LOG_VERSION
 
+    json_derived = ("cost",)
+
     @property
     def seed(self) -> int:
-        return self.decoding.seed
+        return {**DEFAULTS, **self.config}["seed"]
+
+    @property
+    def cost(self) -> CostReport:
+        return CostReport(rounds=[RoundCost.of(round_log) for round_log in self.rounds])
 
 
 @dataclass(frozen=True)
@@ -345,20 +348,13 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         spec=spec,
         suite=suite,
         tier=tier,
-        decoding=decoding,
-        input_token_cap=cfg["input_cap"],
-        redundancy_delta=cfg["delta"],
-        plan_gate_tokens=cfg["plan_gate_tokens"],
-        max_stack_lines=cfg["max_stack_lines"],
         snapshot_digest=deps.snapshot.content_digest if tier.k > 0 else None,
         embedder_id=deps.embedder.embedder_id if tier.k > 0 else None,
         model_id=deps.model.model_id,
         model_asset_digest=getattr(deps.model, "script_digest", None),
         template_fingerprints=current_template_fingerprints(),
         environment_text=environment_text,
-        invariants_text=invariants_text,
         config=dict(deps.config),
-        cost=CostReport(rounds=[RoundCost.of(round_log) for round_log in rounds]),
         rounds=rounds,
         outcome=outcome,
     )

@@ -297,18 +297,24 @@ def _parse_string_literal(lines: list[str], start: int) -> str | None:
 def _extract_python(text: str) -> list[RawDefinition]:
     lines = text.splitlines()
     starts = [i for i, line in enumerate(lines) if _PY_DEF_RE.match(line)]
+    # a run of column-0 decorators directly above a definition opens its body
+    tops = []
+    for start in starts:
+        top = start
+        while top > 0 and lines[top - 1].startswith("@"):
+            top -= 1
+        tops.append(top)
     definitions: list[RawDefinition] = []
-    for ordinal, start in enumerate(starts):
-        end = starts[ordinal + 1] if ordinal + 1 < len(starts) else len(lines)
-        span = lines[start:end]
+    for top, start, end in zip(tops, starts, tops[1:] + [len(lines)]):
+        span = lines[top:end]
         while span and not span[-1].strip():
             span.pop()
-        signature, inline_rest = _py_header_split(span[0])
+        signature, inline_rest = _py_header_split(lines[start])
         doc = ""
         if inline_rest:
             doc = _parse_string_literal([inline_rest], 0) or ""
         if not doc:
-            body_lines = span[1:]
+            body_lines = span[start - top + 1 :]
             for offset, line in enumerate(body_lines):
                 if not line.strip():
                     continue

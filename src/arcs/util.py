@@ -71,7 +71,7 @@ def encode_record(record, include_timing: bool = True) -> dict:
             continue
         encoded[spec.name] = _encode(value, include_timing)
     for name in getattr(record, "json_derived", ()):
-        encoded[name] = getattr(record, name)
+        encoded[name] = _encode(getattr(record, name), include_timing)
     return encoded
 
 

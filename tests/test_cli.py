@@ -383,7 +383,7 @@ def test_config_file_precedence(tmp_path, task_files, capsys):
     assert code == 0
     manifest = json.loads((log_dir / "manifest.json").read_text(encoding="utf-8"))
     # flag beats file, file beats default
-    assert manifest["decoding"]["seed"] == 11
+    assert manifest["config"]["seed"] == 11
     assert manifest["config"]["budget_b"] == 3
     assert manifest["tier"]["iterations"] == 3
 
@@ -556,6 +556,18 @@ def _query_k_not_int(tmp_path, task_files):
     return ["query", "--snapshot", str(_index(tmp_path)), "--q", "add", "-k", "x"]
 
 
+def _run_max_output_tokens_negative(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--max-output-tokens", "-5")
+
+
+def _run_top_p_above_one(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--top-p", "7")
+
+
+def _run_temperature_negative(tmp_path, task_files):
+    return _run_args(tmp_path, task_files, "--temperature", "-1")
+
+
 def _run_script_model_id_not_string(tmp_path, task_files):
     script = tmp_path / "bad_script.json"
     script.write_text(
@@ -596,6 +608,9 @@ def _index_embedder_hash0(tmp_path, task_files):
         _run_max_subgoals_negative,
         _exec_wall_seconds_not_float,
         _query_k_not_int,
+        _run_max_output_tokens_negative,
+        _run_top_p_above_one,
+        _run_temperature_negative,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

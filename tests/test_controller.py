@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 from itertools import accumulate
 
 import pytest
@@ -193,9 +192,18 @@ def test_each_stage_is_priced_at_unit_cost(snapshot, embedder):
 
 
 def test_library_config_is_range_checked_like_a_flag():
-    deps = _deps(buggy_then_fixed_model(), config={"max_stack_lines": -1})
-    with pytest.raises(ConfigError, match="max_stack_lines"):
-        run(SPEC, sum_suite(), TierConfig(k=0, iterations=2, planning=False), deps)
+    out_of_range = [
+        ("max_stack_lines", -1),
+        ("input_cap", 0),
+        ("max_output_tokens", -5),
+        ("top_p", 7.0),
+        ("top_p", 0.0),
+        ("temperature", -1.0),
+    ]
+    for key, value in out_of_range:
+        deps = _deps(buggy_then_fixed_model(), config={key: value})
+        with pytest.raises(ConfigError, match=key):
+            run(SPEC, sum_suite(), TierConfig(k=0, iterations=2, planning=False), deps)
 
 
 def test_retrieval_requires_snapshot():
@@ -238,23 +246,10 @@ def test_replay_reproduces_the_run(tmp_path):
 def test_replay_runs_with_the_logged_config_overrides(tmp_path):
     deps = _deps(buggy_then_fixed_model(), config={"input_cap": 300, "seed": 7})
     result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=5, planning=False), deps)
-    assert (result.log.input_token_cap, result.log.seed) == (300, 7)
+    assert result.log.seed == 7
     assert result.log.config == {"input_cap": 300, "seed": 7}
     loaded = load_run_log(save_run_log(result.log, tmp_path / "log"))
     assert compare_run_logs(loaded, replay(loaded, _deps(buggy_then_fixed_model()))) == []
-
-
-def test_replay_reports_a_typed_field_edited_away_from_the_logged_config(tmp_path):
-    deps = _deps(buggy_then_fixed_model())
-    result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=5, planning=False), deps)
-    directory = save_run_log(result.log, tmp_path / "log")
-    manifest_path = directory / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    # large enough that no prompt is truncated: only the typed field can differ
-    manifest["input_token_cap"] = 8192
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    loaded = load_run_log(directory)
-    assert compare_run_logs(loaded, replay(loaded, deps)) == ["/input_token_cap"]
 
 
 def test_replay_survives_exception_verdicts_in_the_process_sandbox():

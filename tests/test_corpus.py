@@ -39,6 +39,19 @@ def test_extractor_on_three_function_fixture():
     assert defs[0].body.startswith("def add")
 
 
+def test_decorators_stay_with_the_definition_below_them():
+    text = (
+        "import functools\n\n"
+        "def a():\n    return 1\n\n"
+        "@functools.cache\n@staticmethod\n"
+        "def b(x):\n    \"\"\"Cached.\"\"\"\n    return x\n"
+    )
+    a, b = extract_definitions(text, "python")
+    assert a.body == "def a():\n    return 1"
+    assert b.body.startswith("@functools.cache\n@staticmethod\ndef b(x):")
+    assert (b.signature, b.doc) == ("b(x)", "Cached.")
+
+
 def test_extractor_orders_items_in_file_order(corpus_dir, embedder):
     snap = ingest([str(corpus_dir / "alpha.py")], embedder)
     assert [item.index for item in snap.items] == [0, 1, 2]

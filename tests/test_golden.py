@@ -17,6 +17,7 @@ keeps the legacy ``embedder`` config key that the replay test covers.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,37 @@ def test_saved_run_log_resaves_byte_for_byte(tmp_path):
 
 def test_pinned_run_log_still_replays():
     logged = load_run_log(RUN_LOG_DIR)
+    fresh = replay(logged, _deps(logged.tier))
+    assert compare_run_logs(logged, fresh) == []
+
+
+# What a run log held before it kept each fact once: five echoes of its
+# config, the invariants text, and a stored cost, here one that disagrees
+# with the rounds.
+LEGACY_KEYS = {
+    "decoding": {"max_output_tokens": 512, "seed": 42, "temperature": 0.7, "top_p": 0.95},
+    "input_token_cap": 4096,
+    "redundancy_delta": 0.85,
+    "plan_gate_tokens": 120,
+    "max_stack_lines": 10,
+    "invariants_text": (
+        "The program reads from standard input and writes to standard output. "
+        "It must satisfy all 3 input/output tests (output comparison mode: trim)."
+    ),
+    "cost": {"rounds": [], "total": 99.0},
+}
+
+
+def test_log_with_setting_echoes_and_a_stored_cost_loads_and_replays(tmp_path):
+    directory = tmp_path / "runlog"
+    shutil.copytree(RUN_LOG_DIR, directory)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    manifest_path.write_text(json.dumps({**manifest, **LEGACY_KEYS}), encoding="utf-8")
+    logged = load_run_log(directory)
+    # two rounds of one retrieval, one prompt, one answer and three tests
+    assert logged.cost.total == 12.0
+    assert [cost.total for cost in logged.cost.rounds] == [6.0, 6.0]
     fresh = replay(logged, _deps(logged.tier))
     assert compare_run_logs(logged, fresh) == []
 
