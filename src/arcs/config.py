@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .errors import ConfigError
@@ -107,5 +108,5 @@ def check_loop_settings(cfg: dict) -> None:
         ("input_cap", 1),
         ("max_output_tokens", 1),
     ):
-        if cfg[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+        if not (math.isfinite(cfg[key]) and cfg[key] >= low):
+            raise ConfigError(f"{key} must be a finite number >= {low}, got {cfg[key]}")

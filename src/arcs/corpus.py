@@ -1,12 +1,14 @@
 """Source ingestion into an embedded, frozen, ordered retrieval corpus.
 
-One corpus item per top-level function or class definition, extracted with a
-line/regex-level scanner. The embedded metadata is the concatenation of the
-item's signature, doc text, and in-span comments.
+One corpus item per top-level function or class definition: Python files are
+read from their syntax tree, C-family files with a brace-matching line
+scanner. The embedded metadata is the concatenation of the item's signature,
+doc text, and in-span comments.
 """
 
 from __future__ import annotations
 
+import ast
 import base64
 import hashlib
 import json
@@ -14,6 +16,7 @@ import logging
 import operator
 import re
 import struct
+import warnings
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -234,7 +237,9 @@ class RawDefinition:
 def extract_definitions(text: str, language: str) -> list[RawDefinition]:
     """Extract top-level definitions in in-file order.
 
-    A line-level extractor: full parsing is out of scope. Unknown languages
+    Python text is parsed with the running interpreter's ``ast``, so text that
+    does not parse raises ``SyntaxError``; C, C++, JavaScript and Java are
+    scanned line by line for brace-delimited definitions. Unknown languages
     yield no definitions.
     """
     if language == "python":
@@ -244,90 +249,44 @@ def extract_definitions(text: str, language: str) -> list[RawDefinition]:
     return []
 
 
-_PY_DEF_RE = re.compile(r"^(?:async\s+)?(?:def|class)\s+[A-Za-z_]")
-_STRING_OPEN_RE = re.compile(r"""^[rRuUbB]{0,2}("{3}|'{3}|"|')""")
-
-
-def _py_header_split(line: str) -> tuple[str, str]:
-    """Split a def/class line into (signature, same-line remainder)."""
-    stripped = line.strip()
-    if stripped.startswith("async "):
-        stripped = stripped[len("async ") :].lstrip()
-    for keyword in ("def ", "class "):
-        if stripped.startswith(keyword):
-            stripped = stripped[len(keyword) :]
-            break
+def _py_signature(header: str) -> str:
+    """The signature in a one-line def/class header: after its keywords, before its colon."""
+    rest = header.removeprefix("async").split(None, 1)[1]
     depth = 0
-    for pos, char in enumerate(stripped):
+    for pos, char in enumerate(rest):
         if char in "([{":
             depth += 1
         elif char in ")]}":
             depth -= 1
         elif char == ":" and depth == 0:
-            return stripped[:pos].strip(), stripped[pos + 1 :].strip()
-    return stripped.strip(), ""
-
-
-def _parse_string_literal(lines: list[str], start: int) -> str | None:
-    """Parse a string literal beginning at lines[start]; returns its text."""
-    first = lines[start].strip()
-    match = _STRING_OPEN_RE.match(first)
-    if not match:
-        return None
-    quote = match.group(1)
-    rest = first[match.end() :]
-    if quote in ('"""', "'''"):
-        close = rest.find(quote)
-        if close >= 0:
-            return rest[:close].strip()
-        collected = [rest]
-        for line in lines[start + 1 :]:
-            close = line.find(quote)
-            if close >= 0:
-                collected.append(line[:close])
-                return "\n".join(part.strip() for part in collected).strip()
-            collected.append(line)
-        return "\n".join(part.strip() for part in collected).strip()
-    close = rest.find(quote)
-    if close >= 0:
-        return rest[:close]
-    return rest
+            return rest[:pos].strip()
+    return rest.strip()
 
 
 def _extract_python(text: str) -> list[RawDefinition]:
-    lines = text.splitlines()
-    starts = [i for i, line in enumerate(lines) if _PY_DEF_RE.match(line)]
-    # a run of column-0 decorators directly above a definition opens its body
-    tops = []
-    for start in starts:
-        top = start
-        while top > 0 and lines[top - 1].startswith("@"):
-            top -= 1
-        tops.append(top)
+    """One definition per top-level def or class node; text that does not parse raises."""
+    text = text.removeprefix("\ufeff")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # invalid escapes warn at parse time; the text never runs
+        module = ast.parse(text)
+    # ast counts lines at \n, \r\n and \r only, not at every str.splitlines break
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     definitions: list[RawDefinition] = []
-    for top, start, end in zip(tops, starts, tops[1:] + [len(lines)]):
-        span = lines[top:end]
-        while span and not span[-1].strip():
-            span.pop()
-        signature, inline_rest = _py_header_split(lines[start])
-        doc = ""
-        if inline_rest:
-            doc = _parse_string_literal([inline_rest], 0) or ""
-        if not doc:
-            body_lines = span[start - top + 1 :]
-            for offset, line in enumerate(body_lines):
-                if not line.strip():
-                    continue
-                doc = _parse_string_literal([line.strip(), *body_lines[offset + 1 :]], 0) or ""
-                break
-        comments = tuple(
-            line.strip()[1:].strip()
-            for line in span
-            if line.strip().startswith("#")
-        )
-        definitions.append(
-            RawDefinition(signature=signature, doc=doc, body="\n".join(span), comments=comments)
-        )
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            top = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+            span = lines[top - 1 : node.end_lineno]
+            # the header's lines through the first body statement's, which may share one
+            header = " ".join(line.strip() for line in lines[node.lineno - 1 : node.body[0].lineno])
+            doc = ast.get_docstring(node, clean=False) or ""
+            definitions.append(
+                RawDefinition(
+                    signature=_py_signature(header),
+                    doc="\n".join(line.strip() for line in doc.splitlines()).strip(),
+                    body="\n".join(span),
+                    comments=tuple(line.strip()[1:].strip() for line in span if line.lstrip().startswith("#")),
+                )
+            )
     return definitions
 
 
@@ -417,7 +376,15 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
         except (OSError, UnicodeDecodeError) as exc:
             raise IngestError(f"cannot read input path {path}: {exc}") from exc
         language = LANGUAGE_BY_EXTENSION.get(path.suffix.lower(), "text")
-        for definition in extract_definitions(text, language):
+        try:
+            definitions = extract_definitions(text, language)
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+            # ValueError: a NUL byte on Python 3.10; RecursionError and MemoryError
+            # (the parser's stack limit): code nested too deep
+            line = f", line {exc.lineno}" if getattr(exc, "lineno", None) else ""
+            reason = getattr(exc, "msg", None) or repr(exc)
+            raise IngestError(f"cannot parse input path {path}{line}: {reason}") from exc
+        for definition in definitions:
             meta = metadata_text(definition.signature, definition.doc, definition.comments)
             vector = embed_metadata(meta, embedder)
             items.append(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import linecache
+import math
 import os
 import re
 import shutil
@@ -133,8 +134,8 @@ class ResourceCaps:
     memory_bytes: int = DEFAULTS["memory_bytes"]
 
     def __post_init__(self):
-        if self.wall_seconds <= 0 or self.memory_bytes <= 0:
-            raise ValueError("resource caps must be positive")
+        if not all(math.isfinite(cap) and cap > 0 for cap in (self.wall_seconds, self.memory_bytes)):
+            raise ValueError("resource caps must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -622,6 +622,33 @@ def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, caps
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("wall_seconds", ["nan", "inf"])
+def test_exec_with_non_finite_wall_seconds_exits_two_with_one_line(tmp_path, task_files, capsys, wall_seconds):
+    program = tmp_path / "program.py"
+    program.write_text(FIXED_SUM, encoding="utf-8")
+    _, suite, _ = task_files
+    capsys.readouterr()
+    code = main(["exec", "--program", str(program), "--suite", str(suite), "--wall-seconds", wall_seconds])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_index_stops_on_a_python_file_that_does_not_parse(tmp_path, capsys):
+    source_dir = tmp_path / "corpus"
+    source_dir.mkdir()
+    (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+    (source_dir / "broken.py").write_text("def ok():\n    return 1\n\ndef broken(:\n    pass\n", encoding="utf-8")
+    out = tmp_path / "corpus.snap"
+    capsys.readouterr()
+    code = main(["index", "--input", str(source_dir), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "broken.py" in err[0] and "line 4" in err[0]
+    assert not out.exists()
+
+
 def test_import_leaves_the_network_stack_unloaded():
     network = ("urllib.request", "http.client", "ssl")
     probe = f"import sys, arcs, arcs.cli; print([m for m in {network!r} if m in sys.modules])"

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import base64
+import importlib
+import inspect
 import json
 import tracemalloc
+import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from arcs.corpus import (
     ingest,
     load_snapshot,
     save_snapshot,
+    signature_name,
 )
 from arcs.embedding import HashingEmbedder
 from arcs.errors import (
@@ -50,6 +55,100 @@ def test_decorators_stay_with_the_definition_below_them():
     assert a.body == "def a():\n    return 1"
     assert b.body.startswith("@functools.cache\n@staticmethod\ndef b(x):")
     assert (b.signature, b.doc) == ("b(x)", "Cached.")
+
+
+def test_def_line_inside_a_module_string_is_not_an_item():
+    text = 'HELP = """\nUsage:\ndef not_a_function(): pass\n"""\n\n\ndef real():\n    return 1\n'
+    assert [d.signature for d in extract_definitions(text, "python")] == ["real()"]
+
+
+def test_module_code_after_a_definition_stays_out_of_it():
+    text = 'def b():\n    # inside\n    return 2\n\n\nHELP = """\n# not part of b\n"""\n'
+    (b,) = extract_definitions(text, "python")
+    assert b.body == "def b():\n    # inside\n    return 2"
+    assert b.comments == ("inside",)
+
+
+def test_multi_line_header_gives_the_whole_signature():
+    text = "def f(a,\n      b):\n    return a + b\n\n\ndef g(a,\n      b): return a\n"
+    f, g = extract_definitions(text, "python")
+    assert (f.signature, g.signature) == ("f(a, b)", "g(a, b)")
+
+
+def test_doc_keeps_the_tabs_inside_its_lines():
+    (f,) = extract_definitions('def f():\n    """Columns:\ta\tb."""\n', "python")
+    assert f.doc == "Columns:\ta\tb."
+
+
+def test_comment_between_two_definitions_belongs_to_neither():
+    text = "def a():\n    return 1\n\n\n# section\n\n\ndef b():\n    return 2\n"
+    a, b = extract_definitions(text, "python")
+    assert (a.body, b.body) == ("def a():\n    return 1", "def b():\n    return 2")
+    assert a.comments == b.comments == ()
+
+
+def _package_definitions():
+    """(module path, name, object) of every function and class defined at top level in ``arcs``."""
+    source_dir = Path(importlib.import_module("arcs").__file__).parent
+    for path in sorted(source_dir.glob("*.py")):
+        module = importlib.import_module("arcs" if path.stem == "__init__" else f"arcs.{path.stem}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
+                yield path, name, obj
+
+
+def test_python_items_of_the_package_match_inspect_getsource():
+    definitions = list(_package_definitions())
+    assert len(definitions) > 100
+    items_by_path = {}
+    mismatched = []
+    for path, name, obj in definitions:
+        if path not in items_by_path:
+            defs = extract_definitions(path.read_text(encoding="utf-8"), "python")
+            items_by_path[path] = {signature_name(d.signature): d for d in defs}
+        item = items_by_path[path].get(name)
+        if item is None or item.body != inspect.getsource(obj).rstrip("\n"):
+            mismatched.append(f"{path.name}:{name}")
+    assert mismatched == []
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("def ok():\n    return 1\n\ndef broken(:\n    pass\n", 4),
+        ("def f():\n    return 1\x00\n", None),
+        ("def f():\n    return " + "+".join(["1"] * 20_000) + "\n", None),
+        ("def f():\n    return " + "-" * 10_000 + "1\n", None),
+    ],
+    ids=["syntax_error", "nul_byte", "long_operator_chain", "deep_unary_nesting"],
+)
+def test_python_file_that_does_not_parse_is_an_ingest_error(embedder, tmp_path, text, line):
+    source = tmp_path / "broken.py"
+    source.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestError) as caught:
+        ingest([str(source)], embedder)
+    assert "broken.py" in str(caught.value)
+    if line is not None:
+        assert f"line {line}" in str(caught.value)
+
+
+def test_invalid_escape_in_python_text_neither_warns_nor_stops_the_parse():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (f,) = extract_definitions("def f():\n    return '\\d'\n", "python")
+    assert f.signature == "f()"
+
+
+def test_lines_are_counted_as_the_parser_counts_them():
+    # a form feed breaks a line for str.splitlines but not for the parser
+    text = "def a():\r\n    return 1\r\n\x0c\r\ndef b():\r\n    return 2\r\n"
+    a, b = extract_definitions(text, "python")
+    assert (a.body, b.body) == ("def a():\n    return 1", "def b():\n    return 2")
+
+
+def test_byte_order_mark_does_not_stop_the_parse():
+    (f,) = extract_definitions("\ufeffdef f():\n    return 1\n", "python")
+    assert (f.signature, f.body) == ("f()", "def f():\n    return 1")
 
 
 def test_extractor_orders_items_in_file_order(corpus_dir, embedder):
