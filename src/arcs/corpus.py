@@ -11,11 +11,13 @@ from __future__ import annotations
 import ast
 import base64
 import hashlib
+import io
 import json
 import logging
 import operator
 import re
 import struct
+import tokenize
 import warnings
 import zlib
 from dataclasses import dataclass, fields
@@ -249,18 +251,22 @@ def extract_definitions(text: str, language: str) -> list[RawDefinition]:
     return []
 
 
-def _py_signature(header: str) -> str:
-    """The signature in a one-line def/class header: after its keywords, before its colon."""
-    rest = header.removeprefix("async").split(None, 1)[1]
+def _py_signature(header_lines: Sequence[str]) -> str:
+    """The signature of a def/class header: after its keywords, before the colon that ends it.
+
+    The tokenizer finds that colon, so brackets and colons inside strings do not count.
+    """
     depth = 0
-    for pos, char in enumerate(rest):
-        if char in "([{":
+    for token in tokenize.generate_tokens(io.StringIO("\n".join(header_lines)).readline):
+        if token.string in ("(", "[", "{"):
             depth += 1
-        elif char in ")]}":
+        elif token.string in (")", "]", "}"):
             depth -= 1
-        elif char == ":" and depth == 0:
-            return rest[:pos].strip()
-    return rest.strip()
+        elif token.string == ":" and depth == 0:
+            row, col = token.start
+            break
+    lines = [*header_lines[: row - 1], header_lines[row - 1][:col]]
+    return " ".join(line.strip() for line in lines).removeprefix("async").split(None, 1)[1].strip()
 
 
 def _extract_python(text: str) -> list[RawDefinition]:
@@ -277,7 +283,7 @@ def _extract_python(text: str) -> list[RawDefinition]:
             top = node.decorator_list[0].lineno if node.decorator_list else node.lineno
             span = lines[top - 1 : node.end_lineno]
             # the header's lines through the first body statement's, which may share one
-            header = " ".join(line.strip() for line in lines[node.lineno - 1 : node.body[0].lineno])
+            header = lines[node.lineno - 1 : node.body[0].lineno]
             doc = ast.get_docstring(node, clean=False) or ""
             definitions.append(
                 RawDefinition(

@@ -44,6 +44,10 @@ _STDERR_KEEP_LINES = 200
 # the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
+# how long a timed-out test's pipes may stay open once its process group is killed: a
+# detached grandchild can hold them past the group's death
+_PIPE_GRACE_SECONDS = 0.5
+
 # left in the workspace by a child that dies of an uncaught memory failure
 _MEMORY_MARKER = ".memory-exceeded"
 
@@ -52,7 +56,7 @@ _MEMORY_MARKER = ".memory-exceeded"
 _CHILD_SETUP = """\
 import errno, os, resource, sys
 
-for _limit, _cap in ((resource.RLIMIT_AS, ({memory}, {memory})), (resource.RLIMIT_CPU, ({cpu}, {cpu} + 1))):
+for _limit, _cap in ((resource.RLIMIT_AS, ({memory}, {memory})), (resource.RLIMIT_CPU, ({cpu}, {cpu} + 1)), (resource.RLIMIT_FSIZE, ({memory}, {memory}))):
     try:
         resource.setrlimit(_limit, _cap)
     except (ValueError, OSError):
@@ -271,9 +275,9 @@ class ProcessExecutor(Executor):
 
     Isolation is process-level: fresh working directory per test, a minimal
     environment, and a sitecustomize through which the child sets its own
-    address-space and CPU rlimits and a Python-level network guard before
-    the candidate runs. A container backend can replace this behind the
-    same interface.
+    address-space, CPU-time and file-size rlimits and a Python-level network
+    guard before the candidate runs. A container backend can replace this
+    behind the same interface.
     """
 
     def __init__(self, caps: ResourceCaps | None = None):
@@ -334,7 +338,14 @@ class ProcessExecutor(Executor):
                 returncode = process.returncode
             except subprocess.TimeoutExpired:
                 self._kill_group(process)
-                stdout, stderr = process.communicate()
+                try:
+                    stdout, stderr = process.communicate(timeout=_PIPE_GRACE_SECONDS)
+                except subprocess.TimeoutExpired:
+                    # the judge reads no output of a timed-out test
+                    for pipe in (process.stdin, process.stdout, process.stderr):
+                        pipe.close()
+                    process.wait()
+                    stdout = stderr = ""
                 returncode = None
             wall = time.perf_counter() - started
             # background children of the candidate must not outlive its test

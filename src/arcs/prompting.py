@@ -89,38 +89,32 @@ def render(item: "CorpusItem", similarity: float | None = None) -> PromptSegment
     return PromptSegment(kind="evid", text=text, similarity=similarity)
 
 
-def _segment_header(segment: PromptSegment, counters: dict[str, int]) -> str:
-    base = SECTION_HEADERS[segment.kind]
-    if segment.kind == "evid":
-        counters["evid"] += 1
-        sim = f" sim={segment.similarity:.6f}" if segment.similarity is not None else ""
-        return f"{base[:-2]} {counters['evid']}]]{sim}"
-    if segment.kind == "fb":
-        counters["fb"] += 1
-        return f"{base[:-2]} {counters['fb']}]]"
-    return base
+def _sections(segments: Sequence[PromptSegment]) -> list[str]:
+    """Each segment's header, a newline and its text; the prompt joins them with the delimiter."""
+    numbers = {"evid": 0, "fb": 0}
+    sections = []
+    for seg in segments:
+        header = SECTION_HEADERS[seg.kind]
+        if seg.kind in numbers:
+            numbers[seg.kind] += 1
+            header = f"{header[:-2]} {numbers[seg.kind]}]]"
+        if seg.kind == "evid" and seg.similarity is not None:
+            header += f" sim={seg.similarity:.6f}"
+        sections.append(f"{header}\n{seg.text}")
+    return sections
+
+
+def _prompt(segments: Sequence[PromptSegment], text: str) -> ComposedPrompt:
+    return ComposedPrompt(tuple(segments), text, token_count(text), text_digest(text))
 
 
 def _build(segments: Sequence[PromptSegment]) -> ComposedPrompt:
-    counters = {"evid": 0, "fb": 0}
-    parts = [f"{_segment_header(seg, counters)}\n{seg.text}" for seg in segments]
-    text = SEGMENT_DELIMITER.join(parts)
-    return ComposedPrompt(
-        segments=tuple(segments),
-        text=text,
-        total_tokens=token_count(text),
-        digest=text_digest(text),
-    )
+    return _prompt(segments, SEGMENT_DELIMITER.join(_sections(segments)))
 
 
 def single_segment_prompt(text: str) -> ComposedPrompt:
     """Wrap free-form text (e.g. a planning request) as a bare prompt."""
-    return ComposedPrompt(
-        segments=(PromptSegment(kind="task", text=text),),
-        text=text,
-        total_tokens=token_count(text),
-        digest=text_digest(text),
-    )
+    return _prompt((PromptSegment(kind="task", text=text),), text)
 
 
 def plan_full_text(plan: "Plan") -> str:
@@ -192,39 +186,32 @@ def truncate(prompt: ComposedPrompt, max_tokens: int = DEFAULTS["input_cap"]) ->
     if prompt.total_tokens <= max_tokens:
         return prompt
     segments = list(prompt.segments)
-
-    def rebuild() -> ComposedPrompt:
-        return _build(segments)
-
-    current = prompt
+    # sections are joined by whitespace, so their token counts add up to the prompt's;
+    # a numbered header counts the same whatever its number
+    sizes = [token_count(section) for section in _sections(segments)]
+    excess = prompt.total_tokens - max_tokens
+    dropped: set[int] = set()
     # 1. drop evidence, lowest similarity first (ties: later position first)
-    while current.total_tokens > max_tokens:
-        evid_positions = [i for i, seg in enumerate(segments) if seg.kind == "evid"]
-        if not evid_positions:
+    evidence = sorted(
+        (i for i, seg in enumerate(segments) if seg.kind == "evid"),
+        key=lambda i: (float("-inf") if segments[i].similarity is None else segments[i].similarity, -i),
+    )
+    for i in evidence:
+        if excess <= 0:
             break
-        victim = min(
-            evid_positions,
-            key=lambda i: (
-                segments[i].similarity if segments[i].similarity is not None else float("-inf"),
-                -i,
-            ),
-        )
-        del segments[victim]
-        current = rebuild()
+        dropped.add(i)
+        excess -= sizes[i]
     # 2. collapse the plan to subgoal headers only
-    if current.total_tokens > max_tokens:
+    if excess > 0:
         for i, seg in enumerate(segments):
             if seg.kind == "plan" and seg.collapsed_text is not None and seg.text != seg.collapsed_text:
                 segments[i] = replace(seg, text=seg.collapsed_text)
-                current = rebuild()
+                excess -= token_count(seg.text) - token_count(seg.collapsed_text)
                 break
     # 3. drop all feedback except the most recent failing trace
-    if current.total_tokens > max_tokens:
-        fb_positions = [i for i, seg in enumerate(segments) if seg.kind == "fb"]
-        if len(fb_positions) > 1:
-            for i in reversed(fb_positions[:-1]):
-                del segments[i]
-            current = rebuild()
+    if excess > 0:
+        dropped.update([i for i, seg in enumerate(segments) if seg.kind == "fb"][:-1])
+    current = _build([seg for i, seg in enumerate(segments) if i not in dropped])
     if current.total_tokens > max_tokens:
         raise ContextExhaustedError(
             f"context exhausted: {current.total_tokens} tokens remain after maximal "

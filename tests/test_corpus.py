@@ -75,6 +75,20 @@ def test_multi_line_header_gives_the_whole_signature():
     assert (f.signature, g.signature) == ("f(a, b)", "g(a, b)")
 
 
+@pytest.mark.parametrize(
+    "text, signature",
+    [
+        ('def g(a="):"): pass\n', 'g(a="):")'),
+        ('def f(a="("):\n    return a\n', 'f(a="(")'),
+        ("def h(a='{', b=2) -> \"x:y\":\n    return a\n", "h(a='{', b=2) -> \"x:y\""),
+    ],
+    ids=["colon_in_default", "bracket_in_default", "brace_and_colon_in_strings"],
+)
+def test_signature_ends_at_the_header_colon_outside_strings(text, signature):
+    (item,) = extract_definitions(text, "python")
+    assert item.signature == signature
+
+
 def test_doc_keeps_the_tabs_inside_its_lines():
     (f,) = extract_definitions('def f():\n    """Columns:\ta\tb."""\n', "python")
     assert f.doc == "Columns:\ta\tb."

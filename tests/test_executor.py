@@ -91,12 +91,49 @@ def test_timeout_verdict_within_grace():
     assert feedback.failures[0].detail_lines == ()
 
 
+def test_detached_grandchild_holding_the_pipes_does_not_hold_the_verdict(tmp_path):
+    pid_file = tmp_path / "grandchild.pid"
+    program = """\
+import subprocess, sys
+grandchild = subprocess.Popen(["sleep", "4"], start_new_session=True)
+with open(sys.stdin.read().strip(), "w") as handle:
+    handle.write(str(grandchild.pid))
+print("started")
+"""
+    caps = ResourceCaps(wall_seconds=1.0)
+    started = time.perf_counter()
+    try:
+        feedback = ProcessExecutor(caps=caps).execute(program, make_suite((str(pid_file), "started")))
+        elapsed = time.perf_counter() - started
+        assert feedback.verdicts == (TIMEOUT,)
+        assert elapsed < caps.wall_seconds + 1.0
+    finally:
+        with suppress(OSError):  # the grandchild is gone or never started
+            pid = int(pid_file.read_text(encoding="utf-8"))
+            if Path(f"/proc/{pid}/cmdline").read_bytes().split(b"\0")[:2] == [b"sleep", b"4"]:
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_memory_cap_maps_to_memory_exceeded():
     caps = ResourceCaps(wall_seconds=10.0, memory_bytes=256 * 1024 * 1024)
     suite = make_suite(("", "never"))
     hog = "x = bytearray(1024 * 1024 * 1024)\nprint('made it')"
     feedback = ProcessExecutor(caps=caps).execute(hog, suite)
     assert feedback.verdicts == (MEMORY_EXCEEDED,)
+
+
+def test_file_size_cap_stops_a_write_past_the_memory_cap():
+    caps = ResourceCaps(wall_seconds=10.0, memory_bytes=256 * 1024 * 1024)
+    # a sparse write: it takes no disk space below the cap
+    program = (
+        "with open('big', 'wb') as handle:\n"
+        "    handle.seek(256 * 1024 * 1024)\n"
+        "    handle.write(b'x')\n"
+        "print('wrote')"
+    )
+    feedback = ProcessExecutor(caps=caps).execute(program, make_suite(("", "wrote")))
+    assert feedback.verdicts == (EXCEPTION,)
+    assert feedback.failures[0].summary == "OSError: [Errno 27] File too large"
 
 
 @pytest.mark.parametrize(

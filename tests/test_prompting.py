@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcs.errors import ContextExhaustedError
 from arcs.planner import Plan
 from arcs.prompting import (
     FEEDBACK_MARKER,
     PromptSegment,
+    _build,
     compose,
     render,
     template_fingerprint,
@@ -155,3 +160,78 @@ def test_template_fingerprint_shape():
     fp = template_fingerprint()
     assert fp["version"] == "v1"
     assert len(fp["digest"]) == 64
+
+
+def _rebuild_loop_truncate(prompt, max_tokens):
+    """Reference policy: rebuild the whole prompt after every step."""
+    if prompt.total_tokens <= max_tokens:
+        return prompt
+    segments = list(prompt.segments)
+    current = prompt
+    while current.total_tokens > max_tokens:
+        evid_positions = [i for i, seg in enumerate(segments) if seg.kind == "evid"]
+        if not evid_positions:
+            break
+        victim = min(
+            evid_positions,
+            key=lambda i: (
+                segments[i].similarity if segments[i].similarity is not None else float("-inf"),
+                -i,
+            ),
+        )
+        del segments[victim]
+        current = _build(segments)
+    if current.total_tokens > max_tokens:
+        for i, seg in enumerate(segments):
+            if seg.kind == "plan" and seg.collapsed_text is not None and seg.text != seg.collapsed_text:
+                segments[i] = replace(seg, text=seg.collapsed_text)
+                current = _build(segments)
+                break
+    if current.total_tokens > max_tokens:
+        fb_positions = [i for i, seg in enumerate(segments) if seg.kind == "fb"]
+        if len(fb_positions) > 1:
+            for i in reversed(fb_positions[:-1]):
+                del segments[i]
+            current = _build(segments)
+    if current.total_tokens > max_tokens:
+        raise ContextExhaustedError(
+            f"context exhausted: {current.total_tokens} tokens remain after maximal "
+            f"truncation against a budget of {max_tokens}"
+        )
+    return current
+
+
+_texts = st.text(alphabet="ab \n", max_size=12)
+
+
+@st.composite
+def _prompts(draw):
+    segments = [PromptSegment(kind=kind, text=draw(_texts)) for kind in ("env", "inv") if draw(st.booleans())]
+    segments.append(PromptSegment(kind="task", text=draw(_texts)))
+    if draw(st.booleans()):
+        text = draw(_texts)
+        collapsed = draw(st.one_of(st.none(), st.just(text), _texts))
+        segments.append(PromptSegment(kind="plan", text=text, collapsed_text=collapsed))
+    similarities = st.one_of(st.none(), st.sampled_from([float("-inf"), 0.25, 0.5, 0.75]))
+    for _ in range(draw(st.integers(0, 5))):
+        segments.append(PromptSegment(kind="evid", text=draw(_texts), similarity=draw(similarities)))
+    for _ in range(draw(st.integers(0, 4))):
+        segments.append(PromptSegment(kind="fb", text=draw(_texts)))
+    return _build(segments)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_truncate_matches_the_rebuild_loop(data):
+    prompt = data.draw(_prompts())
+    budget = data.draw(st.integers(0, prompt.total_tokens + 2))
+    try:
+        expected = _rebuild_loop_truncate(prompt, budget)
+    except ContextExhaustedError as exc:
+        with pytest.raises(ContextExhaustedError) as raised:
+            truncate(prompt, budget)
+        assert str(raised.value) == str(exc)
+        return
+    result = truncate(prompt, budget)
+    assert result == expected
+    assert (result is prompt) == (budget >= prompt.total_tokens)
