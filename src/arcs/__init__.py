@@ -7,13 +7,11 @@ bit-exact replay logging.
 """
 
 from .controller import (
-    CostBound,
     CostReport,
     RunDeps,
     RunLog,
     RunResult,
     TierConfig,
-    check_cost_bound,
     compare_run_logs,
     load_run_log,
     replay,

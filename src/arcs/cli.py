@@ -235,15 +235,16 @@ def _cmd_run(args) -> int:
     tier = _tier_from_config(cfg)
     deps = _deps_from_config(cfg, tier)
     log_dir = Path(args.log_dir)
+    program_path = log_dir / "program.py"
     try:
         result = run(spec, suite, tier, deps)
     except NoCandidateError as exc:
         if exc.run_log is not None:
             save_run_log(exc.run_log, log_dir)
+        program_path.unlink(missing_ok=True)
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     save_run_log(result.log, log_dir)
-    program_path = log_dir / "program.py"
     program_path.write_text(result.program, encoding="utf-8")
     print(str(program_path))
     if result.log.outcome["passed"]:

@@ -17,7 +17,6 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 from . import planner as planner_mod
 from . import prompting, retrieval
@@ -90,7 +89,8 @@ class TierConfig(JsonRecord):
 
 @dataclass(frozen=True)
 class RoundCost(JsonRecord):
-    """Unit cost of one logged round: 1 per retrieval, prompt, answer and test it ran."""
+    """Unit cost of one logged round: 1 per retrieval and test it ran, and a prompt
+    and an answer per model call that returned (its plan, its proposal)."""
 
     retrieval: float
     prompt_input: float
@@ -99,9 +99,9 @@ class RoundCost(JsonRecord):
 
     @classmethod
     def of(cls, round_log: RoundLog) -> "RoundCost":
-        called = float(round_log.usage is not None)
+        calls = float((round_log.plan is not None) + (round_log.usage is not None))
         tests = len(round_log.feedback.verdicts) if round_log.feedback is not None else 0
-        return cls(float(round_log.retrieval is not None), called, called, float(tests))
+        return cls(float(round_log.retrieval is not None), calls, calls, float(tests))
 
     @property
     def total(self) -> float:
@@ -117,21 +117,6 @@ class CostReport(JsonRecord):
     @property
     def total(self) -> float:
         return sum(round_cost.total for round_cost in self.rounds)
-
-
-@dataclass(frozen=True)
-class CostBound:
-    bound: float
-    within_bound: bool
-
-
-def check_cost_bound(report: CostReport, caps: Mapping[str, float]) -> CostBound:
-    """B rounds at their worst unit cost, 3 + m (retrieval, prompt, answer, m tests), vs. the total.
-
-    ``caps`` carries B (iterations) and m (suite size).
-    """
-    bound = float(caps["B"] * (3 + caps["m"]))
-    return CostBound(bound=bound, within_bound=report.total <= bound + 1e-9)
 
 
 @dataclass
@@ -171,8 +156,9 @@ class RoundLog(JsonRecord):
 class RunLog(JsonRecord):
     """Per-run record: task, settings (``config`` only), assets, rounds, outcome.
 
-    The cost is derived from the rounds; an older log's setting echoes and
-    stored cost are not fields, so loading ignores them.
+    The cost is derived from the rounds, and its bound from the tier and the
+    suite; an older log's setting echoes and stored cost are not fields, so
+    loading ignores them.
     """
 
     spec: str
@@ -199,6 +185,11 @@ class RunLog(JsonRecord):
     @property
     def cost(self) -> CostReport:
         return CostReport(rounds=[RoundCost.of(round_log) for round_log in self.rounds])
+
+    @property
+    def cost_bound(self) -> float:
+        """B rounds at the worst unit cost: a retrieval, m tests, two per model call."""
+        return float(self.tier.iterations * (3 + 2 * self.tier.planning + self.suite.m))
 
 
 @dataclass(frozen=True)
@@ -366,9 +357,11 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
 
 
 def save_run_log(run_log: RunLog, directory: str | Path) -> Path:
-    """Persist a run log as a manifest plus one file per round."""
+    """Persist a run log as a manifest plus one file per round, replacing any earlier rounds."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for stale in directory.glob("round_*.json"):
+        stale.unlink()
     round_entries = []
     for round_log in run_log.rounds:
         name = f"round_{round_log.t:03d}.json"

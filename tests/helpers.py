@@ -6,7 +6,7 @@ import math
 
 from arcs.corpus import CorpusItem, CorpusSnapshot
 from arcs.executor import TestCase, TestSuite
-from arcs.model import ScriptedModel
+from arcs.model import ProposalModel, ScriptedModel
 
 PLAN_ANSWER = (
     "CONTRACT: reads two integers from stdin, writes one integer to stdout\n"
@@ -52,6 +52,24 @@ def buggy_then_fixed_model(buggy: str = BUGGY_SUM, fixed: str = FIXED_SUM) -> Sc
             {"feedback": True, "response": fenced(fixed)},
         ]
     )
+
+
+class CountingModel(ProposalModel):
+    """Wraps a model and counts its calls that returned an answer."""
+
+    def __init__(self, inner: ProposalModel):
+        self.inner = inner
+        self.model_id = inner.model_id
+        self.returned = 0
+
+    def reset(self) -> None:
+        self.inner.reset()
+        self.returned = 0
+
+    def propose(self, prompt, params):
+        answer = self.inner.propose(prompt, params)
+        self.returned += 1
+        return answer
 
 
 def constant_model(code: str) -> ScriptedModel:

@@ -7,6 +7,7 @@ filters); they never call the code path they check.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -16,11 +17,9 @@ import numpy as np
 import pytest
 
 from arcs.controller import (
-    CostReport,
     RunDeps,
     TierConfig,
     best_so_far_trajectory,
-    check_cost_bound,
     compare_run_logs,
     load_run_log,
     replay,
@@ -347,10 +346,11 @@ def test_criterion_7_tier_projection(snapshot, embedder):
 
 
 def test_criterion_8_cost_bound():
-    reference = check_cost_bound(
-        CostReport(), {"B": 5, "k": 10, "L_max": 512, "m": 3}
-    )
-    assert reference.bound == 30.0
+    deps = RunDeps(model=buggy_then_fixed_model(), executor=InProcessExecutor())
+    reference = run(SPEC, sum_suite(), TierConfig(k=0, iterations=1), deps).log
+    # read at B=5, k=10 and m=3 tests
+    reference = dataclasses.replace(reference, tier=TierConfig(k=10, iterations=5))
+    assert reference.cost_bound == 30.0
 
     embedder = HashingEmbedder(16)
     texts = [f"helper routine number {i}" for i in range(6)]
@@ -362,15 +362,8 @@ def test_criterion_8_cost_bound():
     )
     rng = random.Random(1234)
     for _ in range(200):
-        log, tier = _random_run(rng, snapshot=snapshot, embedder=embedder)
-        caps = {
-            "B": tier.iterations,
-            "k": tier.k,
-            "L_max": 512,
-            "m": log.suite.m,
-        }
-        verdict = check_cost_bound(log.cost, caps)
-        assert verdict.within_bound, (log.cost.total, verdict.bound)
+        log, _tier = _random_run(rng, snapshot=snapshot, embedder=embedder)
+        assert log.cost.total <= log.cost_bound, (log.cost.total, log.cost_bound)
     print("ACCEPTANCE 8 PASS: bound equals 30 under unit costs; 200 random runs stay within bound")
 
 

@@ -220,6 +220,21 @@ def test_replay_of_a_run_that_found_no_candidate(tmp_path, task_files, capsys):
     assert "replay identical" in capsys.readouterr().out
 
 
+def test_a_run_without_a_candidate_leaves_no_earlier_program(tmp_path, task_files):
+    log_dir = tmp_path / "rl"
+    assert main(_run_args(tmp_path, task_files, "--budget-b", "3")) == 0
+    assert (log_dir / "program.py").is_file()
+    assert (log_dir / "round_001.json").is_file()
+    script = tmp_path / "late.json"
+    script.write_text(
+        json.dumps({"model_id": "fixture", "entries": [{"ordinal": 9, "response": fenced(FIXED_SUM)}]}),
+        encoding="utf-8",
+    )
+    assert main(_run_args(tmp_path, task_files, script=script)) == 1
+    assert json.loads((log_dir / "manifest.json").read_text())["outcome"]["returned_program"] is None
+    assert sorted(path.name for path in log_dir.iterdir()) == ["manifest.json", "round_000.json"]
+
+
 def _replay_scripted_log_without_script(tmp_path, task_files):
     # a library run echoes no config, so the script path is nowhere logged
     model = ScriptedModel([{"response": fenced(FIXED_SUM)}])

@@ -4,20 +4,21 @@ import dataclasses
 from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcs.controller import (
-    CostReport,
     RoundCost,
     RunDeps,
     TierConfig,
     best_so_far_trajectory,
-    check_cost_bound,
     compare_run_logs,
     load_run_log,
     replay,
     run,
     save_run_log,
 )
+from arcs.embedding import HashingEmbedder
 from arcs.errors import ConfigError, NoCandidateError, ReplayAssetError
 from arcs.executor import InProcessExecutor, ProcessExecutor
 from arcs.model import ScriptedModel
@@ -25,11 +26,14 @@ from arcs.model import ScriptedModel
 from helpers import (
     BUGGY_SUM,
     FIXED_SUM,
+    PLAN_ANSWER,
+    CountingModel,
     buggy_then_fixed_model,
     constant_model,
     fenced,
     long_spec,
     make_suite,
+    snapshot_from_embeddings,
     sum_suite,
 )
 
@@ -163,22 +167,24 @@ def test_best_so_far_trajectory_is_non_decreasing():
 
 
 def test_cost_bound_reference_value():
-    report = CostReport()
-    bound = check_cost_bound(report, {"B": 5, "k": 10, "L_max": 512, "m": 3})
-    assert bound.bound == 30.0
-    assert bound.within_bound  # zero rounds executed
+    model = constant_model(FIXED_SUM)
+    log = run(SPEC, sum_suite(), TierConfig(k=0, iterations=1), _deps(model)).log
+    # B=5 rounds of a retrieval, a prompt and an answer per model call, and m=3 tests
+    bounds = [
+        dataclasses.replace(log, tier=TierConfig(k=10, iterations=5, planning=planning)).cost_bound
+        for planning in (False, True)
+    ]
+    assert bounds == [30.0, 40.0]
 
 
 def test_cost_bound_holds_for_a_real_run():
     model = buggy_then_fixed_model()
     suite = sum_suite()
     tier = TierConfig(k=0, iterations=5, planning=False)
-    result = run(SPEC, suite, tier, _deps(model))
-    report = result.log.cost
-    caps = {"B": tier.iterations, "k": tier.k, "L_max": 512, "m": suite.m}
-    assert check_cost_bound(report, caps).within_bound
+    log = run(SPEC, suite, tier, _deps(model)).log
+    assert log.cost.total <= log.cost_bound
     # two rounds, unit costs, no retrieval at k=0: each round 1+1+m
-    assert report.total == pytest.approx(2 * (2 + suite.m))
+    assert log.cost.total == pytest.approx(2 * (2 + suite.m))
 
 
 def test_each_stage_is_priced_at_unit_cost(snapshot, embedder):
@@ -189,6 +195,86 @@ def test_each_stage_is_priced_at_unit_cost(snapshot, embedder):
     report = run(SPEC, suite, TierConfig(k=2, iterations=2, planning=False), deps).log.cost
     assert report.rounds == [RoundCost(1.0, 0.0, 0.0, 0.0), RoundCost(1.0, 1.0, 1.0, suite.m)]
     assert report.total == 1.0 + 3.0 + suite.m
+
+
+def test_every_model_call_that_returned_is_priced(snapshot, embedder):
+    model = CountingModel(buggy_then_fixed_model())
+    deps = _deps(model, snapshot=snapshot, embedder=embedder, config={"plan_gate_tokens": 0})
+    report = run(SPEC, sum_suite(), TierConfig.large(k=2, iterations=3), deps).log.cost
+    # a plan and a proposal in each of the two rounds
+    assert model.returned == 4
+    assert sum(cost.prompt_input for cost in report.rounds) == model.returned
+    assert sum(cost.prompt_output for cost in report.rounds) == model.returned
+
+
+# What a round's proposal does against the sum suite; None is a proposal the
+# script does not answer.
+BEHAVIOURS = {
+    "pass": FIXED_SUM,
+    "wrong output": BUGGY_SUM,
+    "one of three": "print(4)",
+    "raise": "raise ValueError('boom')",
+    "exit code": "import sys\nsys.exit(3)",
+    "exit message": "import sys\nsys.exit('msg')",
+    "unanswered": None,
+}
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    embedder = HashingEmbedder(16)
+    texts = [f"helper routine number {i}" for i in range(4)]
+    snapshot = snapshot_from_embeddings([embedder.embed(t) for t in texts], embedder.embedder_id)
+    return {"snapshot": snapshot, "embedder": embedder}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([0, 2]),
+    planning=st.booleans(),
+    # per round: is the planning call answered, and what does the proposal do
+    rounds=st.lists(
+        st.tuples(st.booleans(), st.sampled_from(sorted(BEHAVIOURS))), min_size=1, max_size=5
+    ),
+)
+def test_termination_improvement_and_bounded_cost_hold_over_generated_runs(
+    small_corpus, k, planning, rounds
+):
+    entries = []
+    ordinal = 0
+    for plan_answered, behaviour in rounds:
+        if planning:
+            if plan_answered:
+                entries.append({"ordinal": ordinal, "response": PLAN_ANSWER})
+            ordinal += 1
+        if BEHAVIOURS[behaviour] is not None:
+            entries.append({"ordinal": ordinal, "response": fenced(BEHAVIOURS[behaviour])})
+        ordinal += 1
+    model = CountingModel(ScriptedModel(entries))
+    retrieval = small_corpus if k else {}
+    deps = _deps(model, config={"plan_gate_tokens": 0}, **retrieval)
+    tier = TierConfig(k=k, iterations=len(rounds), planning=planning)
+    try:
+        log = run(SPEC, sum_suite(), tier, deps).log
+    except NoCandidateError as exc:
+        log = exc.run_log
+
+    # termination: at most B rounds, ending at the first all-pass round
+    behaviours = [behaviour for _, behaviour in rounds]
+    halted = behaviours.index("pass") + 1 if "pass" in behaviours else len(rounds)
+    assert len(log.rounds) == log.outcome["rounds_executed"] == halted
+    all_passed = [r.feedback is not None and r.feedback.all_passed for r in log.rounds]
+    assert not any(all_passed[:-1])
+    # monotone improvement: the returned round is the earliest maximum
+    trajectory = best_so_far_trajectory(log)
+    assert trajectory == sorted(trajectory)
+    counts = [r.feedback.pass_count if r.feedback is not None else -1 for r in log.rounds]
+    earliest_best = counts.index(max(counts)) if max(counts) >= 0 else None
+    assert log.outcome["returned_round"] == earliest_best
+    # bounded cost, with every model call that returned priced
+    assert log.cost.total <= log.cost_bound
+    assert sum(cost.prompt_input for cost in log.cost.rounds) == model.returned
+    assert sum(cost.prompt_output for cost in log.cost.rounds) == model.returned
 
 
 def test_library_config_is_range_checked_like_a_flag():
@@ -219,6 +305,16 @@ def test_run_log_round_trip(tmp_path):
     loaded = load_run_log(directory)
     assert compare_run_logs(result.log, loaded) == []
     assert loaded.outcome == result.log.outcome
+
+
+def test_a_shorter_log_saved_over_a_longer_one_leaves_no_stale_rounds(tmp_path):
+    model = constant_model("print(4)")
+    longer = run(SPEC, sum_suite(), TierConfig(k=0, iterations=3), _deps(model)).log
+    shorter = run(SPEC, sum_suite(), TierConfig(k=0, iterations=1), _deps(model)).log
+    save_run_log(longer, tmp_path)
+    save_run_log(shorter, tmp_path)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["manifest.json", "round_000.json"]
+    assert compare_run_logs(load_run_log(tmp_path), shorter) == []
 
 
 def test_tampered_round_file_is_detected(tmp_path):

@@ -188,9 +188,10 @@ def test_log_with_setting_echoes_and_a_stored_cost_loads_and_replays(tmp_path):
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     manifest_path.write_text(json.dumps({**manifest, **LEGACY_KEYS}), encoding="utf-8")
     logged = load_run_log(directory)
-    # two rounds of one retrieval, one prompt, one answer and three tests
-    assert logged.cost.total == 12.0
-    assert [cost.total for cost in logged.cost.rounds] == [6.0, 6.0]
+    # two rounds of one retrieval, two prompts and two answers (the plan and
+    # the proposal) and three tests
+    assert logged.cost.total == 16.0
+    assert [cost.total for cost in logged.cost.rounds] == [8.0, 8.0]
     fresh = replay(logged, _deps(logged.tier))
     assert compare_run_logs(logged, fresh) == []
 
