@@ -22,7 +22,8 @@ import warnings
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -103,9 +104,11 @@ class CorpusSnapshot:
     The snapshot owns its embeddings as one read-only, C-contiguous float64
     ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms and
     ``rows_by_name`` the rows of each signature name, for a top-k denylist.
+    ``items`` is a tuple in a built snapshot; in a loaded one it is a
+    read-only sequence that decodes each item from its line on first access.
     """
 
-    items: tuple[CorpusItem, ...]
+    items: Sequence[CorpusItem]
     embedder_id: str
     dimension: int
     created_at: str
@@ -138,27 +141,30 @@ class CorpusSnapshot:
         matrix = np.frombuffer(packed, dtype=np.float64).reshape(len(items), dimension)
         records = [_metadata(item) for item in items]
         digest = compute_content_digest((_metadata_line(record) for record in records), matrix)
-        metadata = [_metadata_values(record) for record in records]
-        return cls._from_parts(metadata, matrix, embedder_id, created_at or utc_now_iso(), digest)
+        # rows of a matrix over bytes, so read-only like it
+        items = tuple(
+            CorpusItem(*_metadata_values(record), embedding=row) for record, row in zip(records, matrix)
+        )
+        signatures = (item.signature for item in items)
+        return cls._from_parts(items, signatures, matrix, embedder_id, created_at or utc_now_iso(), digest)
 
     @classmethod
     def _from_parts(
         cls,
-        metadata: Sequence[tuple],
+        items: Sequence[CorpusItem],
+        signatures: Iterable[str],
         matrix: np.ndarray,
         embedder_id: str,
         created_at: str,
         content_digest: str,
     ) -> "CorpusSnapshot":
-        """The snapshot whose items have the ``metadata`` field values, in field
-        order, and the rows of ``matrix`` as embeddings."""
-        matrix.flags.writeable = False
+        """The snapshot of ``items``, whose embeddings are the rows of the
+        read-only ``matrix`` and whose signatures are ``signatures``, in order."""
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms.flags.writeable = False
-        items = tuple(CorpusItem(*values, embedding=row) for values, row in zip(metadata, matrix))
         rows_by_name: dict[str, list[int]] = {}
-        for row, item in enumerate(items):
-            rows_by_name.setdefault(signature_name(item.signature), []).append(row)
+        for row, signature in enumerate(signatures):
+            rows_by_name.setdefault(signature_name(signature), []).append(row)
         return cls(
             items=items,
             embedder_id=embedder_id,
@@ -435,9 +441,12 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
 def load_snapshot(path: str | Path) -> CorpusSnapshot:
     """Load and integrity-check a snapshot; any damage or digest mismatch raises.
 
-    The file is read one line at a time: each metadata line is hashed and
-    parsed as it arrives, and the matrix line is decoded once into the bytes
-    the snapshot's matrix wraps.
+    The file is read one line at a time: each metadata line is hashed as it
+    arrives and kept undecoded, and the matrix line is decoded once into the
+    bytes the snapshot's matrix wraps. Once the digest matches, ``rows_by_name``
+    is built from the signature in each line, and each item is decoded the first
+    time it is read. A line that passes the digest but is malformed, which only
+    a hand-forged file holds, raises ``SnapshotCorruptionError`` then.
     """
     path = Path(path)
     try:
@@ -471,23 +480,12 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
         embedder_id, created_at = header["embedder_id"], header["created_at"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
-    records: list[tuple] = []
-
-    def item_lines() -> Iterator[bytes]:
-        """The next ``count`` lines, each parsed into ``records`` before it is hashed."""
-        for position, line in zip(range(count), lines):
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-                raise SnapshotCorruptionError(f"snapshot {path} has corrupt item metadata") from exc
-            if not isinstance(record, dict) or record.keys() != _METADATA_FIELDS or record["index"] != position:
-                raise SnapshotCorruptionError(f"snapshot {path} line {position + 2} is corrupt")
-            records.append(_metadata_values(record))
-            yield line
-
-    digest = _metadata_hash(count, dimension, item_lines())
+    if count < 1:
+        raise SnapshotCorruptionError(f"snapshot {path} declares {count} items; a snapshot holds at least one")
+    item_lines = list(islice(lines, count))
+    digest = _metadata_hash(count, dimension, item_lines)
     matrix_line = next(lines, None)
-    after_header = len(records) + (matrix_line is not None) + sum(1 for _ in lines)
+    after_header = len(item_lines) + (matrix_line is not None) + sum(1 for _ in lines)
     if after_header != count + 1:
         raise SnapshotCorruptionError(
             f"snapshot {path} holds {max(after_header - 1, 0)} items, header declares {count}"
@@ -509,4 +507,75 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     content_digest = digest.hexdigest()
     if content_digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
-    return CorpusSnapshot._from_parts(records, matrix, embedder_id, created_at, content_digest)
+    matrix.flags.writeable = False
+    items = _LoadedItems(item_lines, matrix, path)
+    signatures = (items.line_signature(row, line) for row, line in enumerate(item_lines))
+    return CorpusSnapshot._from_parts(items, signatures, matrix, embedder_id, created_at, content_digest)
+
+
+_SIGNATURE_KEY = b',"signature":"'
+
+
+class _LoadedItems(Sequence[CorpusItem]):
+    """The items of a loaded snapshot, each decoded from its line on first access.
+
+    The lines have passed the content digest. A decoded item takes its line's
+    place, so the sequence holds each item once, as a line or as an item.
+    """
+
+    def __init__(self, lines: list[bytes], matrix: np.ndarray, path: Path):
+        self._slots: list[bytes | CorpusItem] = lines
+        self._matrix = matrix
+        self._path = path
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, position):
+        row = range(len(self._slots))[position]  # a range for a slice; negatives count from the end
+        if isinstance(row, range):
+            return tuple(map(self.__getitem__, row))
+        slot = self._slots[row]
+        if isinstance(slot, bytes):
+            slot = self._slots[row] = self._decode(row, slot)
+        return slot
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(mine == theirs for mine, theirs in zip(self, other))
+
+    def line_signature(self, row: int, line: bytes) -> str:
+        """The signature in ``line``, item ``row``'s, read at its key without decoding the line.
+
+        A saved line is canonical JSON: sorted keys, no spaces, ASCII only. Every
+        quote inside a JSON string is escaped, so ``,"signature":"`` can occur only
+        where the key is. The key comes late in sorted order, so it is sought from
+        the end, and only the line's tail is decoded.
+        """
+        start = line.rfind(_SIGNATURE_KEY)
+        try:
+            if start < 0:
+                raise ValueError("no signature key")
+            tail = line[start + len(_SIGNATURE_KEY) :].decode("utf-8")
+            return json.decoder.scanstring(tail, 0)[0]
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise self._corrupt(row) from exc
+
+    def _decode(self, row: int, line: bytes) -> CorpusItem:
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise self._corrupt(row) from exc
+        if (
+            not isinstance(record, dict)
+            or record.keys() != _METADATA_FIELDS
+            or record["index"] != row
+            or record["signature"] != self.line_signature(row, line)
+        ):
+            raise self._corrupt(row)
+        return CorpusItem(*_metadata_values(record), embedding=self._matrix[row])
+
+    def _corrupt(self, row: int) -> SnapshotCorruptionError:
+        # the header is line 1
+        return SnapshotCorruptionError(f"snapshot {self._path} line {row + 2} is corrupt")

@@ -4,6 +4,7 @@ import base64
 import importlib
 import inspect
 import json
+import tempfile
 import tracemalloc
 import warnings
 import zlib
@@ -11,10 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arcs import corpus
 from arcs.corpus import (
     CorpusItem,
     CorpusSnapshot,
+    compute_content_digest,
     extract_definitions,
     ingest,
     load_snapshot,
@@ -29,6 +34,7 @@ from arcs.errors import (
     IngestError,
     SnapshotCorruptionError,
 )
+from arcs.retrieval import RetrievalQuery, top_k
 
 from conftest import THREE_FUNCTION_FILE
 from helpers import make_item
@@ -343,6 +349,123 @@ def test_reformatted_line_breaks_load_to_the_same_snapshot(snapshot, tmp_path, r
     loaded = load_snapshot(path)
     assert loaded.content_digest == snapshot.content_digest
     assert loaded.items == snapshot.items
+
+
+def _forge(path, snapshot, item_lines, matrix) -> None:
+    """Save ``snapshot`` with ``item_lines`` and ``matrix`` in place of its own,
+    and the header's count and digest recomputed to match them."""
+    save_snapshot(snapshot, path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    header.update(count=len(item_lines), content_digest=compute_content_digest(item_lines, matrix))
+    matrix_line = base64.b64encode(zlib.compress(np.ascontiguousarray(matrix, dtype="<f8")))
+    path.write_bytes(b"\n".join([json.dumps(header, sort_keys=True).encode(), *item_lines, matrix_line]) + b"\n")
+
+
+def test_snapshot_without_items_is_corrupt(snapshot, tmp_path):
+    path = tmp_path / "empty.snap"
+    _forge(path, snapshot, [], np.zeros((0, snapshot.dimension)))
+    with pytest.raises(SnapshotCorruptionError) as caught:
+        load_snapshot(path)
+    assert "0 items" in str(caught.value)
+
+
+def test_damaged_item_line_fails_the_digest_at_load(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][: len(lines[2]) // 2]
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SnapshotCorruptionError, match="content digest"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        lambda line: line.replace(b'"index":1', b'"index":7', 1),
+        lambda line: line[:-1] + b',"z":0}',
+    ],
+    ids=["wrong_index", "extra_key"],
+)
+def test_forged_item_line_loads_and_raises_on_first_access(snapshot, tmp_path, forge):
+    path = tmp_path / "forged.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_bytes().split(b"\n")[1 : 1 + len(snapshot)]
+    lines[1] = forge(lines[1])
+    _forge(path, snapshot, lines, snapshot.matrix)
+    loaded = load_snapshot(path)
+    assert loaded.items[0] == snapshot.items[0]
+    for _ in range(2):
+        with pytest.raises(SnapshotCorruptionError, match="line 3 is corrupt"):
+            loaded.items[1]
+    assert loaded.items[-1] == snapshot.items[-1]
+
+
+def test_a_line_without_the_signature_key_is_corrupt_at_load(snapshot, tmp_path):
+    path = tmp_path / "forged.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_bytes().split(b"\n")[1 : 1 + len(snapshot)]
+    lines[2] = lines[2].replace(b',"signature":"', b',"signature": "', 1)
+    _forge(path, snapshot, lines, snapshot.matrix)
+    with pytest.raises(SnapshotCorruptionError, match="line 4 is corrupt"):
+        load_snapshot(path)
+
+
+def test_a_query_decodes_only_the_items_it_returns(tmp_path, monkeypatch):
+    embedder = HashingEmbedder(dimension=32)
+    items = [make_item(i, embedder.embed(f"function number {i}")) for i in range(200)]
+    path = tmp_path / "corpus.snap"
+    save_snapshot(CorpusSnapshot.build(items, embedder.embedder_id, 32), path)
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(corpus.json, "loads", lambda text, **kw: parsed.append(text) or loads(text, **kw))
+    loaded = load_snapshot(path)
+    result = top_k(RetrievalQuery("function number 7", 3), loaded, embedder, frozenset({"item_7"}))
+    assert 7 not in result.indices()
+    # the header and the three items returned
+    assert len(parsed) <= 1 + 3
+
+
+def test_loaded_items_read_like_the_built_tuple(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    loaded = load_snapshot(path).items
+    assert loaded[-1] == snapshot.items[-1]
+    assert loaded[1:3] == snapshot.items[1:3]
+    assert list(loaded) == list(snapshot.items)
+    assert loaded == snapshot.items and snapshot.items == loaded
+    assert loaded == list(snapshot.items)
+    assert loaded != snapshot.items[:-1]
+    assert loaded is not None and loaded != "text"
+    with pytest.raises(IndexError):
+        loaded[len(snapshot)]
+
+
+# quotes, backslashes, commas, the signature key itself and non-ASCII text
+_AWKWARD_TEXT = st.lists(
+    st.sampled_from(['"', "\\", ",", ":", ',"signature":"', '","signature":"', "(", " ", "*", "\u00e9", "\u2603", "\n", "f", "_"]),
+    max_size=10,
+).map("".join) | st.text(max_size=12)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_AWKWARD_TEXT, _AWKWARD_TEXT, _AWKWARD_TEXT), min_size=1, max_size=4))
+def test_names_read_from_saved_lines_are_the_names_of_their_signatures(texts):
+    items = [
+        CorpusItem(i, signature, doc, body, "src.py", "python", embedding=(1.0, float(i)))
+        for i, (signature, doc, body) in enumerate(texts)
+    ]
+    built = CorpusSnapshot.build(items, "hash2", 2, created_at="2026-01-01T00:00:00+00:00")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.snap"
+        save_snapshot(built, path)
+        lines = path.read_bytes().splitlines()[1:-1]
+        loaded = load_snapshot(path)
+    expected: dict[str, list[int]] = {}
+    for row, line in enumerate(lines):
+        expected.setdefault(signature_name(json.loads(line)["signature"]), []).append(row)
+    assert loaded.rows_by_name == expected
+    assert loaded.items == built.items
 
 
 def test_invalid_utf8_in_an_item_line_is_corrupt(snapshot, tmp_path):
