@@ -15,15 +15,19 @@ import io
 import json
 import logging
 import operator
+import os
 import re
+import secrets
+import stat
 import struct
 import tokenize
 import warnings
+import weakref
 import zlib
+from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from itertools import islice
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,7 +109,8 @@ class CorpusSnapshot:
     ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms and
     ``rows_by_name`` the rows of each signature name, for a top-k denylist.
     ``items`` is a tuple in a built snapshot; in a loaded one it is a
-    read-only sequence that decodes each item from its line on first access.
+    read-only sequence that reads each item from the snapshot file on every
+    access and keeps none.
     """
 
     items: Sequence[CorpusItem]
@@ -145,26 +150,26 @@ class CorpusSnapshot:
         items = tuple(
             CorpusItem(*_metadata_values(record), embedding=row) for record, row in zip(records, matrix)
         )
-        signatures = (item.signature for item in items)
-        return cls._from_parts(items, signatures, matrix, embedder_id, created_at or utc_now_iso(), digest)
+        rows_by_name: dict[str, list[int]] = {}
+        for item in items:
+            rows_by_name.setdefault(signature_name(item.signature), []).append(item.index)
+        return cls._from_parts(items, rows_by_name, matrix, embedder_id, created_at or utc_now_iso(), digest)
 
     @classmethod
     def _from_parts(
         cls,
         items: Sequence[CorpusItem],
-        signatures: Iterable[str],
+        rows_by_name: dict[str, list[int]],
         matrix: np.ndarray,
         embedder_id: str,
         created_at: str,
         content_digest: str,
     ) -> "CorpusSnapshot":
         """The snapshot of ``items``, whose embeddings are the rows of the
-        read-only ``matrix`` and whose signatures are ``signatures``, in order."""
+        read-only ``matrix`` and whose rows under each signature name are
+        ``rows_by_name``."""
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms.flags.writeable = False
-        rows_by_name: dict[str, list[int]] = {}
-        for row, signature in enumerate(signatures):
-            rows_by_name.setdefault(signature_name(signature), []).append(row)
         return cls(
             items=items,
             embedder_id=embedder_id,
@@ -207,8 +212,12 @@ def _metadata_line(record: dict) -> bytes:
 
 def signature_name(signature: str) -> str:
     """Leading identifier of a signature, used for denylist matching."""
-    name = ""
     head = signature.split("(", 1)[0]
+    # most heads end in a plain identifier, which the scan below would return
+    last = (head.rsplit(None, 1) or [""])[-1]
+    if last.isidentifier() and (last[0].isalpha() or last[0] == "_"):
+        return last
+    name = ""
     for token in reversed(head.replace("*", " ").replace("&", " ").split()):
         if token and (token[0].isalpha() or token[0] == "_"):
             name = token
@@ -419,8 +428,12 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
     """Persist a snapshot as a header line, one metadata line per item, one matrix line.
 
     The matrix line is the base64 text of the zlib-compressed little-endian
-    float64 bytes of ``snapshot.matrix``.
+    float64 bytes of ``snapshot.matrix``. The file is written beside ``path``
+    under a temporary name and then moved over it, so a snapshot already at
+    ``path``, and any process reading it, never sees a partial write; if the
+    save fails, the temporary file is removed and ``path`` is left as it was.
     """
+    path = Path(path)
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -430,39 +443,58 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
         "count": len(snapshot.items),
         "content_digest": snapshot.content_digest,
     }
-    with Path(path).open("wb") as file:
-        file.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for item in snapshot.items:
-            file.write(_metadata_line(_metadata(item)) + b"\n")
-        matrix = np.ascontiguousarray(snapshot.matrix, dtype="<f8")
-        file.write(base64.b64encode(zlib.compress(matrix)) + b"\n")
+    # "x" creates the file with the mode open(path, "wb") gives a new file
+    temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    file = temporary.open("xb")
+    try:
+        with file:
+            file.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            for item in snapshot.items:
+                file.write(_metadata_line(_metadata(item)) + b"\n")
+            matrix = np.ascontiguousarray(snapshot.matrix, dtype="<f8")
+            file.write(base64.b64encode(zlib.compress(matrix)) + b"\n")
+            try:  # and the mode of a file it overwrites
+                os.chmod(file.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def load_snapshot(path: str | Path) -> CorpusSnapshot:
     """Load and integrity-check a snapshot; any damage or digest mismatch raises.
 
-    The file is read one line at a time: each metadata line is hashed as it
-    arrives and kept undecoded, and the matrix line is decoded once into the
-    bytes the snapshot's matrix wraps. Once the digest matches, ``rows_by_name``
-    is built from the signature in each line, and each item is decoded the first
-    time it is read. A line that passes the digest but is malformed, which only
-    a hand-forged file holds, raises ``SnapshotCorruptionError`` then.
+    The file is read one line at a time: each metadata line is hashed into the
+    content digest as it arrives, its name goes into ``rows_by_name``, and only
+    its offset, length and SHA-256 are kept. The matrix line is decoded once
+    into the bytes the snapshot's matrix wraps. The snapshot's items hold the
+    file open and read each item from it on every access, checked against the
+    hash kept at load. A line that passes the digest but is malformed, which
+    only a hand-forged file holds, raises ``SnapshotCorruptionError`` then.
     """
     path = Path(path)
     try:
-        with path.open("rb") as file:
-            return _read_snapshot(file, path)
+        items = _LoadedItems(os.open(path, os.O_RDONLY), path)
+        try:
+            # a buffer of several lines takes fewer reads than the default 8 KB
+            with open(items.fd, "rb", buffering=_READ_BUFFER, closefd=False) as file:
+                return _read_snapshot(file, items)
+        except BaseException:
+            items.close()
+            raise
     except OSError as exc:
         raise SnapshotCorruptionError(f"cannot read snapshot {path}: {exc}") from exc
 
 
-def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
-    # blank lines are skipped; CRLF line ends read as LF
-    lines = (line.rstrip(b"\r\n") for line in file if not line.isspace())
+def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
+    path = items.path
+    first = _next_line(file)
+    if first is None:
+        raise SnapshotCorruptionError(f"snapshot {path} is empty")
     try:
-        header = json.loads(next(lines).decode("utf-8"))
-    except StopIteration:
-        raise SnapshotCorruptionError(f"snapshot {path} is empty") from None
+        header = json.loads(first.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise SnapshotCorruptionError(f"snapshot {path} has an unreadable header") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
@@ -482,10 +514,31 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
         raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
     if count < 1:
         raise SnapshotCorruptionError(f"snapshot {path} declares {count} items; a snapshot holds at least one")
-    item_lines = list(islice(lines, count))
-    digest = _metadata_hash(count, dimension, item_lines)
-    matrix_line = next(lines, None)
-    after_header = len(item_lines) + (matrix_line is not None) + sum(1 for _ in lines)
+    rows_by_name: dict[str, list[int]] = {}
+    unreadable: list[int] = []  # rows without a readable signature, reported once the digest passes
+
+    def item_lines() -> Iterator[bytes]:
+        """Up to ``count`` item lines, each kept in ``items`` and the name map as it passes."""
+        offset = file.tell()
+        for line in file:
+            start, offset = offset, offset + len(line)
+            if line.isspace():
+                continue
+            line = line.rstrip(b"\r\n")
+            row = len(items)
+            items.keep(start, line)
+            signature = _line_signature(line)
+            if signature is None:
+                unreadable.append(row)
+            else:
+                rows_by_name.setdefault(signature_name(signature), []).append(row)
+            yield line
+            if row + 1 == count:
+                return
+
+    digest = _metadata_hash(count, dimension, item_lines())
+    matrix_line = _next_line(file)
+    after_header = len(items) + (matrix_line is not None) + sum(1 for line in file if not line.isspace())
     if after_header != count + 1:
         raise SnapshotCorruptionError(
             f"snapshot {path} holds {max(after_header - 1, 0)} items, header declares {count}"
@@ -507,75 +560,98 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     content_digest = digest.hexdigest()
     if content_digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
+    if unreadable:
+        raise items.corrupt(unreadable[0])
     matrix.flags.writeable = False
-    items = _LoadedItems(item_lines, matrix, path)
-    signatures = (items.line_signature(row, line) for row, line in enumerate(item_lines))
-    return CorpusSnapshot._from_parts(items, signatures, matrix, embedder_id, created_at, content_digest)
+    items.matrix = matrix
+    return CorpusSnapshot._from_parts(items, rows_by_name, matrix, embedder_id, created_at, content_digest)
 
 
+def _next_line(file: BinaryIO) -> bytes | None:
+    """The next line of ``file`` that is not blank, without its line end, or
+    ``None`` at the end; blank lines are skipped and a CRLF line end reads as LF."""
+    for line in file:
+        if not line.isspace():
+            return line.rstrip(b"\r\n")
+    return None
+
+
+_READ_BUFFER = 1 << 16
 _SIGNATURE_KEY = b',"signature":"'
+_HASH_SIZE = hashlib.sha256().digest_size
 
 
 class _LoadedItems(Sequence[CorpusItem]):
-    """The items of a loaded snapshot, each decoded from its line on first access.
+    """The items of a loaded snapshot, each read from the snapshot file on access.
 
-    The lines have passed the content digest. A decoded item takes its line's
-    place, so the sequence holds each item once, as a line or as an item.
+    The sequence holds a read-only descriptor of the file it was loaded from,
+    closed when the sequence is collected, so replacing or deleting the path
+    does not change it. Per item it keeps the offset, length and SHA-256 of its
+    line, which passed the content digest at load. Each access reads the line
+    again, checks its hash, and decodes a new item; nothing read is kept.
     """
 
-    def __init__(self, lines: list[bytes], matrix: np.ndarray, path: Path):
-        self._slots: list[bytes | CorpusItem] = lines
-        self._matrix = matrix
-        self._path = path
+    def __init__(self, fd: int, path: Path):
+        self.fd = fd
+        self.path = path
+        self.close = weakref.finalize(self, os.close, fd)
+        self.matrix: np.ndarray | None = None  # set once load has verified it
+        self._offsets = array("q")
+        self._lengths = array("q")
+        self._hashes = bytearray()
+
+    def keep(self, offset: int, line: bytes) -> None:
+        """Keep the next item's ``line``, which starts at ``offset``, as its offset, length and hash."""
+        self._offsets.append(offset)
+        self._lengths.append(len(line))
+        self._hashes += hashlib.sha256(line).digest()
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._offsets)
 
     def __getitem__(self, position):
-        row = range(len(self._slots))[position]  # a range for a slice; negatives count from the end
+        row = range(len(self._offsets))[position]  # a range for a slice; negatives count from the end
         if isinstance(row, range):
             return tuple(map(self.__getitem__, row))
-        slot = self._slots[row]
-        if isinstance(slot, bytes):
-            slot = self._slots[row] = self._decode(row, slot)
-        return slot
+        line = os.pread(self.fd, self._lengths[row], self._offsets[row])
+        if hashlib.sha256(line).digest() != self._hashes[row * _HASH_SIZE : (row + 1) * _HASH_SIZE]:
+            raise self.corrupt(row)
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise self.corrupt(row) from exc
+        if (
+            not isinstance(record, dict)
+            or record.keys() != _METADATA_FIELDS
+            or record["index"] != row
+            or record["signature"] != _line_signature(line)
+        ):
+            raise self.corrupt(row)
+        return CorpusItem(*_metadata_values(record), embedding=self.matrix[row])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(mine == theirs for mine, theirs in zip(self, other))
 
-    def line_signature(self, row: int, line: bytes) -> str:
-        """The signature in ``line``, item ``row``'s, read at its key without decoding the line.
+    def corrupt(self, row: int) -> SnapshotCorruptionError:
+        """The error naming item ``row``'s line, counted from 1 with blank lines."""
+        line = os.pread(self.fd, self._offsets[row], 0).count(b"\n") + 1
+        return SnapshotCorruptionError(f"snapshot {self.path} line {line} is corrupt")
 
-        A saved line is canonical JSON: sorted keys, no spaces, ASCII only. Every
-        quote inside a JSON string is escaped, so ``,"signature":"`` can occur only
-        where the key is. The key comes late in sorted order, so it is sought from
-        the end, and only the line's tail is decoded.
-        """
-        start = line.rfind(_SIGNATURE_KEY)
-        try:
-            if start < 0:
-                raise ValueError("no signature key")
-            tail = line[start + len(_SIGNATURE_KEY) :].decode("utf-8")
-            return json.decoder.scanstring(tail, 0)[0]
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise self._corrupt(row) from exc
 
-    def _decode(self, row: int, line: bytes) -> CorpusItem:
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise self._corrupt(row) from exc
-        if (
-            not isinstance(record, dict)
-            or record.keys() != _METADATA_FIELDS
-            or record["index"] != row
-            or record["signature"] != self.line_signature(row, line)
-        ):
-            raise self._corrupt(row)
-        return CorpusItem(*_metadata_values(record), embedding=self._matrix[row])
+def _line_signature(line: bytes) -> str | None:
+    """The signature in a saved item ``line``, read at its key without decoding the line.
 
-    def _corrupt(self, row: int) -> SnapshotCorruptionError:
-        # the header is line 1
-        return SnapshotCorruptionError(f"snapshot {self._path} line {row + 2} is corrupt")
+    A saved line is canonical JSON: sorted keys, no spaces, ASCII only. Every
+    quote inside a JSON string is escaped, so ``,"signature":"`` can occur only
+    where the key is. The key comes late in sorted order, so it is sought from
+    the end, and only the line's tail is decoded. ``None`` if it cannot be read.
+    """
+    start = line.rfind(_SIGNATURE_KEY)
+    if start < 0:
+        return None
+    try:
+        return json.decoder.scanstring(line[start + len(_SIGNATURE_KEY) :].decode("utf-8"), 0)[0]
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return None

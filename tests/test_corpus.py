@@ -4,6 +4,8 @@ import base64
 import importlib
 import inspect
 import json
+import os
+import stat
 import tempfile
 import tracemalloc
 import warnings
@@ -379,26 +381,122 @@ def test_damaged_item_line_fails_the_digest_at_load(snapshot, tmp_path):
         load_snapshot(path)
 
 
+def _wrong_index(line: bytes) -> bytes:
+    return line.replace(b'"index":1', b'"index":7', 1)
+
+
 @pytest.mark.parametrize(
-    "forge",
+    ("forge", "blank_lines", "line"),
     [
-        lambda line: line.replace(b'"index":1', b'"index":7', 1),
-        lambda line: line[:-1] + b',"z":0}',
+        (_wrong_index, 0, 3),
+        (lambda line: line[:-1] + b',"z":0}', 0, 3),
+        # blank lines are skipped at load but counted in the line named
+        (_wrong_index, 2, 5),
     ],
-    ids=["wrong_index", "extra_key"],
+    ids=["wrong_index", "extra_key", "wrong_index_after_two_blank_lines"],
 )
-def test_forged_item_line_loads_and_raises_on_first_access(snapshot, tmp_path, forge):
+def test_forged_item_line_loads_and_raises_on_first_access(snapshot, tmp_path, forge, blank_lines, line):
     path = tmp_path / "forged.snap"
     save_snapshot(snapshot, path)
     lines = path.read_bytes().split(b"\n")[1 : 1 + len(snapshot)]
     lines[1] = forge(lines[1])
     _forge(path, snapshot, lines, snapshot.matrix)
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" * (1 + blank_lines) + rest)
     loaded = load_snapshot(path)
     assert loaded.items[0] == snapshot.items[0]
     for _ in range(2):
-        with pytest.raises(SnapshotCorruptionError, match="line 3 is corrupt"):
+        with pytest.raises(SnapshotCorruptionError, match=f"line {line} is corrupt"):
             loaded.items[1]
     assert loaded.items[-1] == snapshot.items[-1]
+
+
+def _other_snapshot(snapshot: CorpusSnapshot) -> CorpusSnapshot:
+    """A one-item snapshot with ``snapshot``'s embedder and another digest."""
+    item = make_item(0, HashingEmbedder(snapshot.dimension).embed("another corpus"))
+    return CorpusSnapshot.build([item], snapshot.embedder_id, snapshot.dimension)
+
+
+def test_loaded_items_read_after_their_path_is_replaced_and_removed(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    loaded = load_snapshot(path)
+    other = tmp_path / "other.snap"
+    save_snapshot(_other_snapshot(snapshot), other)
+    os.replace(other, path)
+    path.unlink()
+    assert list(loaded.items) == list(snapshot.items)
+
+
+def test_an_item_line_changed_after_load_is_corrupt_when_read(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    loaded = load_snapshot(path)
+    data = path.read_bytes()
+    # the first byte of item 1's body, on line 3, rewritten in place
+    line_3 = data.index(b"\n", data.index(b"\n") + 1) + 1
+    position = data.index(b'"body":"', line_3) + len(b'"body":"')
+    with path.open("r+b") as file:
+        file.seek(position)
+        file.write(b"X" if data[position : position + 1] != b"X" else b"Y")
+    for _ in range(2):
+        with pytest.raises(SnapshotCorruptionError, match="line 3 is corrupt"):
+            loaded.items[1]
+    assert loaded.items[0] == snapshot.items[0]
+    assert loaded.items[2:] == snapshot.items[2:]
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts descriptors in /proc/self/fd")
+def test_loaded_and_failed_snapshots_close_their_files(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    truncated = tmp_path / "truncated.snap"
+    truncated.write_bytes(path.read_bytes()[:-40])
+    open_files = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        loaded = load_snapshot(path)
+        assert loaded.items[0] == snapshot.items[0]
+        loaded = None
+        with pytest.raises(SnapshotCorruptionError):
+            load_snapshot(truncated)
+    assert len(os.listdir("/proc/self/fd")) == open_files
+
+
+def test_a_failed_save_leaves_the_previous_snapshot(snapshot, tmp_path, monkeypatch):
+    (tmp_path / "saved").mkdir()
+    path = tmp_path / "saved" / "corpus.snap"
+    save_snapshot(snapshot, path)
+
+    def fail(data, *args, **kwargs):
+        raise OSError("no space left for the matrix")
+
+    monkeypatch.setattr(zlib, "compress", fail)
+    with pytest.raises(OSError, match="no space left"):
+        save_snapshot(_other_snapshot(snapshot), path)
+    monkeypatch.undo()
+    assert load_snapshot(path).content_digest == snapshot.content_digest
+    assert list(path.parent.iterdir()) == [path]
+
+
+def test_saving_over_a_loaded_snapshot_leaves_it_readable(snapshot, tmp_path):
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    loaded = load_snapshot(path)
+    other = _other_snapshot(snapshot)
+    save_snapshot(other, path)
+    assert load_snapshot(path).content_digest == other.content_digest
+    assert list(loaded.items) == list(snapshot.items)
+
+
+def test_save_gives_a_new_file_the_mode_open_gives_and_keeps_an_old_one(snapshot, tmp_path):
+    with (tmp_path / "reference").open("wb"):
+        pass
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    path.chmod(0o640)
+    save_snapshot(snapshot, path)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 def test_a_line_without_the_signature_key_is_corrupt_at_load(snapshot, tmp_path):
@@ -524,6 +622,15 @@ def test_snapshot_load_peaks_below_two_and_a_half_file_sizes(tmp_path):
     assert peak <= 2.5 * size, f"load peaked at {peak / size:.2f}x the file size"
     # streamed: beyond the snapshot it returns, the load holds little at once
     assert peak - kept <= 0.2 * size, f"load held {(peak - kept) / size:.2f}x the file size transiently"
+
+
+def test_loaded_snapshot_keeps_little_beyond_its_matrix(tmp_path):
+    path = tmp_path / "big.snap"
+    save_snapshot(_megabyte_snapshot(), path)
+    loaded, kept, _ = _traced_load(path)
+    per_item = (kept - loaded.matrix.nbytes) / len(loaded)
+    # offsets, lengths, line hashes and the name map; not the item lines
+    assert per_item <= 512, f"load kept {per_item:.0f} B per item beyond the matrix"
 
 
 def test_snapshot_load_holds_its_matrix_once(tmp_path):
