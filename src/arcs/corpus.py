@@ -212,12 +212,8 @@ def _metadata_line(record: dict) -> bytes:
 
 def signature_name(signature: str) -> str:
     """Leading identifier of a signature, used for denylist matching."""
-    head = signature.split("(", 1)[0]
-    # most heads end in a plain identifier, which the scan below would return
-    last = (head.rsplit(None, 1) or [""])[-1]
-    if last.isidentifier() and (last[0].isalpha() or last[0] == "_"):
-        return last
     name = ""
+    head = signature.split("(", 1)[0]
     for token in reversed(head.replace("*", " ").replace("&", " ").split()):
         if token and (token[0].isalpha() or token[0] == "_"):
             name = token
@@ -432,8 +428,9 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
     under a temporary name and then moved over it, so a snapshot already at
     ``path``, and any process reading it, never sees a partial write; if the
     save fails, the temporary file is removed and ``path`` is left as it was.
+    A symbolic link at ``path`` is followed: the file it points to is replaced.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     header = {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -473,6 +470,8 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
     file open and read each item from it on every access, checked against the
     hash kept at load. A line that passes the digest but is malformed, which
     only a hand-forged file holds, raises ``SnapshotCorruptionError`` then.
+    Since items are read again by their offsets, ``path`` must be a regular,
+    seekable file: a pipe or ``/dev/stdin`` does not load.
     """
     path = Path(path)
     try:
@@ -515,10 +514,11 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
     if count < 1:
         raise SnapshotCorruptionError(f"snapshot {path} declares {count} items; a snapshot holds at least one")
     rows_by_name: dict[str, list[int]] = {}
-    unreadable: list[int] = []  # rows without a readable signature, reported once the digest passes
+    first_unreadable: int | None = None  # a row without a readable signature, reported once the digest passes
 
     def item_lines() -> Iterator[bytes]:
         """Up to ``count`` item lines, each kept in ``items`` and the name map as it passes."""
+        nonlocal first_unreadable
         offset = file.tell()
         for line in file:
             start, offset = offset, offset + len(line)
@@ -529,7 +529,8 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
             items.keep(start, line)
             signature = _line_signature(line)
             if signature is None:
-                unreadable.append(row)
+                if first_unreadable is None:
+                    first_unreadable = row
             else:
                 rows_by_name.setdefault(signature_name(signature), []).append(row)
             yield line
@@ -560,8 +561,8 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
     content_digest = digest.hexdigest()
     if content_digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
-    if unreadable:
-        raise items.corrupt(unreadable[0])
+    if first_unreadable is not None:
+        raise items.corrupt(first_unreadable)
     matrix.flags.writeable = False
     items.matrix = matrix
     return CorpusSnapshot._from_parts(items, rows_by_name, matrix, embedder_id, created_at, content_digest)

@@ -488,6 +488,19 @@ def test_saving_over_a_loaded_snapshot_leaves_it_readable(snapshot, tmp_path):
     assert list(loaded.items) == list(snapshot.items)
 
 
+def test_saving_over_a_symlink_replaces_the_file_it_points_to(snapshot, tmp_path):
+    target = tmp_path / "store" / "corpus.snap"
+    target.parent.mkdir()
+    save_snapshot(snapshot, target)
+    link = tmp_path / "corpus.snap"
+    link.symlink_to(target)
+    other = _other_snapshot(snapshot)
+    save_snapshot(other, link)
+    assert link.is_symlink()
+    assert load_snapshot(target).content_digest == other.content_digest
+    assert sorted(p.name for p in target.parent.iterdir()) == ["corpus.snap"]
+
+
 def test_save_gives_a_new_file_the_mode_open_gives_and_keeps_an_old_one(snapshot, tmp_path):
     with (tmp_path / "reference").open("wb"):
         pass

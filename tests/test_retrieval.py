@@ -200,27 +200,6 @@ def test_signature_name_variants():
     assert signature_name("Accumulator(object)") == "Accumulator"
 
 
-def _scanned_name(signature: str) -> str:
-    """``signature_name`` by its token scan alone, without the shortcut for a
-    head that ends in an identifier."""
-    name = ""
-    for token in reversed(signature.split("(", 1)[0].replace("*", " ").replace("&", " ").split()):
-        if token[0].isalpha() or token[0] == "_":
-            name = token
-            break
-    return name.split("::")[-1].split(".")[-1]
-
-
-# C-like heads, and characters that start an identifier but are not letters (\u2160, \u2118)
-_SIGNATURE_PARTS = ["static", "int", "f", "_", "9", " ", "\t", "\u3000", "*", "&", "(", "::", ".", "\u00e9", "\u2160", "\u2118"]
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from(_SIGNATURE_PARTS), max_size=8).map("".join) | st.text(max_size=16))
-def test_signature_name_is_the_token_scan(signature):
-    assert signature_name(signature) == _scanned_name(signature)
-
-
 def _two_vectors_with_cosine(value):
     first = (1.0, 0.0)
     second = (value, math.sqrt(1.0 - value * value))
