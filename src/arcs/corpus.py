@@ -1,15 +1,17 @@
 """Source ingestion into an embedded, frozen, ordered retrieval corpus.
 
 One corpus item per top-level function or class definition: Python files are
-read from their syntax tree, C-family files with a brace-matching line
-scanner. The embedded metadata is the concatenation of the item's signature,
-doc text, and in-span comments.
+read from their syntax tree, C-family files with one pass of a lexer that
+counts only the braces outside comments, literals and preprocessor lines. The
+embedded metadata is the concatenation of the item's signature, doc text, and
+in-span comments.
 """
 
 from __future__ import annotations
 
 import ast
 import base64
+import bisect
 import hashlib
 import io
 import json
@@ -32,12 +34,7 @@ from typing import BinaryIO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .embedding import EmbeddingProvider
-from .errors import (
-    DimensionMismatchError,
-    EmptyCorpusError,
-    IngestError,
-    SnapshotCorruptionError,
-)
+from .errors import DimensionMismatchError, EmptyCorpusError, IngestError, SnapshotCorruptionError
 from .util import canonical_json, utc_now_iso
 
 log = logging.getLogger(__name__)
@@ -91,14 +88,7 @@ _metadata_values = operator.itemgetter(*_METADATA_NAMES)
 
 
 def _metadata(item: CorpusItem) -> dict:
-    return {
-        "index": item.index,
-        "signature": item.signature,
-        "doc": item.doc,
-        "body": item.body,
-        "source_path": item.source_path,
-        "language": item.language,
-    }
+    return {name: getattr(item, name) for name in _METADATA_NAMES}
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +211,6 @@ def signature_name(signature: str) -> str:
     return name.split("::")[-1].split(".")[-1]
 
 
-def metadata_text(signature: str, doc: str, comments: Sequence[str]) -> str:
-    parts = [signature, doc, *comments]
-    return "\n".join(part for part in parts if part.strip())
-
-
 def embed_metadata(item_metadata: str, embedder: EmbeddingProvider) -> list[float]:
     """Embed metadata text; empty text yields the zero vector with a warning."""
     if not item_metadata.strip():
@@ -251,8 +236,13 @@ def extract_definitions(text: str, language: str) -> list[RawDefinition]:
     """Extract top-level definitions in in-file order.
 
     Python text is parsed with the running interpreter's ``ast``, so text that
-    does not parse raises ``SyntaxError``; C, C++, JavaScript and Java are
-    scanned line by line for brace-delimited definitions. Unknown languages
+    does not parse raises ``SyntaxError``. C, C++, JavaScript and Java text is
+    lexed once, skipping comments, literals and preprocessor lines. A brace block
+    at depth 0 is a definition if its header (the code since the last depth-0
+    ``;``, ``}`` or preprocessor line) holds a ``(`` or names a class, struct,
+    interface, enum or union, unless it starts with a control keyword or holds an
+    ``=`` outside brackets. ``namespace`` and ``extern "C"`` blocks are
+    transparent. Unbalanced braces raise ``SyntaxError``. Unknown languages
     yield no definitions.
     """
     if language == "python":
@@ -307,71 +297,79 @@ def _extract_python(text: str) -> list[RawDefinition]:
     return definitions
 
 
-_BRACED_HEADER_RE = re.compile(r"^[A-Za-z_][\w\s\*&:<>,\[\].$]*?\b([A-Za-z_]\w*)\s*\(")
-_BRACED_SKIP = {"if", "for", "while", "switch", "return", "else", "do", "catch", "sizeof"}
+# Lexemes of C-family text: comments, preprocessor lines and literals, whose braces do not count,
+# then code braces and semicolons. Each branch starts with its own character, so a search skips other text in C.
+_LEXEME_RE = re.compile(
+    r"""//[^\n]* | /\*.*?(?:\*/|\Z)
+    | \n[ \t]*\#[ \t]*(?:if|ifdef|ifndef|elif|else|endif|define|undef|include|import|pragma|error|warning|line)\b
+      (?:\\\n|[^\n])*
+    | "(?<=R")(?P<delimiter>[^()\\\s]*)\(.*?\)(?P=delimiter)" | \"\"\".*?\"\"\" | "(?:\\.|[^"\\\n])*"
+    | '(?<![0-9]')(?:\\.|[^'\\\n])*' | `(?:\\.|[^`\\])*`
+    | \{ | \} | ;""",
+    re.DOTALL | re.VERBOSE,
+)
+_TRANSPARENT_RE = re.compile(r'(?:inline )?namespace\b|extern "C(?:\+\+)?"$')
+_CONTROL_RE = re.compile(r"(?:if|else|for|while|do|switch|try|catch|finally)\b")
+_TYPE_RE = re.compile(r"\b(?:class|struct|interface|enum|union)\b")
+_OPERATOR_RE = re.compile(r"\boperator\s*[^\w\s(]+")
+# a comma or a brace after a block at depth 0 continues a C++ member initialiser list
+_INITIALISER_LIST_RE = re.compile(r"\s*[,{]")
 
 
 def _extract_braced(text: str) -> list[RawDefinition]:
-    lines = text.splitlines()
+    # the leading newline lets a preprocessor line on line 1 match, and numbers lines from 1
+    text = "\n" + text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    newlines = [match.start() for match in re.finditer("\n", text)]  # line n starts after newlines[n - 1]
     definitions: list[RawDefinition] = []
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        match = _BRACED_HEADER_RE.match(line)
-        if not match or line.rstrip().endswith(";"):
-            i += 1
+    transparent: list[int] = []  # offsets of the open namespace and extern "C" braces
+    # the start of the code since the last depth-0 ; } { or directive, the depth in a depth-0 block, its brace
+    header_from = depth = opened = 0
+    for match in _LEXEME_RE.finditer(text):
+        lexeme = match.group()
+        if lexeme[0] in "/\"'`":  # a comment or a literal
+            if depth and lexeme.startswith("//"):
+                comments.append(lexeme[2:].strip())
+            elif not depth and lexeme[0] == "/" and not text[header_from : match.start()].strip():
+                header_from = match.end()  # a comment before a header is not part of it
             continue
-        first_word = line.split("(", 1)[0].split()
-        if first_word and first_word[0] in _BRACED_SKIP:
-            i += 1
-            continue
-        # locate the opening brace on this or one of the next few lines
-        open_line = None
-        for j in range(i, min(i + 4, len(lines))):
-            if "{" in lines[j]:
-                open_line = j
-                break
-            if lines[j].rstrip().endswith(";"):
-                break
-        if open_line is None:
-            i += 1
-            continue
-        depth = 0
-        end = None
-        for j in range(open_line, len(lines)):
-            depth += lines[j].count("{") - lines[j].count("}")
-            if depth <= 0 and j >= open_line:
-                end = j
-                break
-        if end is None:
-            end = len(lines) - 1
-        span = lines[i : end + 1]
-        signature = " ".join(" ".join(lines[i:open_line + 1]).split())
-        signature = signature.split("{", 1)[0].strip()
-        doc_lines: list[str] = []
-        j = i - 1
-        while j >= 0:
-            stripped = lines[j].strip()
-            if stripped.startswith("//") or stripped.startswith("/*") or stripped.startswith("*"):
-                doc_lines.append(stripped.lstrip("/*").rstrip("*/").strip())
-                j -= 1
-            else:
-                break
-        doc_lines.reverse()
-        comments = tuple(
-            inner.strip()
-            for inner in (ln.split("//", 1)[1] for ln in span if "//" in ln)
-        )
-        definitions.append(
-            RawDefinition(
-                signature=signature,
-                doc="\n".join(doc_lines).strip(),
-                body="\n".join(span),
-                comments=comments,
-            )
-        )
-        i = end + 1
+        if depth:
+            depth += (lexeme == "{") - (lexeme == "}")
+            if depth or _INITIALISER_LIST_RE.match(text, match.end()):
+                continue
+            if _is_definition(signature):
+                first = top = bisect.bisect_left(newlines, opened - len(text[header_from:opened].lstrip()))
+                while top and lines[top - 1].strip().startswith(("//", "/*", "*")):  # the doc's lines
+                    top -= 1
+                doc = "\n".join(line.strip().lstrip("/*").rstrip("*/").strip() for line in lines[top:first])
+                body = "\n".join(lines[first : bisect.bisect_left(newlines, match.start()) + 1])
+                definitions.append(RawDefinition(signature, doc.strip(), body, tuple(comments)))
+        elif lexeme == "}":
+            if not transparent:
+                raise SyntaxError("unmatched '}'", (None, bisect.bisect_left(newlines, match.start()), None, None))
+            transparent.pop()
+        elif lexeme == "{":
+            header = text[header_from : match.start()]
+            signature = " ".join(_LEXEME_RE.sub(lambda inner: " " if inner[0][0] == "/" else inner[0], header).split())
+            if not _TRANSPARENT_RE.match(signature):
+                depth, opened, comments = 1, match.start(), []
+                continue
+            transparent.append(match.start())
+        header_from = match.end()
+    if depth or transparent:
+        line = bisect.bisect_left(newlines, transparent[0] if transparent else opened)
+        raise SyntaxError("'{' was never closed", (None, line, None, None))
     return definitions
+
+
+def _is_definition(signature: str) -> bool:
+    """Whether a depth-0 block is a function or a type, not control flow or an initialiser."""
+    depth = 0
+    for char in _OPERATOR_RE.sub("operator", signature):
+        depth = max(depth + (char in "([<") - (char in ")]>"), 0)
+        if char == "=" and not depth:
+            return False
+    return not _CONTROL_RE.match(signature) and ("(" in signature or _TYPE_RE.search(signature) is not None)
 
 
 def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSnapshot:
@@ -402,8 +400,8 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
             reason = getattr(exc, "msg", None) or repr(exc)
             raise IngestError(f"cannot parse input path {path}{line}: {reason}") from exc
         for definition in definitions:
-            meta = metadata_text(definition.signature, definition.doc, definition.comments)
-            vector = embed_metadata(meta, embedder)
+            parts = (definition.signature, definition.doc, *definition.comments)
+            vector = embed_metadata("\n".join(part for part in parts if part.strip()), embedder)
             items.append(
                 CorpusItem(
                     index=len(items),

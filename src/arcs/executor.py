@@ -44,10 +44,6 @@ _STDERR_KEEP_LINES = 200
 # the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
-# how long a timed-out test's pipes may stay open once its process group is killed: a
-# detached grandchild can hold them past the group's death
-_PIPE_GRACE_SECONDS = 0.5
-
 # left in the workspace by a child that dies of an uncaught memory failure
 _MEMORY_MARKER = ".memory-exceeded"
 
@@ -338,14 +334,12 @@ class ProcessExecutor(Executor):
                 returncode = process.returncode
             except subprocess.TimeoutExpired:
                 self._kill_group(process)
-                try:
-                    stdout, stderr = process.communicate(timeout=_PIPE_GRACE_SECONDS)
-                except subprocess.TimeoutExpired:
-                    # the judge reads no output of a timed-out test
-                    for pipe in (process.stdin, process.stdout, process.stderr):
-                        pipe.close()
-                    process.wait()
-                    stdout = stderr = ""
+                # the judge reads no output of a timed-out test, and a detached grandchild
+                # can hold the pipes open past the group's death
+                for pipe in (process.stdin, process.stdout, process.stderr):
+                    pipe.close()
+                process.wait()
+                stdout = stderr = ""
                 returncode = None
             wall = time.perf_counter() - started
             # background children of the candidate must not outlive its test

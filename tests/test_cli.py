@@ -650,18 +650,25 @@ def test_exec_with_non_finite_wall_seconds_exits_two_with_one_line(tmp_path, tas
 
 
 def test_index_stops_on_a_python_file_that_does_not_parse(tmp_path, capsys):
-    source_dir = tmp_path / "corpus"
-    source_dir.mkdir()
-    (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
-    (source_dir / "broken.py").write_text("def ok():\n    return 1\n\ndef broken(:\n    pass\n", encoding="utf-8")
-    out = tmp_path / "corpus.snap"
-    capsys.readouterr()
-    code = main(["index", "--input", str(source_dir), "--out", str(out)])
-    err = capsys.readouterr().err.strip().splitlines()
-    assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert "broken.py" in err[0] and "line 4" in err[0]
-    assert not out.exists()
+    broken_files = [
+        ("broken.py", "def ok():\n    return 1\n\ndef broken(:\n    pass\n", 4),
+        # an unclosed block is reported at its outermost open brace, a stray brace where it stands
+        ("broken.c", "int ok(void) {\n    return 1;\n}\n\nint open(void) {\n    if (x) {\n        y();\n    }\n", 5),
+        ("broken.c", "int ok(void) {\n    return 1;\n}\n}\n", 4),
+    ]
+    for case, (name, text, line) in enumerate(broken_files):
+        source_dir = tmp_path / f"corpus{case}"
+        source_dir.mkdir()
+        (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+        (source_dir / name).write_text(text, encoding="utf-8")
+        out = tmp_path / f"corpus{case}.snap"
+        capsys.readouterr()
+        code = main(["index", "--input", str(source_dir), "--out", str(out)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert name in err[0] and f"line {line}:" in err[0], err
+        assert not out.exists()
 
 
 def test_import_leaves_the_network_stack_unloaded():

@@ -135,21 +135,23 @@ def test_python_items_of_the_package_match_inspect_getsource():
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "name, text, line",
     [
-        ("def ok():\n    return 1\n\ndef broken(:\n    pass\n", 4),
-        ("def f():\n    return 1\x00\n", None),
-        ("def f():\n    return " + "+".join(["1"] * 20_000) + "\n", None),
-        ("def f():\n    return " + "-" * 10_000 + "1\n", None),
+        ("broken.py", "def ok():\n    return 1\n\ndef broken(:\n    pass\n", 4),
+        ("broken.py", "def f():\n    return 1\x00\n", None),
+        ("broken.py", "def f():\n    return " + "+".join(["1"] * 20_000) + "\n", None),
+        ("broken.py", "def f():\n    return " + "-" * 10_000 + "1\n", None),
+        ("broken.c", "int ok(void) {\n    return 1;\n}\n\nint open(void) {\n    if (x) {\n        y();\n    }\n", 5),
+        ("broken.c", "int ok(void) {\n    return 1;\n}\n    }\nint next(void) {\n    return 2;\n}\n", 4),
     ],
-    ids=["syntax_error", "nul_byte", "long_operator_chain", "deep_unary_nesting"],
+    ids=["syntax_error", "nul_byte", "long_operator_chain", "deep_unary_nesting", "unclosed_brace", "stray_brace"],
 )
-def test_python_file_that_does_not_parse_is_an_ingest_error(embedder, tmp_path, text, line):
-    source = tmp_path / "broken.py"
+def test_python_file_that_does_not_parse_is_an_ingest_error(embedder, tmp_path, name, text, line):
+    source = tmp_path / name
     source.write_text(text, encoding="utf-8")
     with pytest.raises(IngestError) as caught:
         ingest([str(source)], embedder)
-    assert "broken.py" in str(caught.value)
+    assert name in str(caught.value)
     if line is not None:
         assert f"line {line}" in str(caught.value)
 
@@ -236,6 +238,162 @@ def test_language_tag_recorded_for_c_sources(embedder, tmp_path):
     assert item.language == "c"
     assert "join" in item.signature
     assert item.doc == "join two strings"
+
+
+@pytest.mark.parametrize(
+    "language, text, items",
+    [
+        (
+            "c",
+            'int a(void) {\n    puts("}");\n    return 1;\n}\n',
+            [("int a(void)", 'int a(void) {\n    puts("}");\n    return 1;\n}')],
+        ),
+        (
+            "c",
+            "int a(void) {\n    /* } */\n    return 1;\n}\n",
+            [("int a(void)", "int a(void) {\n    /* } */\n    return 1;\n}")],
+        ),
+        (
+            "c",
+            "int a(void) {\n    char c = '{';\n    return c;\n}\n\nint b(void) {\n    return 2;\n}\n",
+            [
+                ("int a(void)", "int a(void) {\n    char c = '{';\n    return c;\n}"),
+                ("int b(void)", "int b(void) {\n    return 2;\n}"),
+            ],
+        ),
+        (
+            "java",
+            "public class Foo {\n    public int bar(int x) {\n        return x;\n    }\n}\n",
+            [("public class Foo", "public class Foo {\n    public int bar(int x) {\n        return x;\n    }\n}")],
+        ),
+        (
+            "c",
+            "static int\nsum4(int a,\n     int b,\n     int c,\n     int d)\n{\n    return a + b + c + d;\n}\n",
+            [
+                (
+                    "static int sum4(int a, int b, int c, int d)",
+                    "static int\nsum4(int a,\n     int b,\n     int c,\n     int d)\n{\n    return a + b + c + d;\n}",
+                )
+            ],
+        ),
+        (
+            "cpp",
+            "template <typename T>\nT larger(T a, T b) {\n    return a > b ? a : b;\n}\n",
+            [
+                (
+                    "template <typename T> T larger(T a, T b)",
+                    "template <typename T>\nT larger(T a, T b) {\n    return a > b ? a : b;\n}",
+                )
+            ],
+        ),
+        (
+            "cpp",
+            "#include <cstdio>\n\nnamespace ns {\n\n    int twice(int x) {\n        return 2 * x;\n    }\n\n}\n",
+            [("int twice(int x)", "    int twice(int x) {\n        return 2 * x;\n    }")],
+        ),
+        (
+            "cpp",
+            "#define OPEN {\n#define CLOSE \\\n    }\nconst char *f(void) {\n"
+            "    int n = 1'000; char c = '}';\n    return R\"x(})\")x\";\n}\n",
+            [("const char *f(void)", "const char *f(void) {\n    int n = 1'000; char c = '}';\n    return R\"x(})\")x\";\n}")],
+        ),
+        (
+            "java",
+            'static String f() {\n    return """\n        }\n        """;\n}\n',
+            [("static String f()", 'static String f() {\n    return """\n        }\n        """;\n}')],
+        ),
+        (
+            "javascript",
+            "class A {\n  #m() {\n    return `}${1}`;\n  }\n}\n",
+            [("class A", "class A {\n  #m() {\n    return `}${1}`;\n  }\n}")],
+        ),
+    ],
+    ids=[
+        "brace_in_a_string",
+        "brace_in_a_block_comment",
+        "brace_in_a_char",
+        "method_inside_a_java_class",
+        "header_over_five_lines",
+        "template_line",
+        "function_inside_a_namespace",
+        "brace_in_directives_a_raw_string_and_a_char_after_a_digit_separator",
+        "brace_in_a_java_text_block",
+        "brace_in_a_template_literal_and_a_private_method",
+    ],
+)
+def test_braced_definitions_are_cut_at_the_braces_of_their_code(language, text, items):
+    assert [(d.signature, d.body) for d in extract_definitions(text, language)] == items
+
+
+def test_which_braced_blocks_are_items():
+    text = (
+        'extern "C" {\n'
+        "int table[] = {1, 2};\n"
+        "struct point { int x; };\n"
+        "Foo::Foo(int x) : a_(x), b_{x} {\n    run();\n}\n"
+        "bool operator==(const Foo& a, const Foo& b) { return true; }\n"
+        "}\n"
+    )
+    signatures = [d.signature for d in extract_definitions(text, "cpp")]
+    assert signatures == [
+        "struct point",
+        "Foo::Foo(int x) : a_(x), b_{x}",
+        "bool operator==(const Foo& a, const Foo& b)",
+    ]
+    assert extract_definitions("if (ready) {\n    go();\n}\nconst f = function(x) {\n    return x;\n};\n", "javascript") == []
+
+
+_BRACED_NOISE = st.text(alphabet="{}()\"'/*;\\ ab", max_size=10)
+
+
+def _braced_definition(return_type: str, name: str, string: str, char: str, comment: str, block: str) -> str:
+    """A definition shaped like the benchmark's generated C and Java ones, holding the given
+    literal and comment texts."""
+    escaped = string.replace("\\", "\\\\").replace('"', '\\"')
+    return "\n".join(
+        [
+            f"/* {block} */",
+            f"{return_type} {name}(int count, int limit) {{",
+            f"    // {comment}",
+            f"    /* {block} */",
+            f'    puts("{escaped}");',
+            f"    int mark = '{char}';",
+            "    int total_rows = merge_rows(count, 12);",
+            "    return total_rows;",
+            "}",
+        ]
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.sampled_from([("c", "int"), ("java", "static int")]),  # the language and its return type
+    st.lists(
+        st.tuples(
+            st.sampled_from(["parseRow", "readBuffer", "mergeSortedRows", "scan"]),
+            _BRACED_NOISE,
+            st.sampled_from(["{", "}", '"', "\\'", "\\\\", "/", "*", ";"]),
+            # a backslash at the end of a // comment would continue it onto the next line
+            _BRACED_NOISE.map(lambda text: text.replace("\\", "")),
+            _BRACED_NOISE.filter(lambda text: "*/" not in text),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_braces_quotes_and_comment_marks_in_literals_and_comments_do_not_move_items(shape, definitions):
+    language, return_type = shape
+
+    def extract(with_noise: bool):
+        texts = [
+            _braced_definition(return_type, name, *(noise if with_noise else ("", "x", "", "")))
+            for name, *noise in definitions
+        ]
+        return [(d.signature, d.body.count("\n")) for d in extract_definitions("\n\n\n".join(texts) + "\n", language)]
+
+    items = extract(with_noise=True)
+    assert items == extract(with_noise=False)
+    assert len(items) == len(definitions)
 
 
 def test_snapshot_round_trip(snapshot, tmp_path):
