@@ -44,6 +44,8 @@ class HashingEmbedder(EmbeddingProvider):
             raise ValueError("dimension must be positive")
         self.dimension = dimension
         self.embedder_id = f"hash{dimension}"
+        # grams are drawn from [a-z0-9_ ], so at most 38**3 entries
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> list[float]:
         tokens = _TOKEN_RE.findall(text.lower())
@@ -52,14 +54,14 @@ class HashingEmbedder(EmbeddingProvider):
         stream = " " + " ".join(tokens) + " "
         counts = [0.0] * self.dimension
         for i in range(len(stream) - 2):
-            counts[_bucket(stream[i : i + 3], self.dimension)] += 1.0
+            gram = stream[i : i + 3]
+            bucket = self._buckets.get(gram)
+            if bucket is None:
+                raw = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+                bucket = self._buckets[gram] = int.from_bytes(raw, "big") % self.dimension
+            counts[bucket] += 1.0
         norm = math.sqrt(sum(c * c for c in counts))
         return [c / norm for c in counts]
-
-
-def _bucket(gram: str, dimension: int) -> int:
-    raw = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(raw, "big") % dimension
 
 
 class RemoteEmbedder(EmbeddingProvider):

@@ -322,15 +322,14 @@ class ProcessExecutor(Executor):
                     stderr=subprocess.PIPE,
                     cwd=workdir,
                     env=env,
-                    text=True,
-                    encoding="utf-8",
-                    errors="replace",
                     start_new_session=True,
                 )
             except OSError as exc:
                 raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
             try:
-                stdout, stderr = process.communicate(case.input, timeout=self.caps.wall_seconds)
+                stdout, stderr = process.communicate(
+                    case.input.encode("utf-8", "replace"), timeout=self.caps.wall_seconds
+                )
                 returncode = process.returncode
             except subprocess.TimeoutExpired:
                 self._kill_group(process)
@@ -339,15 +338,16 @@ class ProcessExecutor(Executor):
                 for pipe in (process.stdin, process.stdout, process.stderr):
                     pipe.close()
                 process.wait()
-                stdout = stderr = ""
+                stdout = stderr = b""
                 returncode = None
             wall = time.perf_counter() - started
             # background children of the candidate must not outlive its test
             self._kill_group(process)
-            # the workspace path is random; replay needs bare file names
-            stderr = stderr.replace(workdir + os.sep, "")
+            # decoded once, as written: `exact` must see a "\r\n" the program wrote;
+            # the workspace path is random, and replay needs bare file names
+            stderr = stderr.decode("utf-8", "replace").replace(workdir + os.sep, "")
             memory_exceeded = (Path(workdir) / _MEMORY_MARKER).exists()
-            return returncode, stdout, stderr, memory_exceeded, wall
+            return returncode, stdout.decode("utf-8", "replace"), stderr, memory_exceeded, wall
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 

@@ -69,17 +69,27 @@ def cosine_sim(v1: Sequence[float], v2: Sequence[float]) -> float:
     """Cosine similarity in [-1, 1]; zero vectors compare as 0."""
     if len(v1) != len(v2):
         raise DimensionMismatchError(f"cosine over dimensions {len(v1)} and {len(v2)}")
-    dot = 0.0
-    n1 = 0.0
-    n2 = 0.0
-    for a, b in zip(v1, v2):
-        dot += a * b
-        n1 += a * a
-        n2 += b * b
-    if n1 == 0.0 or n2 == 0.0:
+    a, b = np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)
+    if not ((a * a).any() and (b * b).any()):
         log.warning("cosine similarity against a zero vector; defining it as 0.0")
-        return 0.0
-    return dot / (math.sqrt(n1) * math.sqrt(n2))
+    return float(_cosines(a[np.newaxis], b)[0])
+
+
+def _cosines(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Cosine of each of ``rows`` with ``vector``; a zero norm gives 0.
+
+    Every sum starts at 0.0 and adds its products in coordinate order, as a
+    plain loop does, so a pair gets the same bits wherever it is compared.
+    """
+    terms = np.zeros((3, len(rows), rows.shape[1] + 1))
+    terms[0, :, 1:] = rows * vector
+    terms[1, :, 1:] = rows * rows
+    terms[2, :, 1:] = vector * vector
+    dot, n1, n2 = np.cumsum(terms, axis=-1)[..., -1]
+    cosines = np.zeros(len(rows))
+    nonzero = (n1 != 0.0) & (n2 != 0.0)
+    cosines[nonzero] = dot[nonzero] / (np.sqrt(n1[nonzero]) * np.sqrt(n2[nonzero]))
+    return cosines
 
 
 def _score_all(snapshot: CorpusSnapshot, query_vector: Sequence[float]) -> np.ndarray:
@@ -110,13 +120,6 @@ def load_denylist(path: str | Path) -> frozenset[str]:
     return frozenset(entries)
 
 
-def _check_embedder(snapshot: CorpusSnapshot, embedder: EmbeddingProvider) -> None:
-    if embedder.embedder_id != snapshot.embedder_id:
-        raise EmbedderMismatchError(
-            f"snapshot was embedded with {snapshot.embedder_id!r}, query uses {embedder.embedder_id!r}"
-        )
-
-
 def top_k(
     query: RetrievalQuery,
     snapshot: CorpusSnapshot,
@@ -124,7 +127,10 @@ def top_k(
     denylist: frozenset[str] | None = None,
 ) -> RetrievalResult:
     """Exact top-k scan: score descending, ties by ascending corpus index."""
-    _check_embedder(snapshot, embedder)
+    if embedder.embedder_id != snapshot.embedder_id:
+        raise EmbedderMismatchError(
+            f"snapshot was embedded with {snapshot.embedder_id!r}, query uses {embedder.embedder_id!r}"
+        )
     scores = _score_all(snapshot, embedder.embed(query.text))
     candidates = np.arange(len(scores))
     if denylist:
@@ -153,8 +159,8 @@ def filter_redundancy(
 
     Survivors are decided by a greedy scan in ascending corpus-index order;
     the input's relative order is preserved in the output. The earliest-index
-    item always survives. Similarities come from one Gram matrix; a pair
-    within 1e-12 of delta (or NaN) is decided by ``cosine_sim``'s arithmetic.
+    item always survives. Each candidate is compared with the survivors so far
+    in ``cosine_sim``'s arithmetic.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
@@ -162,22 +168,11 @@ def filter_redundancy(
         raise DimensionMismatchError("redundancy filter over embeddings of different dimensions")
     scan_order = sorted(range(len(items)), key=lambda p: (items[p].index, p))
     vectors = np.array([item.embedding for item in items], dtype=np.float64, ndmin=2)
-    gram = vectors @ vectors.T
-    norms = np.sqrt(gram.diagonal())
-    scale = np.outer(norms, norms)
-    cosines = np.divide(gram, scale, out=np.zeros_like(gram), where=scale > 0.0)
     kept: list[int] = []
     for position in scan_order:
-        sims = cosines[position, kept]
-        near = ~(np.abs(sims - delta) > 1e-12)
-        redundant = (sims[~near] > delta).any() or any(
-            cosine_sim(items[position].embedding, items[kept[q]].embedding) > delta
-            for q in np.flatnonzero(near)
-        )
-        if not redundant:
+        if not (_cosines(vectors[kept], vectors[position]) > delta).any():
             kept.append(position)
-    kept_set = set(kept)
-    return [items[p] for p in range(len(items)) if p in kept_set]
+    return [items[p] for p in sorted(kept)]
 
 
 def plan_conditioned_retrieve(

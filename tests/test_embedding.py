@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcs.corpus import embed_metadata
 from arcs.embedding import HashingEmbedder, RemoteEmbedder
@@ -89,3 +92,36 @@ def test_hashing_embedder_vectors_are_pinned():
     for text in texts:
         digest.update(np.asarray(embedder.embed(text), dtype="<f8").tobytes())
     assert digest.hexdigest() == PINNED_VECTORS_DIGEST
+
+
+def _reference_embed(text: str, dimension: int) -> list[float]:
+    """Oracle: every trigram hashed afresh with blake2b, no memo."""
+    tokens = re.findall(r"[a-z0-9_]+", text.lower())
+    if not tokens:
+        return [0.0] * dimension
+    stream = " " + " ".join(tokens) + " "
+    counts = [0.0] * dimension
+    for i in range(len(stream) - 2):
+        raw = hashlib.blake2b(stream[i : i + 3].encode("utf-8"), digest_size=8).digest()
+        counts[int.from_bytes(raw, "big") % dimension] += 1.0
+    norm = math.sqrt(sum(c * c for c in counts))
+    return [c / norm for c in counts]
+
+
+# one instance per dimension for the whole run, so later examples hit the memo
+_SHARED_EMBEDDERS = {dimension: HashingEmbedder(dimension) for dimension in (7, 384)}
+
+# repeated grams, case folding, and non-ASCII letters (the Kelvin sign lowercases to "k")
+_FRAGMENTS = ["ab", "abab", "x_1", "AB", " ", "\n", "-", "\u00e9clair", "\u212aelvin", "\u0130d", "\u65e5\u672c"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=12).map("".join) | st.text(max_size=40),
+    st.sampled_from(sorted(_SHARED_EMBEDDERS)),
+)
+def test_memoised_embedding_equals_fresh_hashing(text, dimension):
+    embedder = _SHARED_EMBEDDERS[dimension]
+    expected = _reference_embed(text, dimension)
+    assert embedder.embed(text) == expected
+    assert embedder.embed(text) == expected

@@ -351,6 +351,25 @@ def test_backends_reach_the_same_judgement(program):
     assert process.failures == in_process.failures
 
 
+EXACT_PARITY_PROGRAMS = {
+    "lf": ('import sys\nsys.stdout.buffer.write(b"a\\nb\\n")', PASS),
+    "crlf": ('import sys\nsys.stdout.buffer.write(b"a\\r\\nb\\r\\n")', WRONG_OUTPUT),
+    "lone_cr": ('import sys\nsys.stdout.buffer.write(b"a\\rb\\n")', WRONG_OUTPUT),
+}
+
+
+@pytest.mark.parametrize(
+    "program, verdict", EXACT_PARITY_PROGRAMS.values(), ids=EXACT_PARITY_PROGRAMS.keys()
+)
+def test_backends_reach_the_same_judgement_on_exact_output(program, verdict):
+    # `exact` compares the bytes the program wrote: no newline translation
+    suite = make_suite(("", "a\nb\n"), compare="exact")
+    process = ProcessExecutor(caps=ResourceCaps(wall_seconds=10.0)).execute(program, suite)
+    in_process = InProcessExecutor().execute(program, suite)
+    assert process.verdicts == in_process.verdicts == (verdict,)
+    assert process.failures == in_process.failures
+
+
 def test_suite_file_round_trip(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(

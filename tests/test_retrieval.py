@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +284,73 @@ def test_filter_monotone_in_delta_on_planted_pairs():
     ]
     for tighter, looser in zip(survivor_sets, survivor_sets[1:]):
         assert tighter <= looser
+
+
+def _loop_cosine(v1, v2):
+    """Oracle: cosine as a plain sequential loop; a zero norm gives 0."""
+    dot = 0.0
+    n1 = 0.0
+    n2 = 0.0
+    for a, b in zip(v1, v2):
+        dot += a * b
+        n1 += a * a
+        n2 += b * b
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.0
+    return dot / (math.sqrt(n1) * math.sqrt(n2))
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+# signed zeros included; no magnitude small enough for a norm to underflow
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=1e-3, max_value=10.0),
+    st.floats(min_value=-10.0, max_value=-1e-3),
+)
+
+
+@st.composite
+def _planted_vectors(draw, min_size=0, max_size=10):
+    """Vectors of one dimension: fresh, zero, or an earlier one with a coordinate nudged."""
+    dimension = draw(st.integers(min_value=1, max_value=32))
+    vectors = []
+    for _ in range(draw(st.integers(min_value=min_size, max_value=max_size))):
+        kind = draw(st.sampled_from(["fresh", "zero", "near"] if vectors else ["fresh", "zero"]))
+        if kind == "fresh":
+            vector = draw(st.lists(_COORDINATES, min_size=dimension, max_size=dimension))
+        elif kind == "zero":
+            vector = [0.0] * dimension
+        else:
+            vector = list(draw(st.sampled_from(vectors)))
+            vector[draw(st.integers(0, dimension - 1))] += draw(st.sampled_from([0.0, 1e-9, 0.3]))
+        vectors.append(vector)
+    return vectors
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_planted_vectors(min_size=2, max_size=2))
+def test_cosine_sim_is_the_loop_bit_for_bit(pair):
+    assert _bits(cosine_sim(*pair)) == _bits(_loop_cosine(*pair))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_planted_vectors(), st.randoms(use_true_random=False), st.data())
+def test_filter_matches_a_greedy_loop_scan(vectors, rng, data):
+    # thresholds on a pair's own cosine are decided by its last bit
+    on_a_pair = [c for a in vectors for b in vectors if 0.0 < (c := _loop_cosine(a, b)) <= 1.0]
+    delta = data.draw(
+        st.sampled_from([0.5, 0.85, 0.99, 1.0, *on_a_pair]) | st.floats(min_value=0.05, max_value=1.0)
+    )
+    items = [make_item(index, vector) for index, vector in enumerate(vectors)]
+    rng.shuffle(items)
+    kept = []
+    for item in sorted(items, key=lambda item: item.index):
+        if not any(_loop_cosine(item.embedding, other.embedding) > delta for other in kept):
+            kept.append(item)
+    assert filter_redundancy(items, delta) == [item for item in items if item in kept]
 
 
 def test_plan_conditioned_single_subgoal_equals_top_k():
