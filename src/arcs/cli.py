@@ -14,10 +14,9 @@ import re
 import sys
 from pathlib import Path
 
-from .config import (
-    DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, coerce, load_config_file, read_input_file, resolve_config
-)
+from .config import DEFAULTS, coerce, load_config_file, read_input_file, resolve_config
 from .controller import (
+    TIERS,
     RunDeps,
     TierConfig,
     compare_run_logs,
@@ -55,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="top-k retrieval against a snapshot")
     p_query.add_argument("--snapshot", required=True)
     p_query.add_argument("--q", required=True, help="query text")
-    p_query.add_argument("-k", default=str(DEFAULT_K))
+    p_query.add_argument("-k", default=str(TIERS["large"].k))
     p_query.add_argument("--denylist", default="", help="file with one blocked identifier per line")
     p_query.add_argument("--embed-endpoint", default="")
     p_query.set_defaults(handler=_cmd_query)
@@ -116,20 +115,7 @@ def _checked(record_type, *args, **kwargs):
 
 
 def _tier_from_config(cfg: dict) -> TierConfig:
-    named = {
-        "small": TierConfig.small(),
-        "medium": TierConfig.medium(),
-        "large": TierConfig.large(),
-    }
-    base = named.get(cfg["tier"])
-    if base is None:
-        raise ConfigError(f"unknown tier {cfg['tier']!r}; expected small, medium, or large")
-    return _checked(
-        TierConfig,
-        k=cfg["budget_k"] if cfg["budget_k"] is not None else base.k,
-        iterations=cfg["budget_b"] if cfg["budget_b"] is not None else base.iterations,
-        planning=base.planning,
-    )
+    return _checked(TierConfig.named, cfg["tier"], k=cfg["budget_k"], iterations=cfg["budget_b"])
 
 
 def _hashing_embedder(embedder_id: str) -> HashingEmbedder | None:
@@ -282,10 +268,7 @@ def _cmd_sweep(args) -> int:
     deps = _deps_from_config(cfg, tier)
     if args.ablate:
         toggles = tuple(part.strip() for part in args.ablate.split(",") if part.strip())
-        base = TierConfig.large(
-            k=tier.k or DEFAULT_K,
-            iterations=tier.iterations if tier.iterations > 1 else DEFAULT_ITERATIONS,
-        )
+        base = TierConfig.large(tier.k or None, tier.iterations if tier.iterations > 1 else None)
         rows = ablation_matrix(tasks, deps, toggles, base)
     else:
         rows = [(tier.name, sweep(tasks, tier, deps))]

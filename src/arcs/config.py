@@ -7,14 +7,9 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# The large tier's budgets. They are not config keys: budget_k and budget_b
-# default to None, which means the named tier's own value.
-DEFAULT_K = 10
-DEFAULT_ITERATIONS = 5
-
 DEFAULTS: dict[str, object] = {
     "tier": "small",
-    "budget_b": None,
+    "budget_b": None,  # None: the named tier's own budget, from controller.TIERS
     "budget_k": None,
     "max_subgoals": 4,
     "temperature": 0.7,
@@ -40,9 +35,7 @@ def coerce(key: str, raw: str):
     """A key's value typed like its default; the one parse of flags and file lines."""
     default = DEFAULTS[key]
     try:
-        if key in ("budget_b", "budget_k"):
-            return int(raw)
-        if isinstance(default, int):
+        if key in ("budget_b", "budget_k") or isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import planner as planner_mod
 from . import prompting, retrieval
-from .config import DEFAULT_ITERATIONS, DEFAULT_K, DEFAULTS, check_loop_settings
+from .config import DEFAULTS, check_loop_settings
 from .corpus import CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import (
@@ -45,11 +45,11 @@ MANIFEST_NAME = "manifest.json"
 class TierConfig(JsonRecord):
     """The paper's projection of the controller onto (k, iteration budget, planning).
 
-    The tier name is derived from the parameters: (k=0, 1 round, planning
-    off) is small, (k=0, 1 round, planning on) is medium, (k>0, >1 rounds,
-    planning on) is large, anything else is custom. Deriving the name keeps
-    a large-tier controller projected to small-tier parameters identical to
-    the small tier, log for log. The subgoal cap is the config key ``max_subgoals``.
+    The tier name is derived from the parameters: it is the name of the
+    preset in ``TIERS`` with the same shape (k > 0, more than one round,
+    planning), else custom. Deriving the name keeps a large-tier controller
+    projected to small-tier parameters identical to the small tier, log for
+    log. The subgoal cap is the config key ``max_subgoals``.
     """
 
     k: int
@@ -66,25 +66,38 @@ class TierConfig(JsonRecord):
 
     @property
     def name(self) -> str:
-        if self.k == 0 and self.iterations == 1:
-            return "medium" if self.planning else "small"
-        if self.k > 0 and self.iterations > 1 and self.planning:
-            return "large"
-        return "custom"
+        return next((name for name, preset in TIERS.items() if _shape(preset) == _shape(self)), "custom")
 
     @classmethod
-    def small(cls) -> "TierConfig":
-        return cls(k=0, iterations=1, planning=False)
+    def named(cls, name: str, k: int | None = None, iterations: int | None = None) -> "TierConfig":
+        """The preset ``name`` of ``TIERS``, with ``k`` and ``iterations`` overriding its budgets."""
+        preset = TIERS.get(name)
+        if preset is None:
+            raise ConfigError(f"unknown tier {name!r}; expected small, medium, or large")
+        return cls(
+            k=preset.k if k is None else k,
+            iterations=preset.iterations if iterations is None else iterations,
+            planning=preset.planning,
+        )
 
     @classmethod
-    def medium(cls) -> "TierConfig":
-        return cls(k=0, iterations=1, planning=True)
-
-    @classmethod
-    def large(cls, k: int = DEFAULT_K, iterations: int = DEFAULT_ITERATIONS) -> "TierConfig":
-        if k <= 0 or iterations <= 1:
+    def large(cls, k: int | None = None, iterations: int | None = None) -> "TierConfig":
+        tier = cls.named("large", k, iterations)
+        if tier.k <= 0 or tier.iterations <= 1:
             raise ValueError("large tier requires k > 0 and more than one round")
-        return cls(k=k, iterations=iterations, planning=True)
+        return tier
+
+
+def _shape(tier: TierConfig) -> tuple[bool, bool, bool]:
+    return tier.k > 0, tier.iterations > 1, tier.planning
+
+
+# The paper's tiers; the config key tier names one, and budget_k and budget_b override its budgets.
+TIERS = {
+    "small": TierConfig(k=0, iterations=1, planning=False),
+    "medium": TierConfig(k=0, iterations=1, planning=True),
+    "large": TierConfig(k=10, iterations=5, planning=True),
+}
 
 
 @dataclass(frozen=True)
@@ -378,7 +391,7 @@ def save_run_log(run_log: RunLog, directory: str | Path) -> Path:
 
 
 def load_run_log(directory: str | Path) -> RunLog:
-    """Load a persisted run log, verifying per-round digests."""
+    """Load a persisted run log of this version, verifying its config and per-round digests."""
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
     try:
@@ -391,9 +404,14 @@ def load_run_log(directory: str | Path) -> RunLog:
         rounds = [
             _read_round(directory, entry["file"], entry["digest"]) for entry in manifest["rounds"]
         ]
-        return RunLog.from_jsonable({**manifest, "rounds": rounds})
+        run_log = RunLog.from_jsonable({**manifest, "rounds": rounds})
     except (KeyError, TypeError, ValueError) as exc:
         raise ReplayAssetError(f"run log {directory} is malformed: {exc}") from exc
+    if run_log.version != RUN_LOG_VERSION:
+        raise ReplayAssetError(f"run log {directory} has unsupported version {run_log.version}")
+    if manifest.get("config_digest") != json_digest(run_log.config):
+        raise ReplayAssetError(f"run log {directory} failed its config digest check")
+    return run_log
 
 
 def _read_round(directory: Path, name: str, digest: str) -> dict:

@@ -157,8 +157,11 @@ class CorpusSnapshot:
     ) -> "CorpusSnapshot":
         """The snapshot of ``items``, whose embeddings are the rows of the
         read-only ``matrix`` and whose rows under each signature name are
-        ``rows_by_name``."""
+        ``rows_by_name``; a row whose norm is not finite raises ValueError."""
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+        non_finite = np.flatnonzero(~np.isfinite(norms))
+        if non_finite.size:
+            raise ValueError(f"item {non_finite[0]} has a non-finite embedding norm")
         norms.flags.writeable = False
         return cls(
             items=items,
@@ -473,20 +476,14 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
     """
     path = Path(path)
     try:
-        items = _LoadedItems(os.open(path, os.O_RDONLY), path)
-        try:
-            # a buffer of several lines takes fewer reads than the default 8 KB
-            with open(items.fd, "rb", buffering=_READ_BUFFER, closefd=False) as file:
-                return _read_snapshot(file, items)
-        except BaseException:
-            items.close()
-            raise
+        # a buffer of several lines takes fewer reads than the default 8 KB
+        with open(path, "rb", buffering=_READ_BUFFER) as file:
+            return _read_snapshot(file, path)
     except OSError as exc:
         raise SnapshotCorruptionError(f"cannot read snapshot {path}: {exc}") from exc
 
 
-def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
-    path = items.path
+def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     first = _next_line(file)
     if first is None:
         raise SnapshotCorruptionError(f"snapshot {path} is empty")
@@ -511,11 +508,12 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
         raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
     if count < 1:
         raise SnapshotCorruptionError(f"snapshot {path} declares {count} items; a snapshot holds at least one")
+    offsets, lengths, hashes = array("q"), array("q"), bytearray()
     rows_by_name: dict[str, list[int]] = {}
     first_unreadable: int | None = None  # a row without a readable signature, reported once the digest passes
 
     def item_lines() -> Iterator[bytes]:
-        """Up to ``count`` item lines, each kept in ``items`` and the name map as it passes."""
+        """Up to ``count`` item lines, each kept in the arrays and the name map as it passes."""
         nonlocal first_unreadable
         offset = file.tell()
         for line in file:
@@ -523,8 +521,10 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
             if line.isspace():
                 continue
             line = line.rstrip(b"\r\n")
-            row = len(items)
-            items.keep(start, line)
+            row = len(offsets)
+            offsets.append(start)
+            lengths.append(len(line))
+            hashes.extend(hashlib.sha256(line).digest())
             signature = _line_signature(line)
             if signature is None:
                 if first_unreadable is None:
@@ -537,7 +537,7 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
 
     digest = _metadata_hash(count, dimension, item_lines())
     matrix_line = _next_line(file)
-    after_header = len(items) + (matrix_line is not None) + sum(1 for line in file if not line.isspace())
+    after_header = len(offsets) + (matrix_line is not None) + sum(1 for line in file if not line.isspace())
     if after_header != count + 1:
         raise SnapshotCorruptionError(
             f"snapshot {path} holds {max(after_header - 1, 0)} items, header declares {count}"
@@ -560,10 +560,15 @@ def _read_snapshot(file: BinaryIO, items: "_LoadedItems") -> CorpusSnapshot:
     if content_digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
     if first_unreadable is not None:
-        raise items.corrupt(first_unreadable)
+        raise _corrupt_line(file.fileno(), path, offsets[first_unreadable])
     matrix.flags.writeable = False
-    items.matrix = matrix
-    return CorpusSnapshot._from_parts(items, rows_by_name, matrix, embedder_id, created_at, content_digest)
+    # the items hold their own descriptor of the file, which ``file`` closes
+    items = _LoadedItems(os.dup(file.fileno()), path, offsets, lengths, hashes, matrix)
+    try:
+        return CorpusSnapshot._from_parts(items, rows_by_name, matrix, embedder_id, created_at, content_digest)
+    except ValueError as exc:  # a non-finite row, which only a hand-forged file holds
+        items.close()
+        raise SnapshotCorruptionError(f"snapshot {path}: {exc}") from exc
 
 
 def _next_line(file: BinaryIO) -> bytes | None:
@@ -586,24 +591,19 @@ class _LoadedItems(Sequence[CorpusItem]):
     The sequence holds a read-only descriptor of the file it was loaded from,
     closed when the sequence is collected, so replacing or deleting the path
     does not change it. Per item it keeps the offset, length and SHA-256 of its
-    line, which passed the content digest at load. Each access reads the line
-    again, checks its hash, and decodes a new item; nothing read is kept.
+    line, which passed the content digest at load, and its row of the verified
+    ``matrix``. Each access reads the line again, checks its hash, and decodes
+    a new item; nothing read is kept.
     """
 
-    def __init__(self, fd: int, path: Path):
+    def __init__(self, fd: int, path: Path, offsets: array, lengths: array, hashes: bytearray, matrix: np.ndarray):
         self.fd = fd
         self.path = path
+        self._offsets = offsets
+        self._lengths = lengths
+        self._hashes = hashes
+        self.matrix = matrix
         self.close = weakref.finalize(self, os.close, fd)
-        self.matrix: np.ndarray | None = None  # set once load has verified it
-        self._offsets = array("q")
-        self._lengths = array("q")
-        self._hashes = bytearray()
-
-    def keep(self, offset: int, line: bytes) -> None:
-        """Keep the next item's ``line``, which starts at ``offset``, as its offset, length and hash."""
-        self._offsets.append(offset)
-        self._lengths.append(len(line))
-        self._hashes += hashlib.sha256(line).digest()
 
     def __len__(self) -> int:
         return len(self._offsets)
@@ -614,18 +614,18 @@ class _LoadedItems(Sequence[CorpusItem]):
             return tuple(map(self.__getitem__, row))
         line = os.pread(self.fd, self._lengths[row], self._offsets[row])
         if hashlib.sha256(line).digest() != self._hashes[row * _HASH_SIZE : (row + 1) * _HASH_SIZE]:
-            raise self.corrupt(row)
+            raise _corrupt_line(self.fd, self.path, self._offsets[row])
         try:
             record = json.loads(line.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-            raise self.corrupt(row) from exc
+            raise _corrupt_line(self.fd, self.path, self._offsets[row]) from exc
         if (
             not isinstance(record, dict)
             or record.keys() != _METADATA_FIELDS
             or record["index"] != row
             or record["signature"] != _line_signature(line)
         ):
-            raise self.corrupt(row)
+            raise _corrupt_line(self.fd, self.path, self._offsets[row])
         return CorpusItem(*_metadata_values(record), embedding=self.matrix[row])
 
     def __eq__(self, other) -> bool:
@@ -633,10 +633,12 @@ class _LoadedItems(Sequence[CorpusItem]):
             return NotImplemented
         return len(self) == len(other) and all(mine == theirs for mine, theirs in zip(self, other))
 
-    def corrupt(self, row: int) -> SnapshotCorruptionError:
-        """The error naming item ``row``'s line, counted from 1 with blank lines."""
-        line = os.pread(self.fd, self._offsets[row], 0).count(b"\n") + 1
-        return SnapshotCorruptionError(f"snapshot {self.path} line {line} is corrupt")
+
+def _corrupt_line(fd: int, path: Path, offset: int) -> SnapshotCorruptionError:
+    """The error naming the snapshot line that starts at ``offset`` in the file
+    open on ``fd``, counted from 1 with blank lines."""
+    line = os.pread(fd, offset, 0).count(b"\n") + 1
+    return SnapshotCorruptionError(f"snapshot {path} line {line} is corrupt")
 
 
 def _line_signature(line: bytes) -> str | None:

@@ -68,9 +68,9 @@ class RemoteEmbedder(EmbeddingProvider):
     """Adapter for a remote embedding endpoint.
 
     Sends ``{"text": ...}`` and expects ``{"embedding": [...]}`` of the
-    configured dimension; any other reply raises TransportError. The
-    credential, if any, comes from the ``ARCS_API_TOKEN`` environment
-    variable and is never logged.
+    configured dimension, with finite values and norm; any other reply
+    raises TransportError. The credential, if any, comes from the
+    ``ARCS_API_TOKEN`` environment variable and is never logged.
     """
 
     def __init__(
@@ -100,6 +100,9 @@ class RemoteEmbedder(EmbeddingProvider):
                 f"endpoint returned {len(vector)} dimensions, expected {self.dimension}"
             )
         try:
-            return [float(x) for x in vector]
+            vector = [float(x) for x in vector]
         except (TypeError, ValueError) as exc:
             raise TransportError(f"malformed embedding reply: {exc}") from exc
+        if not math.isfinite(sum(x * x for x in vector)):
+            raise TransportError("embedding reply has a non-finite value or norm")
+        return vector

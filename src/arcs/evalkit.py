@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from .controller import RunDeps, TierConfig, best_so_far_trajectory, run
+from .controller import TIERS, RunDeps, TierConfig, best_so_far_trajectory, run
 from .errors import ArcsError, ConfigError
 from .executor import TestSuite, load_suite
 from .util import JsonRecord
@@ -42,7 +42,7 @@ class TaskOutcome(JsonRecord):
 
 @dataclass
 class SweepReport(JsonRecord):
-    tier: dict
+    tier: TierConfig
     outcomes: list[TaskOutcome] = field(default_factory=list)
 
     json_derived = ("pass_at_1", "cost_total")
@@ -69,7 +69,7 @@ def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> Sweep
     ids = [task.id for task in tasks]
     if len(set(ids)) != len(ids):
         raise ConfigError("task ids must be unique within a task set")
-    report = SweepReport(tier=tier.to_jsonable())
+    report = SweepReport(tier=tier)
     for task in sorted(tasks, key=lambda t: t.id):
         error = None
         try:
@@ -91,7 +91,7 @@ def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> Sweep
     return report
 
 
-def ablation_tier(enabled: Sequence[str], base: TierConfig = TierConfig.large()) -> TierConfig:
+def ablation_tier(enabled: Sequence[str], base: TierConfig = TIERS["large"]) -> TierConfig:
     """Map a set of enabled components onto ``base``'s budgets."""
     unknown = set(enabled) - set(ABLATION_TOGGLES)
     if unknown:
@@ -107,7 +107,7 @@ def ablation_matrix(
     tasks: Sequence[TaskRecord],
     deps: RunDeps,
     toggles: Sequence[str] = ABLATION_TOGGLES,
-    base: TierConfig = TierConfig.large(),
+    base: TierConfig = TIERS["large"],
 ) -> list[tuple[str, SweepReport]]:
     """One sweep per toggle combination; rows keyed by the enabled set."""
     unknown = set(toggles) - set(ABLATION_TOGGLES)

@@ -18,6 +18,7 @@ import pytest
 
 from arcs.controller import (
     RunDeps,
+    TIERS,
     TierConfig,
     best_so_far_trajectory,
     compare_run_logs,
@@ -286,7 +287,7 @@ def test_criterion_6_repair_loop_efficacy():
     without_feedback = run(
         SPEC,
         suite,
-        TierConfig.small(),
+        TIERS["small"],
         RunDeps(model=buggy_then_fixed_model(), executor=executor),
     )
     assert without_feedback.log.outcome["passed"] is False
@@ -320,7 +321,7 @@ def test_criterion_7_tier_projection(snapshot, embedder):
     small = run(
         SPEC,
         suite,
-        TierConfig.small(),
+        TIERS["small"],
         RunDeps(model=buggy_then_fixed_model(), executor=executor),
     )
     projected = run(
@@ -390,8 +391,8 @@ def _replay_case(tier, spec, snapshot=None, embedder=None, tmp_path=None, name="
 
 
 def test_criterion_9_replay_fidelity(snapshot, embedder, tmp_path):
-    _replay_case(TierConfig.small(), SPEC, tmp_path=tmp_path, name="small")
-    _replay_case(TierConfig.medium(), long_spec(SPEC), tmp_path=tmp_path, name="medium")
+    _replay_case(TIERS["small"], SPEC, tmp_path=tmp_path, name="small")
+    _replay_case(TIERS["medium"], long_spec(SPEC), tmp_path=tmp_path, name="medium")
     _replay_case(
         TierConfig.large(k=3, iterations=3),
         long_spec(SPEC),

@@ -13,7 +13,7 @@ import pytest
 
 from arcs.cli import _build_parser, _resolved_config, main
 from arcs.config import DEFAULTS
-from arcs.controller import RunDeps, TierConfig, run, save_run_log
+from arcs.controller import TIERS, RunDeps, run, save_run_log
 from arcs.executor import InProcessExecutor, load_suite
 from arcs.model import ScriptedModel
 
@@ -240,7 +240,7 @@ def _replay_scripted_log_without_script(tmp_path, task_files):
     model = ScriptedModel([{"response": fenced(FIXED_SUM)}])
     deps = RunDeps(model=model, executor=InProcessExecutor())
     suite = load_suite(task_files[1])
-    log_dir = save_run_log(run("Add.", suite, TierConfig.small(), deps).log, tmp_path / "rl")
+    log_dir = save_run_log(run("Add.", suite, TIERS["small"], deps).log, tmp_path / "rl")
     return ["replay", "--log", str(log_dir)]
 
 

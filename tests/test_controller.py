@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from arcs.controller import (
     RoundCost,
     RunDeps,
+    TIERS,
     TierConfig,
     best_so_far_trajectory,
     compare_run_logs,
@@ -45,14 +46,20 @@ def _deps(model, **overrides):
 
 
 def test_tier_projections_and_names():
-    assert TierConfig.small().name == "small"
-    assert TierConfig.medium().name == "medium"
-    assert TierConfig.large().name == "large"
-    assert TierConfig.large() == TierConfig(k=10, iterations=5, planning=True)
+    for name, preset in TIERS.items():
+        assert preset.name == name
+        assert TierConfig.named(name) == preset
+    assert TierConfig.large() == TierConfig.large(iterations=5) == TierConfig(k=10, iterations=5, planning=True)
+    assert TierConfig.large(k=3, iterations=3) == TierConfig(k=3, iterations=3, planning=True)
+    assert TierConfig.named("small", iterations=3) == TierConfig(k=0, iterations=3, planning=False)
+    assert TierConfig.named("small", iterations=3).name == "custom"
+    assert TierConfig.named("large", k=2).name == "large"
     projected = TierConfig(k=0, iterations=1, planning=False)
-    assert projected == TierConfig.small()
+    assert projected == TIERS["small"]
     with pytest.raises(ValueError):
         TierConfig.large(k=0)
+    with pytest.raises(ConfigError, match="unknown tier 'bogus'; expected small, medium, or large"):
+        TierConfig.named("bogus")
     with pytest.raises(ValueError):
         TierConfig(k=-1, iterations=1)
 
@@ -70,7 +77,7 @@ def test_repair_loop_passes_at_round_one():
 
 def test_feedback_disabled_never_passes():
     model = buggy_then_fixed_model()
-    result = run(SPEC, sum_suite(), TierConfig.small(), _deps(model))
+    result = run(SPEC, sum_suite(), TIERS["small"], _deps(model))
     assert result.log.outcome["passed"] is False
     assert result.log.outcome["rounds_executed"] == 1
     assert result.program.strip() == BUGGY_SUM
@@ -122,7 +129,7 @@ def test_all_rounds_empty_raises_no_candidate_with_log():
 
 def test_empty_response_is_a_failing_candidate():
     model = ScriptedModel([{"response": ""}])
-    result = run(SPEC, sum_suite(), TierConfig.small(), _deps(model))
+    result = run(SPEC, sum_suite(), TIERS["small"], _deps(model))
     assert result.log.rounds[0].program == ""
     assert result.log.rounds[0].feedback.pass_count == 0
     assert result.log.outcome["passed"] is False
@@ -399,7 +406,7 @@ def test_small_runs_do_not_record_snapshot(snapshot, embedder):
         snapshot=snapshot,
         embedder=embedder,
     )
-    result = run(SPEC, sum_suite(), TierConfig.small(), deps)
+    result = run(SPEC, sum_suite(), TIERS["small"], deps)
     assert result.log.snapshot_digest is None
     assert result.log.embedder_id is None
 
@@ -409,7 +416,7 @@ def test_large_projected_to_small_produces_identical_log(snapshot, embedder):
     small_result = run(
         SPEC,
         suite,
-        TierConfig.small(),
+        TIERS["small"],
         RunDeps(model=buggy_then_fixed_model(), executor=InProcessExecutor()),
     )
     projected = TierConfig(k=0, iterations=1, planning=False)
@@ -430,7 +437,7 @@ def test_large_projected_to_small_produces_identical_log(snapshot, embedder):
 def test_medium_tier_plans_without_evidence():
     model = buggy_then_fixed_model()
     spec = long_spec(SPEC)
-    result = run(spec, sum_suite(), TierConfig.medium(), _deps(model))
+    result = run(spec, sum_suite(), TIERS["medium"], _deps(model))
     round_log = result.log.rounds[0]
     assert round_log.plan is not None
     assert round_log.retrieval is None
@@ -440,7 +447,7 @@ def test_medium_tier_plans_without_evidence():
 
 def test_planning_gate_disables_plan_for_short_specs():
     model = buggy_then_fixed_model()
-    result = run(SPEC, sum_suite(), TierConfig.medium(), _deps(model))
+    result = run(SPEC, sum_suite(), TIERS["medium"], _deps(model))
     assert result.log.rounds[0].plan is None
 
 

@@ -443,6 +443,23 @@ def test_build_rejects_gapped_indices():
         CorpusSnapshot.build(items, embedder.embedder_id, 8)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [(1e200, 2e200, 3e200), (np.nan, 0.0, 1.0), (0.0, -np.inf, 0.0)],
+    ids=["norm_overflows", "nan", "infinite"],
+)
+def test_non_finite_embeddings_are_rejected_at_build_and_at_load(tmp_path, row):
+    rows = [(1.0, 0.0, 0.0), row, (0.0, 1.0, 0.0)]
+    with pytest.raises(ValueError, match="item 1 has a non-finite embedding"):
+        CorpusSnapshot.build([make_item(i, vector) for i, vector in enumerate(rows)], "hash3", 3)
+    finite = CorpusSnapshot.build([make_item(i, (1.0, 0.0, float(i))) for i in range(3)], "hash3", 3)
+    path = tmp_path / "forged.snap"
+    save_snapshot(finite, path)
+    _forge(path, finite, path.read_bytes().split(b"\n")[1:4], np.array(rows))
+    with pytest.raises(SnapshotCorruptionError, match="item 1 has a non-finite embedding"):
+        load_snapshot(path)
+
+
 def test_snapshot_items_share_one_read_only_matrix(snapshot, tmp_path):
     path = tmp_path / "corpus.snap"
     save_snapshot(snapshot, path)
@@ -610,13 +627,19 @@ def test_loaded_and_failed_snapshots_close_their_files(snapshot, tmp_path):
     save_snapshot(snapshot, path)
     truncated = tmp_path / "truncated.snap"
     truncated.write_bytes(path.read_bytes()[:-40])
+    # fails after the digest passes, the last check before the snapshot is returned
+    non_finite = tmp_path / "non_finite.snap"
+    matrix = np.array(snapshot.matrix)
+    matrix[1, 0] = np.nan
+    _forge(non_finite, snapshot, path.read_bytes().split(b"\n")[1 : 1 + len(snapshot)], matrix)
     open_files = len(os.listdir("/proc/self/fd"))
     for _ in range(50):
         loaded = load_snapshot(path)
         assert loaded.items[0] == snapshot.items[0]
         loaded = None
-        with pytest.raises(SnapshotCorruptionError):
-            load_snapshot(truncated)
+        for damaged in (truncated, non_finite):
+            with pytest.raises(SnapshotCorruptionError):
+                load_snapshot(damaged)
     assert len(os.listdir("/proc/self/fd")) == open_files
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from arcs.corpus import embed_metadata
 from arcs.embedding import HashingEmbedder, RemoteEmbedder
-from arcs.errors import ArcsError, DimensionMismatchError
+from arcs.errors import ArcsError, DimensionMismatchError, TransportError
 from arcs.retrieval import cosine_sim
 
 
@@ -72,6 +72,15 @@ def test_remote_embedder_malformed_reply_is_arcs_error(reply):
         "https://embed.example/v1", dimension=3, transport=lambda *args, **kwargs: reply
     )
     with pytest.raises(ArcsError):
+        remote.embed("hello")
+
+
+@pytest.mark.parametrize("vector", [["nan", 1e309, 1], [1e200, 1e200, 0.0]], ids=["non_finite", "norm_overflows"])
+def test_remote_embedder_rejects_a_non_finite_reply(vector):
+    remote = RemoteEmbedder(
+        "https://embed.example/v1", dimension=3, transport=lambda *args, **kwargs: {"embedding": vector}
+    )
+    with pytest.raises(TransportError, match="non-finite"):
         remote.embed("hello")
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from arcs.controller import RunDeps, TierConfig
+from arcs.controller import TIERS, RunDeps, TierConfig
 from arcs.errors import ConfigError
 from arcs.evalkit import (
     TaskRecord,
@@ -42,7 +42,7 @@ def test_pass_at_1_ratio():
     values = {f"t{i}": str(i) for i in range(4)}
     tasks = [_echo_task(task_id, value) for task_id, value in values.items()]
     model = _model_passing(values, passing_ids={"t0", "t1", "t2"})
-    report = sweep(tasks, TierConfig.small(), RunDeps(model=model, executor=InProcessExecutor()))
+    report = sweep(tasks, TIERS["small"], RunDeps(model=model, executor=InProcessExecutor()))
     assert report.pass_at_1 == pytest.approx(0.75)
     assert [outcome.task_id for outcome in report.outcomes] == sorted(values)
 
@@ -51,14 +51,14 @@ def test_pass_at_1_zero_when_nothing_passes():
     values = {"a": "1", "b": "2"}
     tasks = [_echo_task(task_id, value) for task_id, value in values.items()]
     model = _model_passing(values, passing_ids=set())
-    report = sweep(tasks, TierConfig.small(), RunDeps(model=model, executor=InProcessExecutor()))
+    report = sweep(tasks, TIERS["small"], RunDeps(model=model, executor=InProcessExecutor()))
     assert report.pass_at_1 == 0.0
 
 
 def test_sweep_requires_unique_ids():
     task = _echo_task("same", "1")
     with pytest.raises(ConfigError):
-        sweep([task, task], TierConfig.small(), RunDeps(model=ScriptedModel([]), executor=InProcessExecutor()))
+        sweep([task, task], TIERS["small"], RunDeps(model=ScriptedModel([]), executor=InProcessExecutor()))
 
 
 def test_sweep_records_task_failures_and_continues():
@@ -70,7 +70,7 @@ def test_sweep_records_task_failures_and_continues():
             # no entry for zz-broken: hard model failure -> NoCandidateError
         ]
     )
-    report = sweep([ok, broken], TierConfig.small(), RunDeps(model=model, executor=InProcessExecutor()))
+    report = sweep([ok, broken], TIERS["small"], RunDeps(model=model, executor=InProcessExecutor()))
     assert report.pass_at_1 == pytest.approx(0.5)
     failed = next(outcome for outcome in report.outcomes if outcome.task_id == "zz-broken")
     assert failed.error is not None
@@ -83,14 +83,14 @@ def test_sweep_is_deterministic():
     def fresh_model():
         return _model_passing(values, passing_ids={"a"})
 
-    first = sweep(tasks, TierConfig.small(), RunDeps(model=fresh_model(), executor=InProcessExecutor()))
-    second = sweep(tasks, TierConfig.small(), RunDeps(model=fresh_model(), executor=InProcessExecutor()))
+    first = sweep(tasks, TIERS["small"], RunDeps(model=fresh_model(), executor=InProcessExecutor()))
+    second = sweep(tasks, TIERS["small"], RunDeps(model=fresh_model(), executor=InProcessExecutor()))
     assert first.to_jsonable() == second.to_jsonable()
 
 
 def test_ablation_tier_projections():
-    assert ablation_tier(()) == TierConfig.small()
-    assert ablation_tier(("planning",)) == TierConfig.medium()
+    assert ablation_tier(()) == TIERS["small"]
+    assert ablation_tier(("planning",)) == TIERS["medium"]
     assert ablation_tier(("retrieval", "planning", "feedback")) == TierConfig.large()
     assert ablation_tier(("retrieval",)) == TierConfig(k=10, iterations=1, planning=False)
     with pytest.raises(ConfigError):
@@ -143,7 +143,7 @@ def test_ablation_matrix_shape_and_baseline():
     assert labels[0] == "baseline"
     assert labels[-1] == "+retrieval+planning+feedback"
     baseline = rows[0][1]
-    small = sweep(tasks, TierConfig.small(), deps())
+    small = sweep(tasks, TIERS["small"], deps())
     assert baseline.to_jsonable() == small.to_jsonable()
 
 
@@ -197,6 +197,6 @@ def test_load_tasks_and_render_table(tmp_path):
     assert tasks[0].suite.m == 1
 
     model = ScriptedModel([{"response": fenced("print('1')")}])
-    report = sweep(tasks, TierConfig.small(), RunDeps(model=model, executor=InProcessExecutor()))
+    report = sweep(tasks, TIERS["small"], RunDeps(model=model, executor=InProcessExecutor()))
     table = render_table([("small", report)])
     assert "pass@1" in table and "small" in table

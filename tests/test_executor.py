@@ -277,7 +277,7 @@ def test_verdicts_reported_in_test_id_order(executor):
 
 def test_normalize_and_first_difference():
     assert normalize_output("a  \nb\n\n") == "a\nb"
-    assert normalize_output("a\n", "exact") if False else True
+    assert normalize_output(" a \r\nb\n\n", "exact") == " a \r\nb\n\n"
     assert normalize_output(" \na\n", "trim") == "a"
     assert first_difference("a\nb", "a\nc") == "line 2: expected 'b' got 'c'"
     assert first_difference("a", "a\nb") == "expected 1 line(s), got 2"

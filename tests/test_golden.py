@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from arcs.controller import (
+    TIERS,
     RunDeps,
     TierConfig,
     compare_run_logs,
@@ -33,6 +34,7 @@ from arcs.controller import (
 )
 from arcs.corpus import CorpusItem, CorpusSnapshot, load_snapshot, save_snapshot
 from arcs.embedding import HashingEmbedder
+from arcs.errors import ReplayAssetError
 from arcs.evalkit import TaskRecord, sweep
 from arcs.executor import InProcessExecutor
 from arcs.executor import TestCase as Case
@@ -76,11 +78,7 @@ SCRIPT = [
 ]
 SCRIPT_DIGEST = "f5d8f27ca31dc5ee4b42c85143254fd867ab40fd97661221e7c1fbf6498400c6"
 
-TIERS = {
-    "small": TierConfig.small(),
-    "medium": TierConfig.medium(),
-    "large": TierConfig.large(k=3, iterations=3),
-}
+GOLDEN_TIERS = {**TIERS, "large": TierConfig.large(k=3, iterations=3)}
 
 
 def _text(record: dict) -> str:
@@ -126,7 +124,7 @@ def _deps(tier: TierConfig, **extra) -> RunDeps:
 
 
 def tier_log(name: str):
-    tier = TIERS[name]
+    tier = GOLDEN_TIERS[name]
     return run(SPEC, SUITE, tier, _deps(tier)).log
 
 
@@ -144,7 +142,7 @@ def sweep_report():
     return sweep(tasks, TierConfig(k=0, iterations=2), deps)
 
 
-@pytest.mark.parametrize("name", sorted(TIERS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_TIERS))
 def test_tier_run_log_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert _text(tier_log(name).to_jsonable(include_timing=False)) == expected
@@ -196,6 +194,26 @@ def test_log_with_setting_echoes_and_a_stored_cost_loads_and_replays(tmp_path):
     assert compare_run_logs(logged, fresh) == []
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"config": {"seed": 7}}, "config digest"),
+        ({"version": 99}, "unsupported version 99"),
+    ],
+    ids=["config_edited", "version_99"],
+)
+def test_a_manifest_that_disagrees_with_what_it_stores_does_not_load(tmp_path, edit, message):
+    directory = tmp_path / "runlog"
+    shutil.copytree(RUN_LOG_DIR, directory)
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for key, value in edit.items():
+        manifest[key] = {**manifest[key], **value} if isinstance(value, dict) else value
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ReplayAssetError, match=message):
+        load_run_log(directory)
+
+
 def test_script_digest_matches_golden():
     assert ScriptedModel(SCRIPT, model_id="golden").script_digest == SCRIPT_DIGEST
 
@@ -219,7 +237,7 @@ def test_golden_snapshot_loads_to_the_logged_digest_and_items():
 
 def _pin(directory: Path = GOLDEN) -> None:
     directory.mkdir(exist_ok=True)
-    for name in TIERS:
+    for name in GOLDEN_TIERS:
         (directory / f"{name}.json").write_text(
             _text(tier_log(name).to_jsonable(include_timing=False)), encoding="utf-8"
         )
