@@ -29,7 +29,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class CorpusItem:
 
 
 _METADATA_NAMES = tuple(field.name for field in fields(CorpusItem) if field.name != "embedding")
-_METADATA_FIELDS = frozenset(_METADATA_NAMES)
+_METADATA_TYPES = {name: int if name == "index" else str for name in _METADATA_NAMES}
 _metadata_values = operator.itemgetter(*_METADATA_NAMES)
 
 
@@ -96,8 +96,7 @@ class CorpusSnapshot:
     """Immutable, digest-verified corpus of embedded items.
 
     The snapshot owns its embeddings as one read-only, C-contiguous float64
-    ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms and
-    ``rows_by_name`` the rows of each signature name, for a top-k denylist.
+    ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms.
     ``items`` is a tuple in a built snapshot; in a loaded one it is a
     read-only sequence that reads each item from the snapshot file on every
     access and keeps none.
@@ -110,7 +109,6 @@ class CorpusSnapshot:
     content_digest: str
     matrix: np.ndarray
     norms: np.ndarray
-    rows_by_name: dict[str, list[int]]
 
     @classmethod
     def build(
@@ -140,28 +138,20 @@ class CorpusSnapshot:
         items = tuple(
             CorpusItem(*_metadata_values(record), embedding=row) for record, row in zip(records, matrix)
         )
-        rows_by_name: dict[str, list[int]] = {}
-        for item in items:
-            rows_by_name.setdefault(signature_name(item.signature), []).append(item.index)
-        return cls._from_parts(items, rows_by_name, matrix, embedder_id, created_at or utc_now_iso(), digest)
+        return cls._from_parts(items, matrix, embedder_id, created_at or utc_now_iso(), digest)
 
     @classmethod
     def _from_parts(
         cls,
         items: Sequence[CorpusItem],
-        rows_by_name: dict[str, list[int]],
         matrix: np.ndarray,
         embedder_id: str,
         created_at: str,
         content_digest: str,
     ) -> "CorpusSnapshot":
         """The snapshot of ``items``, whose embeddings are the rows of the
-        read-only ``matrix`` and whose rows under each signature name are
-        ``rows_by_name``; a row whose norm is not finite raises ValueError."""
-        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-        non_finite = np.flatnonzero(~np.isfinite(norms))
-        if non_finite.size:
-            raise ValueError(f"item {non_finite[0]} has a non-finite embedding norm")
+        read-only ``matrix``; a row whose norm is not finite raises ValueError."""
+        norms = finite_norms(matrix, "item {}".format)
         norms.flags.writeable = False
         return cls(
             items=items,
@@ -171,11 +161,21 @@ class CorpusSnapshot:
             content_digest=content_digest,
             matrix=matrix,
             norms=norms,
-            rows_by_name=rows_by_name,
         )
 
     def __len__(self) -> int:
         return len(self.items)
+
+
+def finite_norms(rows: np.ndarray, name: Callable[[int], str]) -> np.ndarray:
+    """The L2 norm of each of ``rows``. The first whose norm is not finite (a NaN
+    or infinite value, or a squared norm that overflows) raises ValueError naming
+    it as ``name(position)``: a cosine over it would be NaN."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    non_finite = np.flatnonzero(~np.isfinite(norms))
+    if non_finite.size:
+        raise ValueError(f"{name(non_finite[0])} has a non-finite embedding norm")
+    return norms
 
 
 def compute_content_digest(metadata_lines: Iterable[bytes], matrix: np.ndarray) -> str:
@@ -201,17 +201,6 @@ def _metadata_hash(count: int, dimension: int, metadata_lines: Iterable[bytes]):
 
 def _metadata_line(record: dict) -> bytes:
     return canonical_json(record).encode("utf-8")
-
-
-def signature_name(signature: str) -> str:
-    """Leading identifier of a signature, used for denylist matching."""
-    name = ""
-    head = signature.split("(", 1)[0]
-    for token in reversed(head.replace("*", " ").replace("&", " ").split()):
-        if token and (token[0].isalpha() or token[0] == "_"):
-            name = token
-            break
-    return name.split("::")[-1].split(".")[-1]
 
 
 def embed_metadata(item_metadata: str, embedder: EmbeddingProvider) -> list[float]:
@@ -465,12 +454,12 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
     """Load and integrity-check a snapshot; any damage or digest mismatch raises.
 
     The file is read one line at a time: each metadata line is hashed into the
-    content digest as it arrives, its name goes into ``rows_by_name``, and only
-    its offset, length and SHA-256 are kept. The matrix line is decoded once
-    into the bytes the snapshot's matrix wraps. The snapshot's items hold the
-    file open and read each item from it on every access, checked against the
-    hash kept at load. A line that passes the digest but is malformed, which
-    only a hand-forged file holds, raises ``SnapshotCorruptionError`` then.
+    content digest as it arrives, and only its offset, length and SHA-256 are
+    kept; no line is decoded. The matrix line is decoded once into the bytes
+    the snapshot's matrix wraps. The snapshot's items hold the file open and
+    read each item from it on every access, checked against the hash kept at
+    load. A line that passes the digest but is malformed, which only a
+    hand-forged file holds, raises ``SnapshotCorruptionError`` then.
     Since items are read again by their offsets, ``path`` must be a regular,
     seekable file: a pipe or ``/dev/stdin`` does not load.
     """
@@ -509,30 +498,20 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     if count < 1:
         raise SnapshotCorruptionError(f"snapshot {path} declares {count} items; a snapshot holds at least one")
     offsets, lengths, hashes = array("q"), array("q"), bytearray()
-    rows_by_name: dict[str, list[int]] = {}
-    first_unreadable: int | None = None  # a row without a readable signature, reported once the digest passes
 
     def item_lines() -> Iterator[bytes]:
-        """Up to ``count`` item lines, each kept in the arrays and the name map as it passes."""
-        nonlocal first_unreadable
+        """Up to ``count`` item lines, each kept in the arrays as it passes."""
         offset = file.tell()
         for line in file:
             start, offset = offset, offset + len(line)
             if line.isspace():
                 continue
             line = line.rstrip(b"\r\n")
-            row = len(offsets)
             offsets.append(start)
             lengths.append(len(line))
             hashes.extend(hashlib.sha256(line).digest())
-            signature = _line_signature(line)
-            if signature is None:
-                if first_unreadable is None:
-                    first_unreadable = row
-            else:
-                rows_by_name.setdefault(signature_name(signature), []).append(row)
             yield line
-            if row + 1 == count:
+            if len(offsets) == count:
                 return
 
     digest = _metadata_hash(count, dimension, item_lines())
@@ -559,13 +538,11 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     content_digest = digest.hexdigest()
     if content_digest != header.get("content_digest"):
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
-    if first_unreadable is not None:
-        raise _corrupt_line(file.fileno(), path, offsets[first_unreadable])
     matrix.flags.writeable = False
     # the items hold their own descriptor of the file, which ``file`` closes
     items = _LoadedItems(os.dup(file.fileno()), path, offsets, lengths, hashes, matrix)
     try:
-        return CorpusSnapshot._from_parts(items, rows_by_name, matrix, embedder_id, created_at, content_digest)
+        return CorpusSnapshot._from_parts(items, matrix, embedder_id, created_at, content_digest)
     except ValueError as exc:  # a non-finite row, which only a hand-forged file holds
         items.close()
         raise SnapshotCorruptionError(f"snapshot {path}: {exc}") from exc
@@ -581,7 +558,6 @@ def _next_line(file: BinaryIO) -> bytes | None:
 
 
 _READ_BUFFER = 1 << 16
-_SIGNATURE_KEY = b',"signature":"'
 _HASH_SIZE = hashlib.sha256().digest_size
 
 
@@ -619,12 +595,8 @@ class _LoadedItems(Sequence[CorpusItem]):
             record = json.loads(line.decode("utf-8"))
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise _corrupt_line(self.fd, self.path, self._offsets[row]) from exc
-        if (
-            not isinstance(record, dict)
-            or record.keys() != _METADATA_FIELDS
-            or record["index"] != row
-            or record["signature"] != _line_signature(line)
-        ):
+        types = isinstance(record, dict) and {key: type(value) for key, value in record.items()}
+        if types != _METADATA_TYPES or record["index"] != row:
             raise _corrupt_line(self.fd, self.path, self._offsets[row])
         return CorpusItem(*_metadata_values(record), embedding=self.matrix[row])
 
@@ -639,20 +611,3 @@ def _corrupt_line(fd: int, path: Path, offset: int) -> SnapshotCorruptionError:
     open on ``fd``, counted from 1 with blank lines."""
     line = os.pread(fd, offset, 0).count(b"\n") + 1
     return SnapshotCorruptionError(f"snapshot {path} line {line} is corrupt")
-
-
-def _line_signature(line: bytes) -> str | None:
-    """The signature in a saved item ``line``, read at its key without decoding the line.
-
-    A saved line is canonical JSON: sorted keys, no spaces, ASCII only. Every
-    quote inside a JSON string is escaped, so ``,"signature":"`` can occur only
-    where the key is. The key comes late in sorted order, so it is sought from
-    the end, and only the line's tail is decoded. ``None`` if it cannot be read.
-    """
-    start = line.rfind(_SIGNATURE_KEY)
-    if start < 0:
-        return None
-    try:
-        return json.decoder.scanstring(line[start + len(_SIGNATURE_KEY) :].decode("utf-8"), 0)[0]
-    except ValueError:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        return None

@@ -12,12 +12,12 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .config import DEFAULTS, read_input_file
-from .corpus import CorpusItem, CorpusSnapshot, signature_name
+from .corpus import CorpusItem, CorpusSnapshot, finite_norms
 from .embedding import EmbeddingProvider
 from .errors import DimensionMismatchError, EmbedderMismatchError
 from .util import json_digest
@@ -66,10 +66,11 @@ class RetrievalResult:
 
 
 def cosine_sim(v1: Sequence[float], v2: Sequence[float]) -> float:
-    """Cosine similarity in [-1, 1]; zero vectors compare as 0."""
+    """Cosine similarity in [-1, 1]; zero vectors compare as 0, non-finite norms raise ValueError."""
     if len(v1) != len(v2):
         raise DimensionMismatchError(f"cosine over dimensions {len(v1)} and {len(v2)}")
     a, b = np.asarray(v1, dtype=np.float64), np.asarray(v2, dtype=np.float64)
+    finite_norms(np.stack([a, b]), ("v1", "v2").__getitem__)
     if not ((a * a).any() and (b * b).any()):
         log.warning("cosine similarity against a zero vector; defining it as 0.0")
     return float(_cosines(a[np.newaxis], b)[0])
@@ -120,36 +121,59 @@ def load_denylist(path: str | Path) -> frozenset[str]:
     return frozenset(entries)
 
 
+def signature_name(signature: str) -> str:
+    """Leading identifier of a signature, used for denylist matching."""
+    name = ""
+    head = signature.split("(", 1)[0]
+    for token in reversed(head.replace("*", " ").replace("&", " ").split()):
+        if token and (token[0].isalpha() or token[0] == "_"):
+            name = token
+            break
+    return name.split("::")[-1].split(".")[-1]
+
+
 def top_k(
     query: RetrievalQuery,
     snapshot: CorpusSnapshot,
     embedder: EmbeddingProvider,
     denylist: frozenset[str] | None = None,
 ) -> RetrievalResult:
-    """Exact top-k scan: score descending, ties by ascending corpus index."""
+    """Exact top-k scan: score descending, ties by ascending corpus index.
+
+    Items are read in that order and an item whose ``signature_name`` is in
+    ``denylist`` is skipped, so each denylisted item ranked above the k-th one
+    kept costs one more item read.
+    """
     if embedder.embedder_id != snapshot.embedder_id:
         raise EmbedderMismatchError(
             f"snapshot was embedded with {snapshot.embedder_id!r}, query uses {embedder.embedder_id!r}"
         )
     scores = _score_all(snapshot, embedder.embed(query.text))
-    candidates = np.arange(len(scores))
-    if denylist:
-        allowed = np.ones(len(scores), dtype=bool)
-        allowed[[row for name in denylist for row in snapshot.rows_by_name.get(name, ())]] = False
-        candidates = candidates[allowed]
-    k = min(query.k, len(candidates))
-    if k:
-        # keep every candidate scoring at least the k-th best, so ties at the boundary stay
-        pool = scores[candidates]
-        kth_best = np.partition(pool, len(pool) - k)[len(pool) - k]
-        candidates = candidates[pool >= kth_best]
-    order = candidates[np.lexsort((candidates, -scores[candidates]))][:k]
-    items = tuple((snapshot.items[i], float(scores[i])) for i in order)
+    items: list[tuple[CorpusItem, float]] = []
+    for i in _ranking(scores, min(query.k, len(scores))):
+        item = snapshot.items[i]
+        if not denylist or signature_name(item.signature) not in denylist:
+            items.append((item, float(scores[i])))
+            if len(items) == query.k:
+                break
     return RetrievalResult(
-        items=items,
+        items=tuple(items),
         query_digest=json_digest({"kind": "topk", "text": query.text, "k": query.k}),
         snapshot_digest=snapshot.content_digest,
     )
+
+
+def _ranking(scores: np.ndarray, size: int) -> Iterator[int]:
+    """Every index of ``scores`` by score descending, then index ascending. Only the
+    indices scoring at least the ``size``-th best are sorted, so ties at that boundary
+    stay, and ``size`` doubles each time the walk passes them."""
+    walked = 0
+    while True:
+        pool = np.flatnonzero(scores >= np.partition(scores, -size)[-size])
+        yield from pool[np.lexsort((pool, -scores[pool]))][walked:].tolist()
+        if size == len(scores):
+            return
+        walked, size = len(pool), min(2 * size, len(scores))
 
 
 def filter_redundancy(
@@ -160,7 +184,8 @@ def filter_redundancy(
     Survivors are decided by a greedy scan in ascending corpus-index order;
     the input's relative order is preserved in the output. The earliest-index
     item always survives. Each candidate is compared with the survivors so far
-    in ``cosine_sim``'s arithmetic.
+    in ``cosine_sim``'s arithmetic. An embedding whose norm is not finite
+    raises ValueError naming its item.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
@@ -168,6 +193,7 @@ def filter_redundancy(
         raise DimensionMismatchError("redundancy filter over embeddings of different dimensions")
     scan_order = sorted(range(len(items)), key=lambda p: (items[p].index, p))
     vectors = np.array([item.embedding for item in items], dtype=np.float64, ndmin=2)
+    finite_norms(vectors, lambda position: f"item {items[position].index}")
     kept: list[int] = []
     for position in scan_order:
         if not (_cosines(vectors[kept], vectors[position]) > delta).any():
@@ -230,5 +256,4 @@ def refresh(
     """
     if plan_next is None or not plan_next.subgoals:
         return top_k(RetrievalQuery(q_next, k), snapshot, embedder, denylist)
-    names = [name for name, _ in plan_next.subgoals]
-    return plan_conditioned_retrieve(names, k, snapshot, embedder, delta, denylist)
+    return plan_conditioned_retrieve(plan_next.subgoal_names(), k, snapshot, embedder, delta, denylist)

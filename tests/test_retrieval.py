@@ -58,6 +58,21 @@ def test_cosine_zero_vector_is_zero():
     assert cosine_sim([0.0, 0.0], [1.0, 2.0]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "row",
+    [(1e200, 2e200, 3e200), (math.nan, 0.0, 1.0), (0.0, -math.inf, 0.0)],
+    ids=["norm_overflows", "nan", "infinite"],
+)
+def test_vectors_whose_squared_norm_is_not_finite_are_rejected(row):
+    with pytest.raises(ValueError, match="v2 has a non-finite embedding norm"):
+        cosine_sim((1.0, 0.0, 0.0), row)
+    with pytest.raises(ValueError, match="v1 has a non-finite embedding norm"):
+        cosine_sim(row, row)
+    items = [make_item(0, (1.0, 0.0, 0.0)), make_item(1, row), make_item(2, row)]
+    with pytest.raises(ValueError, match="item 1 has a non-finite embedding norm"):
+        filter_redundancy(items, 0.85)
+
+
 def _id_embedder(dimension):
     embedder = HashingEmbedder(dimension)
     return embedder
@@ -193,6 +208,52 @@ def test_top_k_denylist_covers_every_row_of_a_shared_name():
     )
     for k in range(1, len(names) + 1):
         assert top_k(RetrievalQuery("q", k), snap, embedder, denylist).indices() == oracle[:k], k
+
+
+@st.composite
+def _named_rows(draw):
+    """Up to 12 rows drawn from a few small-integer vectors, so exact ties are
+    common, each under one of a few shared names."""
+    vectors = draw(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=1, max_size=4))
+    count = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.sampled_from(vectors), min_size=count, max_size=count))
+    names = draw(st.lists(st.sampled_from("abcde"), min_size=count, max_size=count))
+    return rows, names
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_named_rows(), st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any), st.data())
+def test_top_k_with_a_denylist_equals_a_brute_force_scan(named_rows, query, data):
+    rows, names = named_rows
+
+    class PlantedEmbedder(HashingEmbedder):
+        def embed(self, text):
+            return [float(x) for x in query]
+
+    embedder = PlantedEmbedder(3)
+    items = [make_item(i, row, signature=f"{name}(x)") for i, (name, row) in enumerate(zip(names, rows))]
+    snap = CorpusSnapshot.build(items, embedder.embedder_id, 3, created_at="2026-01-01T00:00:00+00:00")
+
+    # independent oracle: pure-python cosine, denylisted names skipped, full sort
+    query_norm = math.sqrt(sum(x * x for x in query))
+    scores = []
+    for row in rows:
+        row_norm = math.sqrt(sum(x * x for x in row))
+        scores.append(0.0 if row_norm == 0 else sum(a * b for a, b in zip(query, row)) / (row_norm * query_norm))
+    ranking = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
+    k = data.draw(st.integers(1, len(rows) + 1))
+    denylist = data.draw(
+        st.sets(st.sampled_from("abcdez"))
+        # the names of the best ranks, so the first pool of candidates runs short
+        | st.integers(1, k).map(lambda top: {names[i] for i in ranking[:top]})
+        | st.just(set(names))
+    )
+    oracle = [i for i in ranking if names[i] not in denylist][:k]
+    result = top_k(RetrievalQuery("q", k), snap, embedder, frozenset(denylist))
+    assert result.indices() == oracle
+    assert result.scores() == [scores[i] for i in oracle]
+    if denylist >= set(names):
+        assert result.items == ()
 
 
 def test_signature_name_variants():
