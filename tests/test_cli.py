@@ -463,6 +463,20 @@ def _sweep_task_record_not_object(tmp_path, task_files):
     return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
 
 
+def _sweep_tasks_not_utf8(tmp_path, task_files):
+    _, _, script = task_files
+    tasks = tmp_path / "tasks.json"
+    tasks.write_bytes(b"[\xff]")
+    return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
+
+
+def _replay_manifest_not_utf8(tmp_path, task_files):
+    log_dir = tmp_path / "log"
+    shutil.copytree(Path(__file__).parent / "golden" / "runlog", log_dir)
+    (log_dir / "manifest.json").write_bytes(b"{\xff}")
+    return ["replay", "--log", str(log_dir)]
+
+
 def _exec_program_missing(tmp_path, task_files):
     _, suite, _ = task_files
     return ["exec", "--program", str(tmp_path / "missing.py"), "--suite", str(suite)]
@@ -626,6 +640,8 @@ def _index_embedder_hash0(tmp_path, task_files):
         _run_max_output_tokens_negative,
         _run_top_p_above_one,
         _run_temperature_negative,
+        _sweep_tasks_not_utf8,
+        _replay_manifest_not_utf8,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 from contextlib import suppress
 from pathlib import Path
@@ -190,19 +191,35 @@ else:
     assert feedback.verdicts == (PASS, PASS)
 
 
-def test_network_is_disabled_in_sandbox():
+_GUARDED = "network access is disabled in this sandbox"
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        ('socket.create_connection(("127.0.0.1", 9))\nprint("connected")', _GUARDED),
+        (
+            'udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)\nudp.sendto(b"x", ("127.0.0.1", 9))\n'
+            'print("sent")',
+            _GUARDED,
+        ),
+        ('import _socket\n_socket.socket().connect(("127.0.0.1", 9))\nprint("connected")', _GUARDED),
+        ('print(socket.gethostbyname("localhost"))', _GUARDED),
+        ('server = socket.socket()\nserver.bind(("127.0.0.1", 0))\nserver.listen()\nprint("listening")', _GUARDED),
+        # local sockets with no address stay open to the candidate, and asyncio needs them
+        (
+            'import asyncio\na, b = socket.socketpair()\na.sendmsg([b"ping"])\nprint(b.recv(4).decode())\n'
+            "asyncio.run(asyncio.sleep(0))",
+            "ping",
+        ),
+    ],
+    ids=["create_connection", "udp_sendto", "raw_socket_connect", "gethostbyname", "bind", "socketpair_asyncio"],
+)
+def test_network_is_disabled_in_sandbox(body, expected):
     # port 9 refuses connections with an OSError of its own: match the guard's message
-    program = """\
-import socket
-try:
-    socket.create_connection(("127.0.0.1", 9))
-    print("connected")
-except OSError as exc:
-    print(exc)
-"""
-    expected = "network access is disabled in this sandbox"
+    program = "import socket\ntry:\n" + textwrap.indent(body, "    ") + "\nexcept OSError as exc:\n    print(exc)\n"
     feedback = ProcessExecutor().execute(program, make_suite(("", expected)))
-    assert feedback.verdicts == (PASS,)
+    assert feedback.verdicts == (PASS,), feedback.failures
 
 
 def test_traceback_through_the_network_guard_is_the_same_on_every_run():

@@ -210,6 +210,23 @@ def test_top_k_denylist_covers_every_row_of_a_shared_name():
         assert top_k(RetrievalQuery("q", k), snap, embedder, denylist).indices() == oracle[:k], k
 
 
+@pytest.mark.parametrize(
+    "query",
+    [[math.inf] + [0.0] * 7, [math.nan] + [0.0] * 7, [1e200] * 8],
+    ids=["infinite", "nan", "norm_overflows"],
+)
+def test_top_k_rejects_a_query_vector_with_a_non_finite_norm(query):
+    # a cosine over such a query is NaN, or 0 for every item
+    class PlantedEmbedder(HashingEmbedder):
+        def embed(self, text):
+            return list(query)
+
+    embedder = PlantedEmbedder(8)
+    snap = snapshot_from_embeddings([unit_vector(8, i) for i in range(5)], embedder_id=embedder.embedder_id)
+    with pytest.raises(ValueError, match="query"):
+        top_k(RetrievalQuery("q", 3), snap, embedder)
+
+
 @st.composite
 def _named_rows(draw):
     """Up to 12 rows drawn from a few small-integer vectors, so exact ties are
