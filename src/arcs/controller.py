@@ -201,8 +201,9 @@ class RunLog(JsonRecord):
 
     @property
     def cost_bound(self) -> float:
-        """B rounds at the worst unit cost: a retrieval, m tests, two per model call."""
-        return float(self.tier.iterations * (3 + 2 * self.tier.planning + self.suite.m))
+        """B rounds at the cost of the dearest round: a retrieval, every model call, m tests."""
+        calls = 1.0 + self.tier.planning
+        return self.tier.iterations * RoundCost(1.0, calls, calls, float(self.suite.m)).total
 
 
 @dataclass(frozen=True)
@@ -398,7 +399,7 @@ def load_run_log(directory: str | Path) -> RunLog:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ReplayAssetError(f"run log manifest {manifest_path} is unreadable: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ReplayAssetError(f"run log manifest {manifest_path} is corrupt") from exc
     try:
         rounds = [

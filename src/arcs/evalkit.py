@@ -128,7 +128,7 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
     path = Path(path)
     try:
         records = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"cannot read task set {path}: {exc}") from exc
     if not isinstance(records, list):
         raise ConfigError(f"task set {path} must be a JSON list")

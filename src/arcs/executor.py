@@ -47,8 +47,9 @@ _CANDIDATE_FILE = "candidate.py"
 # left in the workspace by a child that dies of an uncaught memory failure
 _MEMORY_MARKER = ".memory-exceeded"
 
-# the workspace's sitecustomize, which the child runs before the candidate; it guards socket
-# when something first imports it, and recorded tracebacks put _blocked's raise on line 10
+# the workspace's sitecustomize, which the child runs before the candidate; its audit hook
+# refuses each socket call that takes an address or looks up a name, without importing
+# socket, and recorded tracebacks put _blocked's raise on line 10
 _CHILD_SETUP = """\
 import errno, os, resource, sys
 
@@ -57,28 +58,11 @@ for _limit, _cap in ((resource.RLIMIT_AS, ({memory}, {memory})), (resource.RLIMI
         resource.setrlimit(_limit, _cap)
     except (ValueError, OSError):
         pass
+def _blocked(event, args):
+    if event in ("socket.connect", "socket.bind", "socket.sendto", "socket.getaddrinfo", "socket.gethostbyname", "socket.gethostbyaddr", "socket.getnameinfo") or event == "socket.sendmsg" and args[1] is not None:
+        raise OSError("network access is disabled in this sandbox")
 
-def _blocked(*args, **kwargs):
-    raise OSError("network access is disabled in this sandbox")
-
-def _guard(socket):
-    socket.socket.connect = socket.socket.connect_ex = _blocked
-    socket.create_connection = socket.getaddrinfo = _blocked
-
-class _SocketGuard:
-    # loads socket through the next finder and guards it before the importer sees it
-    def find_spec(self, name, path=None, target=None):
-        finders = sys.meta_path[sys.meta_path.index(self) + 1:] if name == "socket" else ()
-        for finder in finders:
-            spec = getattr(finder, "find_spec", lambda *args: None)(name, path, target)
-            if spec is not None:
-                run = spec.loader.exec_module
-                spec.loader.exec_module = lambda module: (run(module), _guard(module))
-                return spec
-
-if "socket" in sys.modules:
-    _guard(sys.modules["socket"])
-sys.meta_path.insert(0, _SocketGuard())
+sys.addaudithook(_blocked)
 
 def _report_memory(kind, value, frames, _previous=sys.excepthook):
     if issubclass(kind, MemoryError) or isinstance(value, OSError) and value.errno == errno.ENOMEM:

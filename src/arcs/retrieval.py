@@ -100,6 +100,7 @@ def _score_all(snapshot: CorpusSnapshot, query_vector: Sequence[float]) -> np.nd
         raise DimensionMismatchError(
             f"query dimension {q.shape[0]} does not match snapshot dimension {matrix.shape[1]}"
         )
+    finite_norms(q[np.newaxis], lambda _: "the query vector")
     qnorm = math.sqrt(float(q @ q))
     if qnorm == 0.0:
         log.warning("query embedded to the zero vector; all scores are 0")
