@@ -205,6 +205,14 @@ _GUARDED = "network access is disabled in this sandbox"
         ),
         ('import _socket\n_socket.socket().connect(("127.0.0.1", 9))\nprint("connected")', _GUARDED),
         ('print(socket.gethostbyname("localhost"))', _GUARDED),
+        ('import _socket\nprint(_socket.getaddrinfo("127.0.0.1", 9, 0, 0, 0, _socket.AI_NUMERICHOST))', _GUARDED),
+        ('print(socket.gethostbyaddr("127.0.0.1"))', _GUARDED),
+        ('print(socket.getnameinfo(("127.0.0.1", 9), socket.NI_NUMERICHOST | socket.NI_NUMERICSERV))', _GUARDED),
+        (
+            'udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)\nudp.sendmsg([b"x"], [], 0, ("127.0.0.1", 9))\n'
+            'print("sent")',
+            _GUARDED,
+        ),
         ('server = socket.socket()\nserver.bind(("127.0.0.1", 0))\nserver.listen()\nprint("listening")', _GUARDED),
         # local sockets with no address stay open to the candidate, and asyncio needs them
         (
@@ -213,7 +221,18 @@ _GUARDED = "network access is disabled in this sandbox"
             "ping",
         ),
     ],
-    ids=["create_connection", "udp_sendto", "raw_socket_connect", "gethostbyname", "bind", "socketpair_asyncio"],
+    ids=[
+        "create_connection",
+        "udp_sendto",
+        "raw_socket_connect",
+        "gethostbyname",
+        "raw_getaddrinfo",
+        "gethostbyaddr",
+        "getnameinfo",
+        "udp_sendmsg",
+        "bind",
+        "socketpair_asyncio",
+    ],
 )
 def test_network_is_disabled_in_sandbox(body, expected):
     # port 9 refuses connections with an OSError of its own: match the guard's message
