@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 task failure (the loop ran but the returned
 candidate does not pass, or replay diverged), 2 configuration or usage
-error. Diagnostics go to stderr, results to stdout.
+error, or an output path that cannot be written. Diagnostics go to stderr,
+results to stdout.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import logging
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import DEFAULTS, coerce, load_config_file, read_input_file, resolve_config
@@ -114,6 +116,15 @@ def _checked(record_type, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+@contextmanager
+def _writing(path):
+    """A failure to write the output at ``path`` is a ConfigError, exit code 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _tier_from_config(cfg: dict) -> TierConfig:
     return _checked(TierConfig.named, cfg["tier"], k=cfg["budget_k"], iterations=cfg["budget_b"])
 
@@ -189,7 +200,8 @@ def _cmd_index(args) -> int:
         if p.is_file() and p.suffix.lower() in LANGUAGE_BY_EXTENSION
     )
     snapshot = ingest(paths, embedder)
-    save_snapshot(snapshot, args.out)
+    with _writing(args.out):
+        save_snapshot(snapshot, args.out)
     print(f"{args.out} items={len(snapshot.items)} digest={snapshot.content_digest}")
     return 0
 
@@ -225,13 +237,15 @@ def _cmd_run(args) -> int:
     try:
         result = run(spec, suite, tier, deps)
     except NoCandidateError as exc:
-        if exc.run_log is not None:
-            save_run_log(exc.run_log, log_dir)
-        program_path.unlink(missing_ok=True)
+        with _writing(log_dir):
+            if exc.run_log is not None:
+                save_run_log(exc.run_log, log_dir)
+            program_path.unlink(missing_ok=True)
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    save_run_log(result.log, log_dir)
-    program_path.write_text(result.program, encoding="utf-8")
+    with _writing(log_dir):
+        save_run_log(result.log, log_dir)
+        program_path.write_text(result.program, encoding="utf-8")
     print(str(program_path))
     if result.log.outcome["passed"]:
         return 0
@@ -275,7 +289,8 @@ def _cmd_sweep(args) -> int:
     print(render_table(rows))
     if args.report:
         summary = {label: report.to_jsonable() for label, report in rows}
-        Path(args.report).write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
+        with _writing(args.report):
+            Path(args.report).write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
     return 0
 
 

@@ -6,12 +6,14 @@ frozen model, executes it against the suite, and either halts on all-pass or
 appends the encoded feedback. Every round is logged completely so scripted
 runs replay bit-exactly, and the logged rounds are the run's only state: the
 returned candidate (most tests passed, earliest round on ties) is read off
-them after the loop, and the log derives its cost report from them.
+them after the loop, and the log derives its cost report from them. The run
+numbers its own model calls, so one ``RunDeps`` serves many runs without a reset.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import logging
 import time
@@ -132,7 +134,7 @@ class CostReport(JsonRecord):
         return sum(round_cost.total for round_cost in self.rounds)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunDeps:
     """Everything a run needs besides the task.
 
@@ -260,7 +262,11 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
     check_loop_settings(cfg)
     # the decoding keys of the config are the record's field names
     decoding = DecodingParams.from_jsonable(cfg)
-    deps.model.reset()
+    calls = itertools.count()
+
+    def propose(prompt: prompting.ComposedPrompt) -> tuple[str, Usage]:
+        return deps.model.propose(prompt, dataclasses.replace(decoding, call=next(calls)))
+
     environment_text = deps.executor.environment_description()
     invariants_text = _invariants_text(suite)
 
@@ -275,11 +281,10 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         if tier.planning:
             plan_t = planner_mod.plan(
                 q_t,
-                deps.model,
+                propose,
                 prior,
                 max_subgoals=cfg["max_subgoals"],
                 gate_tokens=cfg["plan_gate_tokens"],
-                params=decoding,
             )
         evidence = None
         if tier.k > 0:
@@ -304,7 +309,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
 
         candidate_raw = usage = program = feedback = None
         try:
-            candidate_raw, usage = deps.model.propose(composed, decoding)
+            candidate_raw, usage = propose(composed)
         except ModelProposalError as exc:
             log.warning("round %d: model hard failure (%s); recording an empty round", t, exc)
         if candidate_raw is not None:

@@ -20,6 +20,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import sysconfig
 import tempfile
 import time
 import traceback
@@ -46,6 +47,13 @@ _CANDIDATE_FILE = "candidate.py"
 
 # left in the workspace by a child that dies of an uncaught memory failure
 _MEMORY_MARKER = ".memory-exceeded"
+
+# the interpreter's library directories, longest first since site-packages lies inside the
+# standard library: stderr names library files relative to them, wherever Python is installed
+_LIBRARY_DIRS = sorted(
+    {sysconfig.get_path(name) + os.sep for name in ("stdlib", "platstdlib", "purelib", "platlib")},
+    key=len, reverse=True,
+)
 
 # the workspace's sitecustomize, which the child runs before the candidate; its audit hook
 # refuses each socket call that takes an address or looks up a name, without importing
@@ -211,6 +219,8 @@ def _judge(
     ``memory_exceeded`` True when the child reported an uncaught memory
     failure. ``caps`` is None for a backend without caps.
     """
+    for directory in _LIBRARY_DIRS:
+        stderr = stderr.replace(directory, "")
     lines = tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
     if returncode is None:
         verdict, kind, lines = TIMEOUT, "timeout", ()
@@ -276,7 +286,10 @@ class ProcessExecutor(Executor):
         return _run_suite(self._run_case, program, suite, self.caps)
 
     def _run_case(self, program: str, case: TestCase):
-        workdir = tempfile.mkdtemp(prefix="arcs-exec-")
+        try:
+            workdir = tempfile.mkdtemp(prefix="arcs-exec-")
+        except OSError as exc:
+            raise SandboxSetupError(f"cannot create a workspace: {exc}") from exc
         try:
             program_path = Path(workdir) / _CANDIDATE_FILE
             cpu = max(1, int(self.caps.wall_seconds) + 1)

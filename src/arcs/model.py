@@ -40,6 +40,7 @@ class DecodingParams(JsonRecord):
     top_p: float = DEFAULTS["top_p"]
     max_output_tokens: int = DEFAULTS["max_output_tokens"]
     seed: int = DEFAULTS["seed"]
+    call: int = 0  # the call's 0-based number within its run; set by run, not a config key
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,13 @@ class Usage(JsonRecord):
 
 
 class ProposalModel(ABC):
-    """A frozen text-proposal backbone."""
+    """A frozen text-proposal backbone; an adapter keeps no per-run state."""
 
     model_id: str
 
     @abstractmethod
     def propose(self, prompt: ComposedPrompt, params: DecodingParams) -> tuple[str, Usage]:
         """Return (candidate text, token usage) for one call."""
-
-    def reset(self) -> None:
-        """Clear per-run call state; adapters without state ignore this."""
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,8 @@ class ScriptEntry(JsonRecord):
     An entry matches a call when every stated condition holds: ``feedback``
     constrains presence/absence of the feedback marker in the prompt,
     ``needles`` must all appear, ``absent`` must not appear, and ``ordinal``
-    pins the 0-based call number within a run. Conditions left unstated are
-    also left out of the entry's JSON, which the script digest covers.
+    is ``DecodingParams.call``, the call's number within its run. Conditions
+    left unstated are also left out of the entry's JSON, which the script digest covers.
     """
 
     response: str
@@ -95,9 +93,9 @@ class ScriptEntry(JsonRecord):
 class ScriptedModel(ProposalModel):
     """Deterministic model driven by an ordered trigger/response script.
 
-    Each call scans entries in order and answers with the first match, so a
-    whole run's proposals are a pure function of (prompt digest, call
-    ordinal, seed). No matching entry is a hard model failure for that call.
+    Each call scans entries in order and answers with the first match, so an
+    answer is a pure function of the prompt and ``params.call``; the model
+    keeps no state. No matching entry is a hard model failure for that call.
     """
 
     def __init__(self, entries: list[ScriptEntry] | list[dict], model_id: str = "scripted"):
@@ -108,7 +106,6 @@ class ScriptedModel(ProposalModel):
             else decode_record(ScriptEntry, entry, f"entries[{position}]")
             for position, entry in enumerate(entries)
         )
-        self._ordinal = 0
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedModel":
@@ -129,20 +126,15 @@ class ScriptedModel(ProposalModel):
             {"model_id": self.model_id, "entries": [entry.to_jsonable() for entry in self.entries]}
         )
 
-    def reset(self) -> None:
-        self._ordinal = 0
-
     def propose(self, prompt: ComposedPrompt, params: DecodingParams) -> tuple[str, Usage]:
-        ordinal = self._ordinal
-        self._ordinal += 1
         for entry in self.entries:
-            if entry.matches(prompt.text, ordinal):
+            if entry.matches(prompt.text, params.call):
                 usage = Usage(
                     input_tokens=prompt.total_tokens,
                     output_tokens=token_count(entry.response),
                 )
                 return entry.response, usage
-        raise ModelProposalError(f"no script entry matches call ordinal {ordinal}")
+        raise ModelProposalError(f"no script entry matches call ordinal {params.call}")
 
 
 class RemoteModel(ProposalModel):

@@ -10,12 +10,11 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .config import DEFAULTS
 from .errors import ModelProposalError
-from .model import DecodingParams, ProposalModel
-from .prompting import PLANNING_MARKER, single_segment_prompt
+from .prompting import PLANNING_MARKER, ComposedPrompt, single_segment_prompt
 from .util import JsonRecord, text_digest, token_count
 
 if TYPE_CHECKING:
@@ -156,25 +155,24 @@ def parse_plan_text(text: str) -> tuple[str, str, list[tuple[str, str]]]:
 
 def plan(
     q: str,
-    model: ProposalModel,
+    propose: Callable[[ComposedPrompt], tuple],
     prior: "tuple[Plan, ExecutionFeedback] | None" = None,
     *,
     max_subgoals: int = DEFAULTS["max_subgoals"],
     gate_tokens: int = DEFAULTS["plan_gate_tokens"],
-    params: DecodingParams | None = None,
 ) -> Plan | None:
     """Produce a canonicalized plan, or None when gated or on model failure.
 
-    The gate rejects prompts shorter than ``gate_tokens`` whitespace tokens
-    regardless of what the model would answer. When a prior (plan, feedback)
-    pair is supplied the planning prompt carries the prior subgoal headers
-    and the latest failure summary.
+    ``propose(prompt)`` makes one model call. The gate rejects prompts shorter
+    than ``gate_tokens`` whitespace tokens without calling it. When a prior
+    (plan, feedback) pair is supplied the planning prompt carries the prior
+    subgoal headers and the latest failure summary.
     """
     if token_count(q) < gate_tokens:
         return None
     prompt = single_segment_prompt(build_planning_prompt(q, max_subgoals, prior))
     try:
-        text, _usage = model.propose(prompt, params or DecodingParams())
+        text, _usage = propose(prompt)
     except ModelProposalError as exc:
         log.warning("planning model call failed (%s); proceeding without a plan", exc)
         return None

@@ -62,10 +62,6 @@ class CountingModel(ProposalModel):
         self.model_id = inner.model_id
         self.returned = 0
 
-    def reset(self) -> None:
-        self.inner.reset()
-        self.returned = 0
-
     def propose(self, prompt, params):
         answer = self.inner.propose(prompt, params)
         self.returned += 1

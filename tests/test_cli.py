@@ -665,6 +665,43 @@ def test_exec_with_non_finite_wall_seconds_exits_two_with_one_line(tmp_path, tas
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def _run_log_dir_is_a_file(tmp_path, task_files):
+    log_dir = tmp_path / "rl"
+    log_dir.write_text("not a directory", encoding="utf-8")
+    return _run_args(tmp_path, task_files)
+
+
+def _index_out_in_missing_dir(tmp_path, task_files):
+    source_dir = tmp_path / "corpus"
+    source_dir.mkdir()
+    (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+    out = tmp_path / "missing" / "x.snapshot"
+    return ["index", "--input", str(source_dir), "--out", str(out)]
+
+
+def _sweep_report_in_missing_dir(tmp_path, task_files):
+    _, suite, script = task_files
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(
+        json.dumps([{"id": "t1", "spec": "sum", "suite_path": suite.name}]), encoding="utf-8"
+    )
+    report = tmp_path / "missing" / "r.json"
+    return ["sweep", "--tasks", str(tasks), "--script", str(script), "--report", str(report)]
+
+
+@pytest.mark.parametrize(
+    "unwritable",
+    [_run_log_dir_is_a_file, _index_out_in_missing_dir, _sweep_report_in_missing_dir],
+)
+def test_unwritable_output_exits_two_with_one_line(tmp_path, task_files, capsys, unwritable):
+    argv = unwritable(tmp_path, task_files)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_index_stops_on_a_python_file_that_does_not_parse(tmp_path, capsys):
     broken_files = [
         ("broken.py", "def ok():\n    return 1\n\ndef broken(:\n    pass\n", 4),

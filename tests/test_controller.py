@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import threading
 from itertools import accumulate
 
 import pytest
@@ -21,7 +22,7 @@ from arcs.controller import (
 )
 from arcs.embedding import HashingEmbedder
 from arcs.errors import ConfigError, NoCandidateError, ReplayAssetError
-from arcs.executor import InProcessExecutor, ProcessExecutor
+from arcs.executor import Executor, InProcessExecutor, ProcessExecutor
 from arcs.model import ScriptedModel
 
 from helpers import (
@@ -370,6 +371,60 @@ def test_saved_sandbox_run_through_the_network_guard_replays(tmp_path):
     assert set(result.log.rounds[0].feedback.verdicts) == {"exception"}
     loaded = load_run_log(save_run_log(result.log, tmp_path / "log"))
     assert compare_run_logs(loaded, replay(loaded, deps)) == []
+
+
+class _HoldingExecutor(Executor):
+    """Runs in process, but holds the first execution of ``held_suite`` until released."""
+
+    def __init__(self, held_suite):
+        self.inner = InProcessExecutor()
+        self.held_suite = held_suite
+        self.holding = threading.Event()
+        self.released = threading.Event()
+
+    def environment_description(self) -> str:
+        return self.inner.environment_description()
+
+    def execute(self, program, suite):
+        # the pause comes before the inner call: the runs never redirect stdio at once
+        if suite is self.held_suite and not self.holding.is_set():
+            self.holding.set()
+            self.released.wait(timeout=30)
+        return self.inner.execute(program, suite)
+
+
+def test_one_rundeps_serves_interleaved_runs():
+    # answers by call number only, so any call numbered by another run gets another answer
+    model = ScriptedModel(
+        [
+            {"ordinal": 0, "response": fenced("print(0)")},
+            {"ordinal": 1, "response": fenced(FIXED_SUM)},
+            {"response": fenced("print('a call numbered past its run')")},
+        ]
+    )
+    suite_a, suite_b = sum_suite(), make_suite(("3 4", "7"), ("0 0", "0"))
+    executor = _HoldingExecutor(suite_a)
+    deps = RunDeps(model=model, executor=executor)
+    tier = TierConfig(k=0, iterations=2)
+    interleaved = {}
+
+    def run_a():
+        interleaved["a"] = run(SPEC, suite_a, tier, deps).log
+
+    thread = threading.Thread(target=run_a)
+    thread.start()
+    try:
+        assert executor.holding.wait(timeout=30)
+        interleaved["b"] = run(SPEC, suite_b, tier, deps).log
+    finally:
+        executor.released.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    alone_a = run(SPEC, suite_a, tier, deps).log
+    alone_b = run(SPEC, suite_b, tier, deps).log
+    assert [r.program for r in alone_a.rounds] == ["print(0)", FIXED_SUM]
+    assert compare_run_logs(interleaved["a"], alone_a) == []
+    assert compare_run_logs(interleaved["b"], alone_b) == []
 
 
 def test_replay_rejects_wrong_script():

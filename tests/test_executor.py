@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from contextlib import suppress
@@ -78,6 +79,14 @@ def test_exception_verdict_with_kind(executor):
     assert feedback.verdicts == (EXCEPTION,)
     assert feedback.failures[0].kind == "ValueError"
     assert len(feedback.failures[0].detail_lines) > 10
+
+
+def test_library_frames_are_named_relative_to_the_interpreters_library(executor):
+    # a run log then replays under any install location of the same Python version
+    feedback = executor.execute('import json\njson.loads("x")', make_suite(("", "never")))
+    lines = feedback.failures[0].detail_lines
+    assert any(line.strip().startswith('File "json/decoder.py", line ') for line in lines), lines
+    assert not any(sys.base_prefix in line for line in lines), lines
 
 
 def test_timeout_verdict_within_grace():
@@ -158,6 +167,12 @@ def test_only_an_uncaught_memory_failure_is_a_breach(program, verdict):
 
 def test_missing_interpreter_is_sandbox_setup_error(monkeypatch):
     monkeypatch.setattr(sys, "executable", "/no/such/interpreter")
+    with pytest.raises(SandboxSetupError):
+        ProcessExecutor().execute("print(1)", make_suite(("", "1")))
+
+
+def test_unusable_temporary_directory_is_sandbox_setup_error(monkeypatch, tmp_path):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     with pytest.raises(SandboxSetupError):
         ProcessExecutor().execute("print(1)", make_suite(("", "1")))
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -46,9 +47,8 @@ def test_scripted_is_deterministic_per_ordinal():
     model = ScriptedModel(entries)
     params = DecodingParams()
     prompt = single_segment_prompt("same prompt")
-    first_run = [model.propose(prompt, params)[0] for _ in range(3)]
-    model.reset()
-    second_run = [model.propose(prompt, params)[0] for _ in range(3)]
+    first_run = [model.propose(prompt, replace(params, call=n))[0] for n in range(3)]
+    second_run = [model.propose(prompt, replace(params, call=n))[0] for n in range(3)]
     assert first_run == second_run == ["first", "rest", "rest"]
 
 
@@ -61,8 +61,7 @@ def test_scripted_needles_and_absent():
     )
     params = DecodingParams()
     assert model.propose(single_segment_prompt("TASK-A [[EVIDENCE 1]]"), params)[0] == "a-with-evidence"
-    model.reset()
-    assert model.propose(single_segment_prompt("TASK-A only"), params)[0] == "a-plain"
+    assert model.propose(single_segment_prompt("TASK-A only"), replace(params, call=1))[0] == "a-plain"
 
 
 def test_scripted_no_match_is_hard_failure():

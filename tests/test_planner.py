@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from arcs.errors import ModelProposalError
-from arcs.model import ProposalModel, ScriptedModel
+from arcs.model import DecodingParams, ScriptedModel
 from arcs.planner import (
     Plan,
     build_planning_prompt,
@@ -21,7 +21,9 @@ from helpers import PLAN_ANSWER, long_spec
 
 
 def _plan_model(answer=PLAN_ANSWER):
-    return ScriptedModel([{"response": answer}])
+    """A ``propose`` callable that answers every planning call with ``answer``."""
+    model = ScriptedModel([{"response": answer}])
+    return lambda prompt: model.propose(prompt, DecodingParams())
 
 
 def test_token_count_cases():
@@ -74,18 +76,15 @@ def test_case_and_whitespace_duplicates_collapse():
 
 def test_model_failure_yields_absent_plan():
     failing = ScriptedModel([])  # no entry ever matches
-    assert plan(long_spec("task"), failing) is None
+    assert plan(long_spec("task"), lambda prompt: failing.propose(prompt, DecodingParams())) is None
 
 
 def test_adapter_bug_is_not_swallowed():
-    class Broken(ProposalModel):
-        model_id = "broken"
-
-        def propose(self, prompt, params):
-            raise TypeError("adapter bug")
+    def broken(prompt):
+        raise TypeError("adapter bug")
 
     with pytest.raises(TypeError):
-        plan(long_spec("task"), Broken())
+        plan(long_spec("task"), broken)
 
 
 def test_canonicalize_rules():
