@@ -73,17 +73,9 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
-    """Merge with precedence flag > file > default; unknown flags rejected."""
-    resolved = dict(DEFAULTS)
-    for key, value in (file_values or {}).items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        resolved[key] = value
-    for key, value in flag_values.items():
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown config key {key!r}")
-        if value is not None:
-            resolved[key] = value
+    """Merge with precedence flag > file > default. Keys are checked where they
+    are read: argparse knows only the ``DEFAULTS`` keys, and so does ``parse_config_text``."""
+    resolved = {**DEFAULTS, **(file_values or {}), **flag_values}
     check_loop_settings(resolved)
     return resolved
 

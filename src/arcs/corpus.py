@@ -14,6 +14,7 @@ import base64
 import bisect
 import hashlib
 import io
+import itertools
 import json
 import logging
 import operator
@@ -473,7 +474,8 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
 
 
 def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
-    first = _next_line(file)
+    lines = _lines(file)
+    _, first = next(lines, (None, None))
     if first is None:
         raise SnapshotCorruptionError(f"snapshot {path} is empty")
     try:
@@ -482,14 +484,11 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
         raise SnapshotCorruptionError(f"snapshot {path} has an unreadable header") from exc
     if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotCorruptionError(f"snapshot {path} is not an {SNAPSHOT_FORMAT} file")
-    version = header.get("version")
-    if version == 1:
+    if header.get("version") != SNAPSHOT_VERSION:
         raise SnapshotCorruptionError(
-            f"snapshot {path} has format version 1, which is no longer read; "
+            f"snapshot {path} has format version {header.get('version')!r}, not {SNAPSHOT_VERSION}; "
             "re-run `arcs index` to rebuild it"
         )
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotCorruptionError(f"snapshot {path} has unsupported format version {version!r}")
     try:
         count, dimension = int(header["count"]), int(header["dimension"])
         embedder_id, created_at = header["embedder_id"], header["created_at"]
@@ -501,22 +500,15 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
 
     def item_lines() -> Iterator[bytes]:
         """Up to ``count`` item lines, each kept in the arrays as it passes."""
-        offset = file.tell()
-        for line in file:
-            start, offset = offset, offset + len(line)
-            if line.isspace():
-                continue
-            line = line.rstrip(b"\r\n")
-            offsets.append(start)
+        for offset, line in itertools.islice(lines, count):
+            offsets.append(offset)
             lengths.append(len(line))
             hashes.extend(hashlib.sha256(line).digest())
             yield line
-            if len(offsets) == count:
-                return
 
     digest = _metadata_hash(count, dimension, item_lines())
-    matrix_line = _next_line(file)
-    after_header = len(offsets) + (matrix_line is not None) + sum(1 for line in file if not line.isspace())
+    _, matrix_line = next(lines, (None, None))
+    after_header = len(offsets) + (matrix_line is not None) + sum(1 for _ in lines)
     if after_header != count + 1:
         raise SnapshotCorruptionError(
             f"snapshot {path} holds {max(after_header - 1, 0)} items, header declares {count}"
@@ -548,13 +540,14 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
         raise SnapshotCorruptionError(f"snapshot {path}: {exc}") from exc
 
 
-def _next_line(file: BinaryIO) -> bytes | None:
-    """The next line of ``file`` that is not blank, without its line end, or
-    ``None`` at the end; blank lines are skipped and a CRLF line end reads as LF."""
+def _lines(file: BinaryIO) -> Iterator[tuple[int, bytes]]:
+    """Each line of ``file`` that is not blank, as its offset in the file and its
+    bytes without the line end; a CRLF line end reads as LF."""
+    offset = file.tell()
     for line in file:
+        start, offset = offset, offset + len(line)
         if not line.isspace():
-            return line.rstrip(b"\r\n")
-    return None
+            yield start, line.rstrip(b"\r\n")
 
 
 _READ_BUFFER = 1 << 16
