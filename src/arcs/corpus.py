@@ -368,16 +368,20 @@ def _is_definition(signature: str) -> bool:
 def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSnapshot:
     """Ingest source files into a frozen snapshot.
 
-    Items are ordered by (file path lexicographic, in-file position) and
-    embedded from their concatenated signature, doc, and comments. Repeated
-    ingestion of identical bytes with the same embedder yields an identical
-    content digest.
+    Each item's ``source_path`` is its file's path relative to the deepest
+    directory that holds every input file, so a tree ingests to one content
+    digest wherever it lies and however its paths are given. Items are ordered
+    by (that path lexicographic, in-file position) and embedded from their
+    concatenated signature, doc, and comments. Repeated ingestion of identical
+    bytes with the same embedder yields an identical content digest.
     """
     if not paths:
         raise IngestError("no input paths given")
-    ordered_paths = sorted(paths, key=str)
+    absolute = [os.path.abspath(path) for path in paths]
+    root = os.path.commonpath([os.path.dirname(path) for path in absolute])
+    relative = [os.path.relpath(path, root) for path in absolute]
     items: list[CorpusItem] = []
-    for path in ordered_paths:
+    for source_path, path in sorted(zip(relative, paths), key=operator.itemgetter(0)):
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
@@ -401,7 +405,7 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
                     signature=definition.signature,
                     doc=definition.doc,
                     body=definition.body,
-                    source_path=str(path),
+                    source_path=source_path,
                     language=language,
                     embedding=tuple(vector),
                 )

@@ -16,12 +16,15 @@ import linecache
 import math
 import os
 import re
+import select
+import selectors
 import shutil
 import signal
 import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
 import time
 import traceback
 from abc import ABC, abstractmethod
@@ -42,6 +45,10 @@ MEMORY_EXCEEDED = "memory_exceeded"
 VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 
 _STDERR_KEEP_LINES = 200
+# bytes the process backend keeps of each of a test's stdout and stderr; a test that
+# writes more is stopped and judged wrong output
+_OUTPUT_CAP = 4 * 1024 * 1024
+_READ_SIZE = 32 * 1024
 # the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
@@ -210,28 +217,31 @@ def _judge(
     returncode: int | None,
     stdout: str,
     stderr: str,
-    memory_exceeded: bool,
+    limit: str | None,
     caps: ResourceCaps | None,
 ) -> tuple[str, FailureDetail | None]:
     """Verdict and failure detail of one test from what its run left behind.
 
-    ``returncode`` is None when the run hit the wall-clock cap, and
-    ``memory_exceeded`` True when the child reported an uncaught memory
-    failure. ``caps`` is None for a backend without caps.
+    ``limit`` names the cap the run hit, if any: "wall" for the wall clock,
+    "output" for the output cap, "memory" when the child reported an uncaught
+    memory failure. ``caps`` is None for a backend without caps.
     """
     for directory in _LIBRARY_DIRS:
         stderr = stderr.replace(directory, "")
     lines = tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
-    if returncode is None:
+    if limit == "wall":
         verdict, kind, lines = TIMEOUT, "timeout", ()
         summary = f"no result within {caps.wall_seconds:g}s"
+    elif limit == "output":
+        verdict, kind = WRONG_OUTPUT, "wrong output"
+        summary = f"output passed the cap of {_OUTPUT_CAP} bytes"
     elif returncode == 0:
         expected = normalize_output(case.expected, compare)
         actual = normalize_output(stdout, compare)
         if expected == actual:
             return PASS, None
         verdict, kind, summary = WRONG_OUTPUT, "wrong output", first_difference(expected, actual)
-    elif memory_exceeded:
+    elif limit == "memory":
         verdict, kind = MEMORY_EXCEEDED, "memory exceeded"
         summary = f"memory cap {caps.memory_bytes} bytes breached"
     else:
@@ -247,8 +257,8 @@ def _run_suite(run_one, program: str, suite: TestSuite, caps: ResourceCaps | Non
     cases = suite.ordered_cases()
     judged, wall_times = [], []
     for case in cases:
-        returncode, stdout, stderr, memory_exceeded, wall = run_one(program, case)
-        judged.append(_judge(case, suite.compare, returncode, stdout, stderr, memory_exceeded, caps))
+        returncode, stdout, stderr, limit, wall = run_one(program, case)
+        judged.append(_judge(case, suite.compare, returncode, stdout, stderr, limit, caps))
         wall_times.append(wall)
     verdicts = tuple(verdict for verdict, _ in judged)
     return ExecutionFeedback(
@@ -266,8 +276,9 @@ class ProcessExecutor(Executor):
     Isolation is process-level: fresh working directory per test, a minimal
     environment, and a sitecustomize through which the child sets its own
     address-space, CPU-time and file-size rlimits and a Python-level network
-    guard before the candidate runs. A container backend can replace this
-    behind the same interface.
+    guard before the candidate runs. The parent keeps at most ``_OUTPUT_CAP``
+    bytes of each of the child's stdout and stderr, and stops a test that
+    writes more. A container backend can replace this behind the same interface.
     """
 
     def __init__(self, caps: ResourceCaps | None = None):
@@ -278,8 +289,8 @@ class ProcessExecutor(Executor):
             f"runtime: python via {Path(sys.executable).name}; "
             "entry: the program reads stdin and writes stdout; "
             f"caps per test: {self.caps.wall_seconds:g}s wall clock, "
-            f"{self.caps.memory_bytes} bytes memory; network disabled; "
-            "fresh temporary working directory per test"
+            f"{self.caps.memory_bytes} bytes memory, {_OUTPUT_CAP} bytes each of stdout and "
+            "stderr; network disabled; fresh temporary working directory per test"
         )
 
     def execute(self, program: str, suite: TestSuite) -> ExecutionFeedback:
@@ -324,34 +335,68 @@ class ProcessExecutor(Executor):
             except OSError as exc:
                 raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
             try:
-                stdout, stderr = process.communicate(
-                    case.input.encode("utf-8", "replace"), timeout=self.caps.wall_seconds
-                )
-                returncode = process.returncode
-            except subprocess.TimeoutExpired:
-                self._kill_group(process)
-                # the judge reads no output of a timed-out test, and a detached grandchild
-                # can hold the pipes open past the group's death
+                stdin = case.input.encode("utf-8", "replace")
+                returncode, stdout, stderr, limit = _exchange(process, stdin, started + self.caps.wall_seconds)
+            finally:
+                # one teardown for every exit: background children of the candidate must not
+                # outlive its test, and a detached grandchild can hold the pipes open past it
+                with suppress(OSError):
+                    os.killpg(process.pid, signal.SIGKILL)
                 for pipe in (process.stdin, process.stdout, process.stderr):
                     pipe.close()
                 process.wait()
-                stdout = stderr = b""
-                returncode = None
             wall = time.perf_counter() - started
-            # background children of the candidate must not outlive its test
-            self._kill_group(process)
+            if limit is None and (Path(workdir) / _MEMORY_MARKER).exists():
+                limit = "memory"
             # decoded once, as written: `exact` must see a "\r\n" the program wrote;
             # the workspace path is random, and replay needs bare file names
             stderr = stderr.decode("utf-8", "replace").replace(workdir + os.sep, "")
-            memory_exceeded = (Path(workdir) / _MEMORY_MARKER).exists()
-            return returncode, stdout.decode("utf-8", "replace"), stderr, memory_exceeded, wall
+            return returncode, stdout.decode("utf-8", "replace"), stderr, limit, wall
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
 
-    @staticmethod
-    def _kill_group(process: subprocess.Popen) -> None:
-        with suppress(OSError):
-            os.killpg(process.pid, signal.SIGKILL)
+
+def _exchange(process: subprocess.Popen, stdin: bytes, deadline: float):
+    """Feed ``stdin`` to ``process`` and read its stdout and stderr until it exits.
+
+    Returns its exit status, stdout, stderr, and the limit it hit, if any: "wall"
+    when the ``time.perf_counter`` ``deadline`` passes first, "output" when either
+    output would pass ``_OUTPUT_CAP`` bytes. Past a limit the status is None, no
+    stdout is returned, and on a timeout no stderr either.
+    """
+    stdout, stderr = bytearray(), bytearray()
+    unwritten = memoryview(stdin)
+    with selectors.DefaultSelector() as selector:
+        selector.register(process.stdin, selectors.EVENT_WRITE)
+        selector.register(process.stdout, selectors.EVENT_READ, stdout)
+        selector.register(process.stderr, selectors.EVENT_READ, stderr)
+        while selector.get_map():
+            remaining = deadline - time.perf_counter()
+            if remaining <= 0:
+                return None, b"", b"", "wall"
+            for key, _ in selector.select(remaining):
+                if key.data is None:  # stdin, written in pieces that do not block
+                    try:
+                        unwritten = unwritten[os.write(key.fd, unwritten[: select.PIPE_BUF]) :]
+                    except BrokenPipeError:  # the program closed its stdin
+                        unwritten = unwritten[:0]
+                    if not unwritten:
+                        selector.unregister(key.fileobj)
+                        key.fileobj.close()
+                    continue
+                chunk = os.read(key.fd, _READ_SIZE)
+                if not chunk:
+                    selector.unregister(key.fileobj)
+                elif len(key.data) + len(chunk) > _OUTPUT_CAP:
+                    return None, b"", stderr, "output"
+                key.data.extend(chunk)
+    try:
+        return process.wait(max(deadline - time.perf_counter(), 0)), stdout, stderr, None
+    except subprocess.TimeoutExpired:  # the program closed its outputs and ran on
+        return None, b"", b"", "wall"
+
+
+_IN_PROCESS_LOCK = threading.RLock()  # reentrant, for a candidate that runs a suite in-process
 
 
 class InProcessExecutor(Executor):
@@ -361,7 +406,8 @@ class InProcessExecutor(Executor):
     tests and sweeps where per-test process spawning would dominate the
     runtime. Each test still gets fresh globals and fresh stdio, and exits
     and uncaught exceptions end the run the way the interpreter would, so
-    the shared judge sees what the process backend would show it.
+    the shared judge sees what the process backend would show it. Tests run
+    one at a time, across threads too, since each swaps the process's stdio.
     """
 
     def environment_description(self) -> str:
@@ -388,33 +434,34 @@ class InProcessExecutor(Executor):
             newline="\n",
             write_through=True,
         )
-        original_stdin = sys.stdin
-        started = time.perf_counter()
-        returncode = 0
-        try:
-            stdin_bytes = io.BytesIO(case.input.encode("utf-8", "replace"))
-            sys.stdin = io.TextIOWrapper(stdin_bytes, encoding="utf-8", newline="\n")
-            # source lines for tracebacks, shown as the process backend shows them
-            lines = program.splitlines(True)
-            linecache.cache[_CANDIDATE_FILE] = (len(program), None, lines, _CANDIDATE_FILE)
-            with redirect_stdout(stdout), redirect_stderr(stderr):
-                exec(compile(program, _CANDIDATE_FILE, "exec"), {"__name__": "__main__"})
-        except SystemExit as exc:
-            returncode = _exit_status(exc.code, stderr)
-        except Exception as exc:
-            # skip this frame: the traceback starts at the candidate's module
-            frames = exc.__traceback__.tb_next
-            traceback.print_exception(type(exc), exc, frames, file=stderr)
-            returncode = 1
-        finally:
-            sys.stdin = original_stdin
-            linecache.cache.pop(_CANDIDATE_FILE, None)
-            stdout.flush()
-            stderr.flush()
+        with _IN_PROCESS_LOCK:
+            original_stdin = sys.stdin
+            started = time.perf_counter()
+            returncode = 0
+            try:
+                stdin_bytes = io.BytesIO(case.input.encode("utf-8", "replace"))
+                sys.stdin = io.TextIOWrapper(stdin_bytes, encoding="utf-8", newline="\n")
+                # source lines for tracebacks, shown as the process backend shows them
+                lines = program.splitlines(True)
+                linecache.cache[_CANDIDATE_FILE] = (len(program), None, lines, _CANDIDATE_FILE)
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    exec(compile(program, _CANDIDATE_FILE, "exec"), {"__name__": "__main__"})
+            except SystemExit as exc:
+                returncode = _exit_status(exc.code, stderr)
+            except Exception as exc:
+                # skip this frame: the traceback starts at the candidate's module
+                frames = exc.__traceback__.tb_next
+                traceback.print_exception(type(exc), exc, frames, file=stderr)
+                returncode = 1
+            finally:
+                sys.stdin = original_stdin
+                linecache.cache.pop(_CANDIDATE_FILE, None)
+                stdout.flush()
+                stderr.flush()
         wall = time.perf_counter() - started
         stdout_text = stdout_bytes.getvalue().decode("utf-8", "replace")
         stderr_text = stderr_bytes.getvalue().decode("utf-8", "replace")
-        return returncode, stdout_text, stderr_text, False, wall
+        return returncode, stdout_text, stderr_text, None, wall
 
 
 def _exit_status(code, stderr) -> int:

@@ -188,6 +188,26 @@ def _index(tmp_path) -> Path:
     return snapshot_path
 
 
+def test_a_tree_indexes_to_one_digest_wherever_it_lies(tmp_path, capsys, monkeypatch):
+    # one tree under two directories, given once by absolute and once by relative path
+    monkeypatch.chdir(tmp_path)
+    indexed = []
+    for place, given in (("first", str), ("second/deeper", lambda root: os.path.relpath(root))):
+        root = tmp_path / place / "tree"
+        (root / "pkg").mkdir(parents=True)
+        (root / "pkg" / "a.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+        (root / "tools").mkdir()
+        (root / "tools" / "b.py").write_text("def helper():\n    return 1\n", encoding="utf-8")
+        snapshot_path = tmp_path / place / "corpus.snap"
+        assert main(["index", "--input", given(root), "--out", str(snapshot_path)]) == 0
+        digest = capsys.readouterr().out.split("digest=")[1].strip()
+        assert main(["query", "--snapshot", str(snapshot_path), "--q", "multiply values", "-k", "5"]) == 0
+        indexed.append((digest, capsys.readouterr().out))
+    assert indexed[0] == indexed[1]
+    paths = {line.split("\t")[3] for line in indexed[0][1].splitlines()}
+    assert paths == {"pkg/a.py", "tools/b.py"}
+
+
 def _large_run(tmp_path, task_files) -> tuple[Path, Path]:
     """A large-tier CLI run with retrieval; its log directory and snapshot."""
     snapshot_path = _index(tmp_path)
@@ -606,6 +626,18 @@ def _run_script_model_id_not_string(tmp_path, task_files):
     return _run_args(tmp_path, task_files, script=script)
 
 
+def _run_config_unknown_key(tmp_path, task_files):
+    config = tmp_path / "arcs.conf"
+    config.write_text("seed = 3\nnot_a_key = 1\n", encoding="utf-8")
+    return _run_args(tmp_path, task_files, "--config", str(config))
+
+
+def _run_config_line_without_equals(tmp_path, task_files):
+    config = tmp_path / "arcs.conf"
+    config.write_text("seed 3\n", encoding="utf-8")
+    return _run_args(tmp_path, task_files, "--config", str(config))
+
+
 def _index_embedder_hash0(tmp_path, task_files):
     out = tmp_path / "corpus.snap"
     return ["index", "--input", str(tmp_path), "--out", str(out), "--embedder", "hash0"]
@@ -642,6 +674,8 @@ def _index_embedder_hash0(tmp_path, task_files):
         _run_temperature_negative,
         _sweep_tasks_not_utf8,
         _replay_manifest_not_utf8,
+        _run_config_unknown_key,
+        _run_config_line_without_equals,
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):

@@ -6,7 +6,9 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import time
+import types
 from contextlib import suppress
 from pathlib import Path
 
@@ -124,6 +126,32 @@ print("started")
                 os.kill(pid, signal.SIGKILL)
 
 
+def test_output_past_the_cap_is_not_kept():
+    # measured in a child process, whose max RSS no earlier test has raised
+    probe = textwrap.dedent(
+        """\
+        import resource
+        from arcs.executor import _OUTPUT_CAP, ProcessExecutor, TestCase, TestSuite
+
+        executor = ProcessExecutor()
+        suite = TestSuite((TestCase(1, "", "x"),))
+        executor.execute("print('x')", suite)  # imports and first-run allocations
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        program = "import sys\\nfor _ in range(40):\\n    sys.stdout.write('x' * 10**6)"
+        feedback = executor.execute(program, suite)
+        grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+        print(feedback.verdicts[0], feedback.failures[0].summary, grown, _OUTPUT_CAP, sep="|")
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    verdict, summary, grown, cap = child.stdout.strip().split("|")
+    assert verdict == WRONG_OUTPUT
+    assert cap in summary
+    assert int(grown) < 2 * int(cap)
+
+
 def test_memory_cap_maps_to_memory_exceeded():
     caps = ResourceCaps(wall_seconds=10.0, memory_bytes=256 * 1024 * 1024)
     suite = make_suite(("", "never"))
@@ -182,8 +210,8 @@ def test_environment_descriptions_are_pinned():
     caps = ResourceCaps(wall_seconds=2.5, memory_bytes=1000)
     assert ProcessExecutor(caps=caps).environment_description() == (
         f"runtime: python via {Path(sys.executable).name}; entry: the program reads stdin "
-        "and writes stdout; caps per test: 2.5s wall clock, 1000 bytes memory; network "
-        "disabled; fresh temporary working directory per test"
+        "and writes stdout; caps per test: 2.5s wall clock, 1000 bytes memory, 4194304 bytes "
+        "each of stdout and stderr; network disabled; fresh temporary working directory per test"
     )
     assert InProcessExecutor().environment_description() == (
         "runtime: python (in-process); entry: the program reads stdin and writes stdout; "
@@ -419,6 +447,45 @@ def test_backends_reach_the_same_judgement_on_exact_output(program, verdict):
     in_process = InProcessExecutor().execute(program, suite)
     assert process.verdicts == in_process.verdicts == (verdict,)
     assert process.failures == in_process.failures
+
+
+def test_in_process_tests_run_one_at_a_time(monkeypatch):
+    # the first candidate waits up to 0.5 s for the second to start, and the second for the
+    # first to print: run at once, the first would print into the second's redirected stdout
+    meeting = types.SimpleNamespace(
+        first_inside=threading.Event(), second_inside=threading.Event(), first_printed=threading.Event()
+    )
+    monkeypatch.setitem(sys.modules, "arcs_meeting", meeting)
+    first = (
+        "import arcs_meeting\n"
+        "arcs_meeting.first_inside.set()\n"
+        "arcs_meeting.second_inside.wait(0.5)\n"
+        "print('first')\n"
+        "arcs_meeting.first_printed.set()"
+    )
+    second = (
+        "import arcs_meeting\n"
+        "arcs_meeting.second_inside.set()\n"
+        "arcs_meeting.first_printed.wait(0.5)\n"
+        "print('second')"
+    )
+    original_stdout = sys.stdout
+    monkeypatch.setattr(sys, "stdout", original_stdout)  # put back should the test fail
+    feedback = {}
+
+    def execute(name, program):
+        feedback[name] = InProcessExecutor().execute(program, make_suite(("", name)))
+
+    threads = [threading.Thread(target=execute, args=("first", first))]
+    threads[0].start()
+    assert meeting.first_inside.wait(5.0)
+    threads.append(threading.Thread(target=execute, args=("second", second)))
+    threads[1].start()
+    for thread in threads:
+        thread.join(5.0)
+        assert not thread.is_alive()
+    assert sys.stdout is original_stdout
+    assert feedback["first"].verdicts == feedback["second"].verdicts == (PASS,)
 
 
 def test_suite_file_round_trip(tmp_path):
