@@ -73,8 +73,9 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
-    """Merge with precedence flag > file > default. Keys are checked where they
-    are read: argparse knows only the ``DEFAULTS`` keys, and so does ``parse_config_text``."""
+    """Merge with precedence flag > file > default and range-check the result. Keys are
+    checked where they are read: the CLI's flags are the ``DEFAULTS`` keys, and
+    ``parse_config_text`` rejects any other."""
     resolved = {**DEFAULTS, **(file_values or {}), **flag_values}
     check_loop_settings(resolved)
     return resolved
