@@ -28,7 +28,7 @@ import warnings
 import weakref
 import zlib
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -83,9 +83,8 @@ class CorpusItem:
         )
 
 
-_METADATA_NAMES = tuple(field.name for field in fields(CorpusItem) if field.name != "embedding")
+_METADATA_NAMES = tuple(spec.name for spec in fields(CorpusItem) if spec.name != "embedding")
 _METADATA_TYPES = {name: int if name == "index" else str for name in _METADATA_NAMES}
-_metadata_values = operator.itemgetter(*_METADATA_NAMES)
 
 
 def _metadata(item: CorpusItem) -> dict:
@@ -97,7 +96,10 @@ class CorpusSnapshot:
     """Immutable, digest-verified corpus of embedded items.
 
     The snapshot owns its embeddings as one read-only, C-contiguous float64
-    ``(n, dimension)`` ``matrix``; ``norms`` holds its row L2 norms.
+    ``(n, dimension)`` ``matrix``, which decides the rest: ``norms``, its
+    read-only row L2 norms, is derived at construction, where a row whose norm
+    is not finite raises ValueError, and ``dimension`` is its width. So a
+    ``dataclasses.replace`` of the matrix derives and checks them again.
     ``items`` is a tuple in a built snapshot; in a loaded one it is a
     read-only sequence that reads each item from the snapshot file on every
     access and keeps none.
@@ -105,11 +107,19 @@ class CorpusSnapshot:
 
     items: Sequence[CorpusItem]
     embedder_id: str
-    dimension: int
     created_at: str
     content_digest: str
     matrix: np.ndarray
-    norms: np.ndarray
+    norms: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        norms = finite_norms(self.matrix, "item {}".format)
+        norms.flags.writeable = False
+        object.__setattr__(self, "norms", norms)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
     @classmethod
     def build(
@@ -136,33 +146,8 @@ class CorpusSnapshot:
         records = [_metadata(item) for item in items]
         digest = compute_content_digest((_metadata_line(record) for record in records), matrix)
         # rows of a matrix over bytes, so read-only like it
-        items = tuple(
-            CorpusItem(*_metadata_values(record), embedding=row) for record, row in zip(records, matrix)
-        )
-        return cls._from_parts(items, matrix, embedder_id, created_at or utc_now_iso(), digest)
-
-    @classmethod
-    def _from_parts(
-        cls,
-        items: Sequence[CorpusItem],
-        matrix: np.ndarray,
-        embedder_id: str,
-        created_at: str,
-        content_digest: str,
-    ) -> "CorpusSnapshot":
-        """The snapshot of ``items``, whose embeddings are the rows of the
-        read-only ``matrix``; a row whose norm is not finite raises ValueError."""
-        norms = finite_norms(matrix, "item {}".format)
-        norms.flags.writeable = False
-        return cls(
-            items=items,
-            embedder_id=embedder_id,
-            dimension=matrix.shape[1],
-            created_at=created_at,
-            content_digest=content_digest,
-            matrix=matrix,
-            norms=norms,
-        )
+        items = tuple(CorpusItem(**record, embedding=row) for record, row in zip(records, matrix))
+        return cls(items, embedder_id, created_at or utc_now_iso(), digest, matrix)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -538,7 +523,7 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     # the items hold their own descriptor of the file, which ``file`` closes
     items = _LoadedItems(os.dup(file.fileno()), path, offsets, lengths, hashes, matrix)
     try:
-        return CorpusSnapshot._from_parts(items, matrix, embedder_id, created_at, content_digest)
+        return CorpusSnapshot(items, embedder_id, created_at, content_digest, matrix)
     except ValueError as exc:  # a non-finite row, which only a hand-forged file holds
         items.close()
         raise SnapshotCorruptionError(f"snapshot {path}: {exc}") from exc
@@ -595,7 +580,7 @@ class _LoadedItems(Sequence[CorpusItem]):
         types = isinstance(record, dict) and {key: type(value) for key, value in record.items()}
         if types != _METADATA_TYPES or record["index"] != row:
             raise _corrupt_line(self.fd, self.path, self._offsets[row])
-        return CorpusItem(*_metadata_values(record), embedding=self.matrix[row])
+        return CorpusItem(**record, embedding=self.matrix[row])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):

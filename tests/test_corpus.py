@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import importlib
 import inspect
 import json
@@ -457,6 +458,21 @@ def test_non_finite_embeddings_are_rejected_at_build_and_at_load(tmp_path, row):
     _forge(path, finite, path.read_bytes().split(b"\n")[1:4], np.array(rows))
     with pytest.raises(SnapshotCorruptionError, match="item 1 has a non-finite embedding"):
         load_snapshot(path)
+
+
+def test_replacing_the_matrix_derives_and_checks_its_norms_again():
+    embedder = HashingEmbedder(dimension=2)
+    x, y = embedder.embed("query")
+    snap = CorpusSnapshot.build([make_item(0, (x, y)), make_item(1, (-y, x))], embedder.embedder_id, 2)
+    doubled = dataclasses.replace(snap, matrix=2 * snap.matrix)
+    scores = [score for _, score in top_k(RetrievalQuery("query", 2), doubled, embedder).items]
+    assert scores == pytest.approx([1.0, 0.0])
+    assert np.array_equal(doubled.norms, 2 * snap.norms) and not doubled.norms.flags.writeable
+    assert doubled.dimension == 2
+    with pytest.raises(ValueError, match="item 1 has a non-finite embedding"):
+        dataclasses.replace(snap, matrix=np.array([[x, y], [np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="norms"):
+        dataclasses.replace(snap, norms=snap.norms)
 
 
 def test_snapshot_items_share_one_read_only_matrix(snapshot, tmp_path):
