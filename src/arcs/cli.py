@@ -238,8 +238,7 @@ def _cmd_run(args) -> int:
         result = run(spec, suite, tier, deps)
     except NoCandidateError as exc:
         with _writing(log_dir):
-            if exc.run_log is not None:
-                save_run_log(exc.run_log, log_dir)
+            save_run_log(exc.run_log, log_dir)
             program_path.unlink(missing_ok=True)
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -308,9 +307,6 @@ def main(argv=None) -> int:
     )
     try:
         return args.handler(args)
-    except NoCandidateError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
     except ArcsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

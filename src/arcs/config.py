@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 from .errors import ConfigError
@@ -45,10 +46,11 @@ def coerce(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines; # starts a comment."""
+    """Parse flat ``key = value`` lines. A # starts a comment at the start of a
+    line or after whitespace, so a value such as a URL fragment keeps its #."""
     values: dict[str, object] = {}
     for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -464,8 +464,6 @@ def replay(run_log: RunLog, deps: RunDeps) -> RunLog:
     try:
         return run(run_log.spec, run_log.suite, run_log.tier, replay_deps).log
     except NoCandidateError as exc:
-        if exc.run_log is None:
-            raise
         return exc.run_log
 
 

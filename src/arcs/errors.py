@@ -50,10 +50,10 @@ class SandboxSetupError(ArcsError):
 class NoCandidateError(ArcsError):
     """Every round produced an empty candidate; nothing to return.
 
-    Carries the run log of the aborted run in ``run_log`` when available.
+    Carries the run log of the aborted run in ``run_log``.
     """
 
-    def __init__(self, message: str, run_log=None):
+    def __init__(self, message: str, run_log):
         super().__init__(message)
         self.run_log = run_log
 

@@ -11,6 +11,7 @@ the exit status, stdout and stderr of either into the verdict.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import linecache
 import math
@@ -45,6 +46,8 @@ MEMORY_EXCEEDED = "memory_exceeded"
 VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 
 _STDERR_KEEP_LINES = 200
+# the line breaks of str.splitlines, a CRLF pair as one
+_LINE_BREAK_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 # bytes the process backend keeps of each of a test's stdout and stderr; a test that
 # writes more is stopped and judged wrong output
 _OUTPUT_CAP = 4 * 1024 * 1024
@@ -226,9 +229,13 @@ def _judge(
     "output" for the output cap, "memory" when the child reported an uncaught
     memory failure. ``caps`` is None for a backend without caps.
     """
+    # only the kept lines are split: they end at the end of the last kept line break
+    breaks = list(itertools.islice(_LINE_BREAK_RE.finditer(stderr), _STDERR_KEEP_LINES))
+    if len(breaks) == _STDERR_KEEP_LINES:
+        stderr = stderr[: breaks[-1].end()]
     for directory in _LIBRARY_DIRS:
         stderr = stderr.replace(directory, "")
-    lines = tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
+    lines = tuple(stderr.splitlines())
     if limit == "wall":
         verdict, kind, lines = TIMEOUT, "timeout", ()
         summary = f"no result within {caps.wall_seconds:g}s"

@@ -240,6 +240,41 @@ def test_replay_of_a_run_that_found_no_candidate(tmp_path, task_files, capsys):
     assert "replay identical" in capsys.readouterr().out
 
 
+def test_replay_reads_a_snapshot_given_at_another_path(tmp_path, task_files, capsys):
+    log_dir, snapshot_path = _large_run(tmp_path, task_files)
+    moved = shutil.move(snapshot_path, tmp_path / "elsewhere.snap")
+    capsys.readouterr()
+    assert main(["replay", "--log", str(log_dir), "--snapshot", str(moved)]) == 0
+    assert "replay identical" in capsys.readouterr().out
+
+
+def test_replay_of_a_run_that_differs_names_what_diverged(tmp_path, task_files, capsys):
+    script = tmp_path / "random.json"
+    script.write_text(
+        json.dumps({"model_id": "fixture", "entries": [{"response": fenced("import random\nprint(random.random())")}]}),
+        encoding="utf-8",
+    )
+    assert main(_run_args(tmp_path, task_files, script=script)) == 1
+    capsys.readouterr()
+    assert main(["replay", "--log", str(tmp_path / "rl")]) == 1
+    err = capsys.readouterr().err
+    assert "replay diverged on:" in err
+    assert re.search(r"^  /rounds\[0\]/feedback/\S+$", err, re.MULTILINE), err
+
+
+def test_query_leaves_out_the_denylisted_names(tmp_path, capsys):
+    snapshot_path = _index(tmp_path)
+    denylist = tmp_path / "deny.txt"
+    denylist.write_text("# not this one\n\nscale\n", encoding="utf-8")
+    query = ["query", "--snapshot", str(snapshot_path), "--q", "multiply values", "-k", "5"]
+    capsys.readouterr()
+    assert main(query) == 0
+    assert "scale(values, factor)" in capsys.readouterr().out
+    assert main([*query, "--denylist", str(denylist)]) == 0
+    signatures = [line.split("\t")[2] for line in capsys.readouterr().out.splitlines()]
+    assert sorted(signatures) == ["Accumulator(object)", "add(a, b)"]
+
+
 def test_a_run_without_a_candidate_leaves_no_earlier_program(tmp_path, task_files):
     log_dir = tmp_path / "rl"
     assert main(_run_args(tmp_path, task_files, "--budget-b", "3")) == 0
@@ -433,9 +468,12 @@ def _other_value(key: str) -> str:
     return str(default + 1) if isinstance(default, int) else str(default / 2)
 
 
-@pytest.mark.parametrize("key", list(DEFAULTS))
-def test_every_config_key_is_a_flag_parsed_like_its_file_line(tmp_path, key):
-    value = _other_value(key)
+@pytest.mark.parametrize(
+    "key, value",
+    [pytest.param(key, _other_value(key), id=key) for key in DEFAULTS]
+    + [pytest.param("endpoint", "http://h/v1#frag", id="endpoint_with_a_fragment")],
+)
+def test_every_config_key_is_a_flag_parsed_like_its_file_line(tmp_path, key, value):
     config = tmp_path / "run.conf"
     config.write_text(f"{key} = {value}\n", encoding="utf-8")
     parser = _build_parser()

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from arcs.config import resolve_config
+from arcs.config import parse_config_text, resolve_config
 from arcs.errors import ConfigError
 
 
@@ -15,3 +15,8 @@ from arcs.errors import ConfigError
 def test_non_finite_loop_setting_is_rejected(key, value):
     with pytest.raises(ConfigError, match=key):
         resolve_config({key: value})
+
+
+def test_a_hash_starts_a_comment_only_at_a_line_start_or_after_whitespace():
+    text = "# header\n  # indented\nendpoint = http://h/v1#frag # note\nseed = 3\t# tab note\n"
+    assert parse_config_text(text) == {"endpoint": "http://h/v1#frag", "seed": 3}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcs import controller
 from arcs.controller import (
     RoundCost,
     RunDeps,
@@ -451,6 +452,65 @@ def test_replay_rejects_missing_snapshot(snapshot, embedder):
     with pytest.raises(ReplayAssetError) as excinfo:
         replay(result.log, stripped)
     assert "snapshot" in str(excinfo.value)
+
+
+def _first_round(log, **changes) -> dict:
+    """The changes to ``log`` that replace its first round's fields."""
+    return {"rounds": [dataclasses.replace(log.rounds[0], **changes), *log.rounds[1:]]}
+
+
+@pytest.mark.parametrize(
+    "changes, paths",
+    [
+        (lambda log: {"spec": "another task"}, ["/spec"]),
+        (lambda log: _first_round(log, program="print(0)"), ["/rounds[0]/program"]),
+        (lambda log: {"config": {**log.config, "seed": 9}}, ["/config/seed"]),
+        (lambda log: _first_round(log, feedback=dataclasses.replace(log.rounds[0].feedback, failures=())),
+         ["/rounds[0]/feedback/failures/length"]),
+    ],
+    ids=["changed_value", "changed_nested_value", "key_on_one_side_only", "list_of_another_length"],
+)
+def test_compare_run_logs_names_each_difference_by_its_path(changes, paths):
+    log = run(SPEC, sum_suite(), TierConfig(k=0, iterations=2), _deps(buggy_then_fixed_model())).log
+    assert log.config == {} and log.rounds[0].feedback.failures
+    changed = dataclasses.replace(log, **changes(log))
+    assert compare_run_logs(log, changed) == paths
+    assert compare_run_logs(changed, log) == paths
+
+
+def _with_model_id(model, model_id):
+    model.model_id = model_id
+    return model
+
+
+@pytest.mark.parametrize(
+    "diverge, asset",
+    [
+        (lambda deps, log: {"model": _with_model_id(buggy_then_fixed_model(), "another")}, "model id"),
+        (lambda deps, log: {"model": _with_model_id(constant_model(FIXED_SUM), log.model_id)}, "script digest"),
+        (lambda deps, log: {"snapshot": dataclasses.replace(deps.snapshot, content_digest="0" * 64)},
+         "snapshot digest"),
+        (lambda deps, log: {"embedder": None}, "embedder"),
+    ],
+    ids=["model_id", "script_digest", "snapshot_digest", "missing_embedder"],
+)
+def test_replay_names_the_asset_that_differs(snapshot, embedder, diverge, asset):
+    deps = RunDeps(
+        model=buggy_then_fixed_model(), executor=InProcessExecutor(), snapshot=snapshot, embedder=embedder
+    )
+    log = run(long_spec(SPEC), sum_suite(), TierConfig.large(k=2, iterations=2), deps).log
+    assert compare_run_logs(log, replay(log, deps)) == []
+    with pytest.raises(ReplayAssetError, match=asset):
+        replay(log, dataclasses.replace(deps, **diverge(deps, log)))
+
+
+def test_replay_rejects_changed_prompt_templates(monkeypatch):
+    deps = _deps(buggy_then_fixed_model())
+    log = run(SPEC, sum_suite(), TierConfig(k=0, iterations=2), deps).log
+    logged = controller.current_template_fingerprints()
+    monkeypatch.setattr(controller, "current_template_fingerprints", lambda: {**logged, "task": "changed"})
+    with pytest.raises(ReplayAssetError, match="template fingerprints"):
+        replay(log, deps)
 
 
 def test_small_runs_do_not_record_snapshot(snapshot, embedder):

@@ -17,6 +17,7 @@ import pytest
 from arcs.errors import SandboxSetupError
 from arcs.executor import (
     _CHILD_SETUP,
+    _STDERR_KEEP_LINES,
     EXCEPTION,
     MEMORY_EXCEEDED,
     PASS,
@@ -26,6 +27,7 @@ from arcs.executor import (
     ProcessExecutor,
     ResourceCaps,
     encode_feedback,
+    _judge,
     first_difference,
     load_suite,
     normalize_output,
@@ -150,6 +152,53 @@ def test_output_past_the_cap_is_not_kept():
     assert verdict == WRONG_OUTPUT
     assert cap in summary
     assert int(grown) < 2 * int(cap)
+
+
+def test_judging_a_long_stderr_splits_only_its_kept_head():
+    # measured in a child process, whose max RSS no earlier test has raised
+    probe = textwrap.dedent(
+        """\
+        import resource
+        from arcs.executor import _OUTPUT_CAP, ProcessExecutor, TestCase, TestSuite
+
+        executor = ProcessExecutor()
+        suite = TestSuite((TestCase(1, "", "x"),))
+        executor.execute("import sys\\nsys.exit(1)", suite)  # imports and first-run allocations
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        program = "import sys\\nsys.stderr.write('abc\\\\n' * 10**6)\\nsys.exit(1)"
+        feedback = executor.execute(program, suite)
+        grown = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024
+        print(feedback.verdicts[0], len(feedback.failures[0].detail_lines), grown, _OUTPUT_CAP, sep="|")
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    verdict, kept, grown, cap = child.stdout.strip().split("|")
+    assert (verdict, int(kept)) == (EXCEPTION, _STDERR_KEEP_LINES)
+    assert int(grown) < 3 * int(cap)
+
+
+@pytest.mark.parametrize(
+    "stderr",
+    [
+        *("".join(f"line {i}{end}" for i in range(300)) for end in ("\n", "\r\n", "\r", "\x0c", "\u2028")),
+        "one\ntwo\r\nthree",
+        "x\r\n" * 199 + "\x0c\r\n",
+    ],
+    ids=["lf", "crlf", "cr", "form_feed", "line_separator", "fewer_lines", "empty_line_at_the_cut"],
+)
+def test_kept_stderr_lines_are_the_head_of_all_its_lines(stderr):
+    _, detail = _judge(SuiteCase(1, "", "x"), "trim", 1, "", stderr, None, None)
+    assert detail.detail_lines == tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
+
+
+def test_candidate_killed_by_a_signal_is_an_exception_naming_it():
+    program = "import os, signal\nos.kill(os.getpid(), signal.SIGKILL)"
+    feedback = ProcessExecutor(caps=ResourceCaps(wall_seconds=10.0)).execute(program, make_suite(("", "x")))
+    assert feedback.verdicts == (EXCEPTION,)
+    (failure,) = feedback.failures
+    assert (failure.kind, failure.summary) == ("signal 9", "exit code -9")
 
 
 def test_memory_cap_maps_to_memory_exceeded():

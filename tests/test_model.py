@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import io
 import json
+import urllib.error
+import urllib.request
 from dataclasses import replace
 
 import pytest
@@ -147,6 +150,53 @@ def test_remote_model_malformed_reply_is_hard_failure(reply):
     model = RemoteModel("https://model.example/v1", transport=lambda *args, **kwargs: reply)
     with pytest.raises(ModelProposalError):
         model.propose(single_segment_prompt("p"), DecodingParams())
+
+
+class _FakeEndpoint:
+    """Stands in for ``urllib.request.urlopen``: records each request and answers
+    with ``reply`` bytes, or raises ``reply`` if it is an exception."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.requests = []
+
+    def __call__(self, request, timeout):
+        self.requests.append(request)
+        if isinstance(self.reply, Exception):
+            raise self.reply
+        return io.BytesIO(self.reply)
+
+
+def test_default_transport_sends_the_token_and_the_json_payload(monkeypatch):
+    endpoint = _FakeEndpoint(json.dumps({"text": "ok", "usage": {"input_tokens": 3, "output_tokens": 1}}).encode())
+    monkeypatch.setattr(urllib.request, "urlopen", endpoint)
+    monkeypatch.setenv("ARCS_API_TOKEN", "secret-token")
+    model = RemoteModel("https://model.example/v1")
+    assert model.propose(single_segment_prompt("the prompt"), DecodingParams(seed=7)) == (
+        "ok",
+        Usage(input_tokens=3, output_tokens=1),
+    )
+    (request,) = endpoint.requests
+    assert (request.full_url, request.get_method()) == ("https://model.example/v1", "POST")
+    assert request.get_header("Authorization") == "Bearer secret-token"
+    assert request.get_header("Content-type") == "application/json"
+    payload = json.loads(request.data)
+    assert (payload["prompt"], payload["seed"], payload["max_tokens"]) == ("the prompt", 7, 512)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [urllib.error.URLError("no route to host"), b"<html>bad gateway</html>"],
+    ids=["unreachable", "not_json"],
+)
+def test_default_transport_failures_are_retried_then_a_hard_failure(monkeypatch, reply):
+    endpoint = _FakeEndpoint(reply)
+    monkeypatch.setattr(urllib.request, "urlopen", endpoint)
+    model = RemoteModel("https://model.example/v1", retries=2, backoff_seconds=0.0)
+    with pytest.raises(ModelProposalError) as caught:
+        model.propose(single_segment_prompt("p"), DecodingParams())
+    assert isinstance(caught.value.__cause__, TransportError)
+    assert len(endpoint.requests) == 3
 
 
 def test_extract_code_variants():
