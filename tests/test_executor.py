@@ -26,8 +26,8 @@ from arcs.executor import (
     InProcessExecutor,
     ProcessExecutor,
     ResourceCaps,
-    encode_feedback,
     _judge,
+    encode_feedback,
     first_difference,
     load_suite,
     normalize_output,
