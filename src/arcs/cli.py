@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -28,14 +27,12 @@ from .controller import (
     save_run_log,
 )
 from .corpus import LANGUAGE_BY_EXTENSION, ingest, load_snapshot, save_snapshot
-from .embedding import HashingEmbedder, RemoteEmbedder
+from .embedding import embedder_for
 from .errors import ArcsError, ConfigError, NoCandidateError
 from .evalkit import ablation_matrix, load_tasks, render_table, sweep
 from .executor import ProcessExecutor, ResourceCaps, encode_feedback, load_suite
 from .model import RemoteModel, ScriptedModel
 from .retrieval import RetrievalQuery, load_denylist, top_k
-
-_HASH_EMBEDDER_RE = re.compile(r"^hash(\d+)$")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="ingest a source tree into a frozen snapshot")
     p_index.add_argument("--input", required=True, help="directory of source files")
     p_index.add_argument("--out", required=True, help="snapshot output path")
-    p_index.add_argument("--embedder", default="hash384", help="hash<dim> or remote")
+    p_index.add_argument("--embedder", default="hash384", help="hash<dim> or a remote embedder id")
     p_index.add_argument("--embed-endpoint", default="", help="remote embedding endpoint URL")
     p_index.set_defaults(handler=_cmd_index)
 
@@ -129,27 +126,6 @@ def _tier_from_config(cfg: dict) -> TierConfig:
     return _checked(TierConfig.named, cfg["tier"], k=cfg["budget_k"], iterations=cfg["budget_b"])
 
 
-def _hashing_embedder(embedder_id: str) -> HashingEmbedder | None:
-    """The embedder ``hash<dim>`` names, or None for any other id."""
-    match = _HASH_EMBEDDER_RE.match(embedder_id)
-    return _checked(HashingEmbedder, int(match.group(1))) if match else None
-
-
-def _embedder_for_snapshot(snapshot, embed_endpoint: str):
-    embedder = _hashing_embedder(snapshot.embedder_id)
-    if embedder is not None:
-        return embedder
-    if embed_endpoint:
-        return RemoteEmbedder(
-            embed_endpoint,
-            dimension=snapshot.dimension,
-            embedder_id=snapshot.embedder_id,
-        )
-    raise ConfigError(
-        f"snapshot uses embedder {snapshot.embedder_id!r}; provide --embed-endpoint for it"
-    )
-
-
 def _model_from_config(cfg: dict):
     if cfg["model"] == "scripted":
         if not cfg["script"]:
@@ -170,7 +146,7 @@ def _deps_from_config(cfg: dict, tier: TierConfig) -> RunDeps:
         if not cfg["snapshot"]:
             raise ConfigError("retrieval is enabled (k>0) but no --snapshot was given")
         snapshot = load_snapshot(cfg["snapshot"])
-        embedder = _embedder_for_snapshot(snapshot, cfg["embed_endpoint"])
+        embedder = _checked(embedder_for, snapshot.embedder_id, cfg["embed_endpoint"], snapshot.dimension)
     denylist = load_denylist(cfg["denylist"]) if cfg["denylist"] else None
     return RunDeps(
         model=_model_from_config(cfg),
@@ -183,14 +159,7 @@ def _deps_from_config(cfg: dict, tier: TierConfig) -> RunDeps:
 
 
 def _cmd_index(args) -> int:
-    if args.embedder == "remote":
-        if not args.embed_endpoint:
-            raise ConfigError("remote embedder selected but no --embed-endpoint given")
-        embedder = RemoteEmbedder(args.embed_endpoint)
-    else:
-        embedder = _hashing_embedder(args.embedder)
-        if embedder is None:
-            raise ConfigError(f"unknown embedder {args.embedder!r}; expected hash<dim> or remote")
+    embedder = _checked(embedder_for, args.embedder, args.embed_endpoint)
     root = Path(args.input)
     if not root.is_dir():
         raise ConfigError(f"input {root} is not a directory")
@@ -208,7 +177,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_query(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    embedder = _embedder_for_snapshot(snapshot, args.embed_endpoint)
+    embedder = _checked(embedder_for, snapshot.embedder_id, args.embed_endpoint, snapshot.dimension)
     denylist = load_denylist(args.denylist) if args.denylist else None
     query = _checked(RetrievalQuery, args.q, coerce("budget_k", args.k))
     result = top_k(query, snapshot, embedder, denylist)

@@ -9,12 +9,13 @@ import re
 from abc import ABC, abstractmethod
 from typing import Callable
 
-from .errors import DimensionMismatchError, TransportError
+from .errors import ConfigError, DimensionMismatchError, TransportError
 from .util import CREDENTIAL_ENV_VAR, http_post_json
 
 DEFAULT_DIMENSION = 384
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
+_HASH_ID_RE = re.compile(r"hash([0-9]+)")
 
 
 class EmbeddingProvider(ABC):
@@ -106,3 +107,20 @@ class RemoteEmbedder(EmbeddingProvider):
         if not math.isfinite(sum(x * x for x in vector)):
             raise TransportError("embedding reply has a non-finite value or norm")
         return vector
+
+
+def embedder_for(
+    embedder_id: str, endpoint: str = "", dimension: int = DEFAULT_DIMENSION
+) -> EmbeddingProvider:
+    """The embedder an id names: ``hash<dim>`` is the built-in hasher of that
+    dimension, any other id a remote embedder of ``dimension`` at ``endpoint``.
+
+    Raises ValueError for a ``hash<dim>`` with a dimension below 1, and
+    ConfigError for a remote id without an endpoint.
+    """
+    match = _HASH_ID_RE.fullmatch(embedder_id)
+    if match:
+        return HashingEmbedder(int(match.group(1)))
+    if not endpoint:
+        raise ConfigError(f"embedder {embedder_id!r} is not built in; give its --embed-endpoint")
+    return RemoteEmbedder(endpoint, dimension=dimension, embedder_id=embedder_id)

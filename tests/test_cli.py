@@ -14,6 +14,8 @@ import pytest
 from arcs.cli import _build_parser, _resolved_config, main
 from arcs.config import DEFAULTS
 from arcs.controller import TIERS, RunDeps, run, save_run_log
+from arcs.corpus import ingest, load_snapshot
+from arcs.embedding import HashingEmbedder, RemoteEmbedder
 from arcs.executor import InProcessExecutor, load_suite
 from arcs.model import ScriptedModel
 
@@ -206,6 +208,63 @@ def test_a_tree_indexes_to_one_digest_wherever_it_lies(tmp_path, capsys, monkeyp
     assert indexed[0] == indexed[1]
     paths = {line.split("\t")[3] for line in indexed[0][1].splitlines()}
     assert paths == {"pkg/a.py", "tools/b.py"}
+
+
+def _fake_embedding_endpoint(monkeypatch, built: list):
+    """Serve every remote embedder from the hasher, and record each embedder ``index`` builds."""
+    hasher = HashingEmbedder()
+
+    def transport(url, payload, timeout, token=None):
+        return {"embedding": hasher.embed(payload["text"])}
+
+    def recording_ingest(paths, embedder):
+        built.append(embedder)
+        return ingest(paths, embedder)
+
+    monkeypatch.setattr("arcs.embedding.http_post_json", transport)
+    monkeypatch.setattr("arcs.cli.ingest", recording_ingest)
+
+
+def test_index_with_a_remote_embedder_builds_it_at_the_endpoint(tmp_path, capsys, monkeypatch):
+    built = []
+    _fake_embedding_endpoint(monkeypatch, built)
+    source_dir = tmp_path / "corpus"
+    source_dir.mkdir()
+    (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+    for embedder_id in ("remote", "e5-small"):
+        out = tmp_path / f"{embedder_id}.snap"
+        argv = ["index", "--input", str(source_dir), "--out", str(out), "--embedder", embedder_id]
+        assert main([*argv, "--embed-endpoint", "https://embed.example/v1"]) == 0
+        assert load_snapshot(out).embedder_id == embedder_id
+    assert [type(embedder) for embedder in built] == [RemoteEmbedder, RemoteEmbedder]
+    assert [(e.embedder_id, e.dimension, e.endpoint) for e in built] == [
+        ("remote", 384, "https://embed.example/v1"),
+        ("e5-small", 384, "https://embed.example/v1"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["index", "query", "run"])
+def test_a_remote_embedder_without_an_endpoint_exits_two_naming_it(
+    tmp_path, task_files, capsys, monkeypatch, command
+):
+    _fake_embedding_endpoint(monkeypatch, [])
+    source_dir = tmp_path / "corpus"
+    source_dir.mkdir()
+    (source_dir / "lib.py").write_text(THREE_FUNCTION_FILE, encoding="utf-8")
+    snapshot = tmp_path / "corpus.snap"
+    index = ["index", "--input", str(source_dir), "--out", str(snapshot), "--embedder", "e5-small"]
+    if command != "index":
+        assert main([*index, "--embed-endpoint", "https://embed.example/v1"]) == 0
+    argv = {
+        "index": index,
+        "query": ["query", "--snapshot", str(snapshot), "--q", "add"],
+        "run": _run_args(tmp_path, task_files, "--tier", "large", "--snapshot", str(snapshot)),
+    }[command]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and "'e5-small'" in err[0] and "--embed-endpoint" in err[0], err
 
 
 def _large_run(tmp_path, task_files) -> tuple[Path, Path]:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcs.corpus import embed_metadata
-from arcs.embedding import HashingEmbedder, RemoteEmbedder
-from arcs.errors import ArcsError, DimensionMismatchError, TransportError
+from arcs.embedding import HashingEmbedder, RemoteEmbedder, embedder_for
+from arcs.errors import ArcsError, ConfigError, DimensionMismatchError, TransportError
 from arcs.retrieval import cosine_sim
 
 
@@ -41,6 +41,29 @@ def test_nonempty_text_embeds_nonzero_even_for_single_token(embedder):
 def test_embedder_id_tracks_dimension():
     assert HashingEmbedder(128).embedder_id == "hash128"
     assert HashingEmbedder().dimension == 384
+
+
+@pytest.mark.parametrize("dimension", [1, 7, 384])
+def test_a_hash_id_names_the_hasher_of_its_dimension(dimension):
+    embedder = embedder_for(f"hash{dimension}", "https://embed.example/v1", dimension=3)
+    assert type(embedder) is HashingEmbedder
+    assert (embedder.embedder_id, embedder.dimension) == (f"hash{dimension}", dimension)
+
+
+def test_any_other_id_names_a_remote_embedder_at_its_endpoint():
+    for embedder_id in ("remote", "e5-small", "hash", "hash-3", "Hash3", "hash3\n"):
+        embedder = embedder_for(embedder_id, "https://embed.example/v1", dimension=3)
+        assert type(embedder) is RemoteEmbedder
+        assert (embedder.embedder_id, embedder.dimension) == (embedder_id, 3)
+        assert embedder.endpoint == "https://embed.example/v1"
+    assert embedder_for("remote", "https://embed.example/v1").dimension == 384
+
+
+def test_an_id_the_embedder_cannot_serve_is_refused():
+    with pytest.raises(ValueError, match="dimension"):
+        embedder_for("hash0")
+    with pytest.raises(ConfigError, match="'e5-small'.*--embed-endpoint"):
+        embedder_for("e5-small")
 
 
 def test_remote_embedder_uses_transport_and_checks_dimension():
