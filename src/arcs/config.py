@@ -96,5 +96,5 @@ def check_loop_settings(cfg: dict) -> None:
         ("input_cap", 1),
         ("max_output_tokens", 1),
     ):
-        if not (math.isfinite(cfg[key]) and cfg[key] >= low):
+        if not low <= cfg[key] < math.inf:  # exact for an int too large for a float
             raise ConfigError(f"{key} must be a finite number >= {low}, got {cfg[key]}")

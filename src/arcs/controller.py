@@ -421,6 +421,8 @@ def load_run_log(directory: str | Path) -> RunLog:
 
 
 def _read_round(directory: Path, name: str, digest: str) -> dict:
+    if Path(name).name != name:
+        raise ReplayAssetError(f"round file {name} is not a file name in {directory}")
     try:
         text = (directory / name).read_text(encoding="utf-8")
     except OSError as exc:

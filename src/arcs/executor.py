@@ -14,7 +14,6 @@ import io
 import itertools
 import json
 import linecache
-import math
 import os
 import re
 import select
@@ -130,14 +129,22 @@ def load_suite(path: str | Path) -> TestSuite:
         raise ConfigError(f"bad suite file {path}: {exc}") from exc
 
 
+# the largest caps the sandbox can apply: the child's setrlimit takes a signed 64-bit
+# integer, and the parent's selector waits at most 2**31 - 1 ms
+_MAX_MEMORY_BYTES = 2**63 - 1
+_MAX_WALL_SECONDS = (2**31 - 1) / 1000
+
+
 @dataclass(frozen=True)
 class ResourceCaps:
     wall_seconds: float = DEFAULTS["wall_seconds"]
     memory_bytes: int = DEFAULTS["memory_bytes"]
 
     def __post_init__(self):
-        if not all(math.isfinite(cap) and cap > 0 for cap in (self.wall_seconds, self.memory_bytes)):
-            raise ValueError("resource caps must be positive and finite")
+        if not 0 < self.wall_seconds <= _MAX_WALL_SECONDS:
+            raise ValueError(f"wall_seconds must be in (0, {_MAX_WALL_SECONDS}], got {self.wall_seconds}")
+        if not (isinstance(self.memory_bytes, int) and 0 < self.memory_bytes <= _MAX_MEMORY_BYTES):
+            raise ValueError(f"memory_bytes must be an integer in [1, 2**63 - 1], got {self.memory_bytes}")
 
 
 @dataclass(frozen=True)

@@ -679,6 +679,14 @@ def _exec_wall_seconds_zero(tmp_path, task_files):
     return ["exec", "--program", str(program), "--suite", str(suite), "--wall-seconds", "0"]
 
 
+def _exec_memory_bytes_past_rlimit(tmp_path, task_files):
+    return [*_exec_wall_seconds_zero(tmp_path, task_files)[:-2], "--memory-bytes", str(2**63)]
+
+
+def _exec_wall_seconds_past_selectors(tmp_path, task_files):
+    return [*_exec_wall_seconds_zero(tmp_path, task_files)[:-1], "3000000"]
+
+
 def _query_k_zero(tmp_path, task_files):
     return ["query", "--snapshot", str(_index(tmp_path)), "--q", "add", "-k", "0"]
 
@@ -759,6 +767,8 @@ def _index_embedder_hash0(tmp_path, task_files):
         _run_tier_huge,
         _run_model_nope,
         _exec_wall_seconds_zero,
+        _exec_memory_bytes_past_rlimit,
+        _exec_wall_seconds_past_selectors,
         _query_k_zero,
         _run_script_model_id_not_string,
         _index_embedder_hash0,
@@ -794,6 +804,59 @@ def test_exec_with_non_finite_wall_seconds_exits_two_with_one_line(tmp_path, tas
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+_MOST_DIGITS = "9" * 4300  # the longest integer int() parses by default
+# the smallest and largest value of each numeric key that parsing and the range checks accept
+_EXTREME_VALUES = {
+    "budget_b": ("1", _MOST_DIGITS),
+    "budget_k": ("0", _MOST_DIGITS),
+    "max_subgoals": ("0", _MOST_DIGITS),
+    "temperature": ("0", repr(sys.float_info.max)),
+    "top_p": ("5e-324", "1"),  # 5e-324 is the smallest positive float
+    "max_output_tokens": ("1", _MOST_DIGITS),
+    "seed": ("-" + _MOST_DIGITS, _MOST_DIGITS),
+    "input_cap": ("1", _MOST_DIGITS),
+    "wall_seconds": ("5e-324", "2147483.647"),
+    "memory_bytes": ("1", str(2**63 - 1)),
+    "delta": ("5e-324", "1"),
+    "plan_gate_tokens": ("0", _MOST_DIGITS),
+    "max_stack_lines": ("0", _MOST_DIGITS),
+}
+
+
+def test_the_extreme_values_cover_every_numeric_key():
+    numeric = [key for key, value in DEFAULTS.items() if value is None or isinstance(value, (int, float))]
+    assert list(_EXTREME_VALUES) == numeric
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        pytest.param(command, key, value, id=f"{command}-{key}-{end}")
+        for key, values in _EXTREME_VALUES.items()
+        for end, value in zip(("smallest", "largest"), values)
+        for command in ("exec", "run")
+        if command == "run" or key in ("wall_seconds", "memory_bytes")
+    ],
+)
+def test_no_flag_value_ends_in_a_traceback(tmp_path, task_files, capsys, monkeypatch, command, key, value):
+    flag = ["--" + key.replace("_", "-"), value]
+    if command == "exec":
+        # the sandbox at the extreme caps, one process each
+        program = tmp_path / "program.py"
+        program.write_text(FIXED_SUM, encoding="utf-8")
+        suite = tmp_path / "one.json"
+        suite.write_text(json.dumps([{"id": 1, "input": "1 2", "expected": "3"}]), encoding="utf-8")
+        argv = ["exec", "--program", str(program), "--suite", str(suite), *flag]
+    else:
+        # the large tier plans, retrieves and repairs; its tests run in-process
+        monkeypatch.setattr("arcs.cli.ProcessExecutor", lambda caps: InProcessExecutor())
+        argv = _run_args(tmp_path, task_files, "--tier", "large", "--snapshot", str(_index(tmp_path)), *flag)
+    capsys.readouterr()
+    code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _run_log_dir_is_a_file(tmp_path, task_files):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import shutil
 import threading
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,7 @@ from helpers import (
 )
 
 SPEC = "Read two integers from one stdin line and print their sum."
+GOLDEN_RUNLOG = Path(__file__).parent / "golden" / "runlog"
 
 
 def _deps(model, **overrides):
@@ -336,6 +340,22 @@ def test_tampered_round_file_is_detected(tmp_path):
     with pytest.raises(ReplayAssetError) as excinfo:
         load_run_log(directory)
     assert "round_000.json" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("where", ["../other", "sub", "absolute"])
+def test_a_round_file_outside_the_log_directory_is_refused(tmp_path, where):
+    # a copy of the round whose digest matches, named by a path that leaves the directory
+    directory = shutil.copytree(GOLDEN_RUNLOG, tmp_path / "log")
+    target = (directory / where) if where != "absolute" else tmp_path / "elsewhere"
+    target.mkdir()
+    shutil.copy(directory / "round_000.json", target / "round_000.json")
+    name = str(target / "round_000.json") if where == "absolute" else f"{where}/round_000.json"
+    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    manifest["rounds"][0]["file"] = name
+    (directory / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ReplayAssetError) as excinfo:
+        load_run_log(directory)
+    assert name in str(excinfo.value)
 
 
 def test_replay_reproduces_the_run(tmp_path):

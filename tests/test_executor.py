@@ -242,6 +242,30 @@ def test_only_an_uncaught_memory_failure_is_a_breach(program, verdict):
     assert feedback.verdicts == (verdict,)
 
 
+@pytest.mark.parametrize(
+    "caps",
+    [
+        {"memory_bytes": 2**63},  # setrlimit takes a signed 64-bit limit
+        {"memory_bytes": 4e9},  # setrlimit takes no float
+        {"wall_seconds": 2147483.648},  # selectors wait at most 2**31 - 1 ms
+        {"wall_seconds": 3e6},
+        {"wall_seconds": float("nan")},
+        {"memory_bytes": 0},
+    ],
+    ids=["memory_past_rlimit", "memory_float", "wall_past_selectors", "wall_far_past_selectors", "wall_nan", "memory_zero"],
+)
+def test_caps_the_sandbox_cannot_apply_are_refused(caps):
+    with pytest.raises(ValueError, match=next(iter(caps))):
+        ResourceCaps(**caps)
+
+
+def test_the_largest_caps_still_guard_the_network():
+    caps = ResourceCaps(wall_seconds=(2**31 - 1) / 1000, memory_bytes=2**63 - 1)
+    program = 'import socket\ntry:\n    socket.getaddrinfo("localhost", 80)\nexcept OSError as exc:\n    print(exc)\n'
+    feedback = ProcessExecutor(caps=caps).execute(program, make_suite(("", _GUARDED)))
+    assert feedback.verdicts == (PASS,), feedback.failures
+
+
 def test_missing_interpreter_is_sandbox_setup_error(monkeypatch):
     monkeypatch.setattr(sys, "executable", "/no/such/interpreter")
     with pytest.raises(SandboxSetupError):
