@@ -225,7 +225,7 @@ def _fake_embedding_endpoint(monkeypatch, built: list):
     monkeypatch.setattr("arcs.cli.ingest", recording_ingest)
 
 
-def test_index_with_a_remote_embedder_builds_it_at_the_endpoint(tmp_path, capsys, monkeypatch):
+def test_index_with_a_remote_embedder_builds_it_at_the_endpoint(tmp_path, monkeypatch):
     built = []
     _fake_embedding_endpoint(monkeypatch, built)
     source_dir = tmp_path / "corpus"
