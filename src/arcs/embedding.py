@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
 from abc import ABC, abstractmethod
 from typing import Callable
 
 from .errors import ConfigError, DimensionMismatchError, TransportError
-from .util import CREDENTIAL_ENV_VAR, http_post_json
+from .util import http_post_json
 
 DEFAULT_DIMENSION = 384
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 _HASH_ID_RE = re.compile(r"hash([0-9]+)")
+# trigrams over [a-z0-9_ ]: a bucket past this count would stay zero
+_MAX_HASH_DIMENSION = 38**3
 
 
 class EmbeddingProvider(ABC):
@@ -41,11 +42,11 @@ class HashingEmbedder(EmbeddingProvider):
     """
 
     def __init__(self, dimension: int = DEFAULT_DIMENSION):
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
+        if not 1 <= dimension <= _MAX_HASH_DIMENSION:
+            raise ValueError(f"dimension must be in [1, {_MAX_HASH_DIMENSION}], got {dimension}")
         self.dimension = dimension
         self.embedder_id = f"hash{dimension}"
-        # grams are drawn from [a-z0-9_ ], so at most 38**3 entries
+        # at most one entry per gram
         self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> list[float]:
@@ -70,8 +71,9 @@ class RemoteEmbedder(EmbeddingProvider):
 
     Sends ``{"text": ...}`` and expects ``{"embedding": [...]}`` of the
     configured dimension, with finite values and norm; any other reply
-    raises TransportError. The credential, if any, comes from the
-    ``ARCS_API_TOKEN`` environment variable and is never logged.
+    raises TransportError. The default transport reads the credential,
+    if any, from the ``ARCS_API_TOKEN`` environment variable; it is never
+    logged.
     """
 
     def __init__(
@@ -91,8 +93,7 @@ class RemoteEmbedder(EmbeddingProvider):
         self._timeout = timeout
 
     def embed(self, text: str) -> list[float]:
-        token = os.environ.get(CREDENTIAL_ENV_VAR)
-        reply = self._transport(self.endpoint, {"text": text}, self._timeout, token=token)
+        reply = self._transport(self.endpoint, {"text": text}, self._timeout)
         vector = reply.get("embedding") if isinstance(reply, dict) else None
         if not isinstance(vector, list):
             raise TransportError(f"malformed embedding reply {reply!r:.80}")
@@ -115,8 +116,8 @@ def embedder_for(
     """The embedder an id names: ``hash<dim>`` is the built-in hasher of that
     dimension, any other id a remote embedder of ``dimension`` at ``endpoint``.
 
-    Raises ValueError for a ``hash<dim>`` with a dimension below 1, and
-    ConfigError for a remote id without an endpoint.
+    Raises ValueError for a ``hash<dim>`` with a dimension outside
+    [1, 38**3], and ConfigError for a remote id without an endpoint.
     """
     match = _HASH_ID_RE.fullmatch(embedder_id)
     if match:

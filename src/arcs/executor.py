@@ -16,7 +16,6 @@ import json
 import linecache
 import os
 import re
-import select
 import selectors
 import shutil
 import signal
@@ -319,11 +318,6 @@ class ProcessExecutor(Executor):
             program_path = Path(workdir) / _CANDIDATE_FILE
             cpu = max(1, int(self.caps.wall_seconds) + 1)
             setup = _CHILD_SETUP.format(memory=self.caps.memory_bytes, cpu=cpu, marker=_MEMORY_MARKER)
-            try:
-                program_path.write_text(program, encoding="utf-8")
-                (Path(workdir) / "sitecustomize.py").write_text(setup, encoding="utf-8")
-            except OSError as exc:
-                raise SandboxSetupError(f"cannot prepare workspace: {exc}") from exc
             env = {
                 "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
                 "HOME": workdir,
@@ -337,26 +331,36 @@ class ProcessExecutor(Executor):
             }
             started = time.perf_counter()
             try:
-                process = subprocess.Popen(
-                    [sys.executable, str(program_path)],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    cwd=workdir,
-                    env=env,
-                    start_new_session=True,
-                )
+                program_path.write_text(program, encoding="utf-8")
+                (Path(workdir) / "sitecustomize.py").write_text(setup, encoding="utf-8")
+                # the input is a file with no name that the child inherits as its stdin, so
+                # the parent only reads, and the workspace lists only the two files above;
+                # the parent's copy closes as soon as the child holds its own
+                with tempfile.TemporaryFile(dir=workdir) as stdin:
+                    stdin.write(case.input.encode("utf-8", "replace"))
+                    stdin.seek(0)
+                    try:
+                        process = subprocess.Popen(
+                            [sys.executable, str(program_path)],
+                            stdin=stdin,
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE,
+                            cwd=workdir,
+                            env=env,
+                            start_new_session=True,
+                        )
+                    except OSError as exc:
+                        raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
             except OSError as exc:
-                raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
+                raise SandboxSetupError(f"cannot prepare workspace: {exc}") from exc
             try:
-                stdin = case.input.encode("utf-8", "replace")
-                returncode, stdout, stderr, limit = _exchange(process, stdin, started + self.caps.wall_seconds)
+                returncode, stdout, stderr, limit = _exchange(process, started + self.caps.wall_seconds)
             finally:
                 # one teardown for every exit: background children of the candidate must not
                 # outlive its test, and a detached grandchild can hold the pipes open past it
                 with suppress(OSError):
                     os.killpg(process.pid, signal.SIGKILL)
-                for pipe in (process.stdin, process.stdout, process.stderr):
+                for pipe in (process.stdout, process.stderr):
                     pipe.close()
                 process.wait()
             wall = time.perf_counter() - started
@@ -370,18 +374,17 @@ class ProcessExecutor(Executor):
             shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _exchange(process: subprocess.Popen, stdin: bytes, deadline: float):
-    """Feed ``stdin`` to ``process`` and read its stdout and stderr until it exits.
+def _exchange(process: subprocess.Popen, deadline: float):
+    """Read the stdout and stderr of ``process`` until it exits.
 
-    Returns its exit status, stdout, stderr, and the limit it hit, if any: "wall"
-    when the ``time.perf_counter`` ``deadline`` passes first, "output" when either
-    output would pass ``_OUTPUT_CAP`` bytes. Past a limit the status is None, no
-    stdout is returned, and on a timeout no stderr either.
+    Its stdin is a file, so the parent writes nothing and waits only on the
+    two pipes. Returns its exit status, stdout, stderr, and the limit it hit,
+    if any: "wall" when the ``time.perf_counter`` ``deadline`` passes first,
+    "output" when either output would pass ``_OUTPUT_CAP`` bytes. Past a limit
+    the status is None, no stdout is returned, and on a timeout no stderr either.
     """
     stdout, stderr = bytearray(), bytearray()
-    unwritten = memoryview(stdin)
     with selectors.DefaultSelector() as selector:
-        selector.register(process.stdin, selectors.EVENT_WRITE)
         selector.register(process.stdout, selectors.EVENT_READ, stdout)
         selector.register(process.stderr, selectors.EVENT_READ, stderr)
         while selector.get_map():
@@ -389,15 +392,6 @@ def _exchange(process: subprocess.Popen, stdin: bytes, deadline: float):
             if remaining <= 0:
                 return None, b"", b"", "wall"
             for key, _ in selector.select(remaining):
-                if key.data is None:  # stdin, written in pieces that do not block
-                    try:
-                        unwritten = unwritten[os.write(key.fd, unwritten[: select.PIPE_BUF]) :]
-                    except BrokenPipeError:  # the program closed its stdin
-                        unwritten = unwritten[:0]
-                    if not unwritten:
-                        selector.unregister(key.fileobj)
-                        key.fileobj.close()
-                    continue
                 chunk = os.read(key.fd, _READ_SIZE)
                 if not chunk:
                     selector.unregister(key.fileobj)

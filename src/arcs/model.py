@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
 import time
 from abc import ABC, abstractmethod
@@ -21,7 +20,6 @@ from .config import DEFAULTS
 from .errors import ConfigError, ModelProposalError, TransportError
 from .prompting import ComposedPrompt, FEEDBACK_MARKER
 from .util import (
-    CREDENTIAL_ENV_VAR,
     JsonRecord,
     decode_record,
     http_post_json,
@@ -141,10 +139,10 @@ class RemoteModel(ProposalModel):
     """Adapter for a remote completion endpoint.
 
     One request carries {prompt, temperature, top_p, max_tokens, seed} and
-    the reply must contain {"text": ..., "usage": {...}}. The credential is
-    read from the environment and never appears in logs. Transport failures
-    are retried with fixed backoff, then surface as a hard model failure; a
-    malformed reply is one at once.
+    the reply must contain {"text": ..., "usage": {...}}. The default
+    transport reads the credential from the environment, and it never
+    appears in logs. Transport failures are retried with fixed backoff,
+    then surface as a hard model failure; a malformed reply is one at once.
     """
 
     def __init__(
@@ -173,11 +171,10 @@ class RemoteModel(ProposalModel):
             "max_tokens": params.max_output_tokens,
             "seed": params.seed,
         }
-        token = os.environ.get(CREDENTIAL_ENV_VAR)
         last_error: TransportError | None = None
         for attempt in range(self._retries + 1):
             try:
-                reply = self._transport(self.endpoint, payload, self._timeout, token=token)
+                reply = self._transport(self.endpoint, payload, self._timeout)
                 break
             except TransportError as exc:
                 last_error = exc

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import types
 import typing
 from datetime import datetime, timezone
@@ -159,8 +160,11 @@ def utc_now_iso() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def http_post_json(url: str, payload: dict, timeout: float, token: str | None = None) -> dict:
+def http_post_json(url: str, payload: dict, timeout: float) -> dict:
     """POST ``payload`` as JSON and decode the JSON reply.
+
+    The credential, if set, comes from the ``ARCS_API_TOKEN`` environment
+    variable and goes only into the ``Authorization`` header.
 
     Raises TransportError on connection problems, non-2xx statuses, or
     undecodable replies so callers can apply their retry policy.
@@ -170,6 +174,7 @@ def http_post_json(url: str, payload: dict, timeout: float, token: str | None = 
 
     body = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json"}
+    token = os.environ.get(CREDENTIAL_ENV_VAR)
     if token:
         headers["Authorization"] = f"Bearer {token}"
     request = urllib.request.Request(url, data=body, headers=headers, method="POST")

@@ -214,7 +214,7 @@ def _fake_embedding_endpoint(monkeypatch, built: list):
     """Serve every remote embedder from the hasher, and record each embedder ``index`` builds."""
     hasher = HashingEmbedder()
 
-    def transport(url, payload, timeout, token=None):
+    def transport(url, payload, timeout):
         return {"embedding": hasher.embed(payload["text"])}
 
     def recording_ingest(paths, embedder):
@@ -748,6 +748,15 @@ def _index_embedder_hash0(tmp_path, task_files):
     return ["index", "--input", str(tmp_path), "--out", str(out), "--embedder", "hash0"]
 
 
+def _index_embedder_past_the_gram_count(tmp_path, task_files):
+    # a tree that indexes under hash54872, so only the dimension is refused
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    (tree / "add.py").write_text("def add(a, b):\n    return a + b\n", encoding="utf-8")
+    out = tmp_path / "corpus.snap"
+    return ["index", "--input", str(tree), "--out", str(out), "--embedder", "hash54873"]
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -772,6 +781,7 @@ def _index_embedder_hash0(tmp_path, task_files):
         _query_k_zero,
         _run_script_model_id_not_string,
         _index_embedder_hash0,
+        _index_embedder_past_the_gram_count,
         _run_max_stack_lines_negative,
         _run_max_subgoals_negative,
         _exec_wall_seconds_not_float,

@@ -38,6 +38,13 @@ def test_nonempty_text_embeds_nonzero_even_for_single_token(embedder):
     assert norm == pytest.approx(1.0)
 
 
+def test_hash_dimension_is_at_most_the_number_of_distinct_grams():
+    # grams are trigrams over [a-z0-9_ ]: a bucket past 38**3 could never be hit
+    assert HashingEmbedder(38**3).dimension == 38**3
+    with pytest.raises(ValueError, match=r"\[1, 54872\]"):
+        HashingEmbedder(38**3 + 1)
+
+
 def test_embedder_id_tracks_dimension():
     assert HashingEmbedder(128).embedder_id == "hash128"
     assert HashingEmbedder().dimension == 384
@@ -62,6 +69,8 @@ def test_any_other_id_names_a_remote_embedder_at_its_endpoint():
 def test_an_id_the_embedder_cannot_serve_is_refused():
     with pytest.raises(ValueError, match="dimension"):
         embedder_for("hash0")
+    with pytest.raises(ValueError, match="dimension"):
+        embedder_for("hash99999999999")
     with pytest.raises(ConfigError, match="'e5-small'.*--embed-endpoint"):
         embedder_for("e5-small")
 
@@ -69,7 +78,7 @@ def test_an_id_the_embedder_cannot_serve_is_refused():
 def test_remote_embedder_uses_transport_and_checks_dimension():
     calls = []
 
-    def transport(url, payload, timeout, token=None):
+    def transport(url, payload, timeout):
         calls.append((url, payload["text"]))
         return {"embedding": [1.0, 0.0, 0.0]}
 
@@ -77,7 +86,7 @@ def test_remote_embedder_uses_transport_and_checks_dimension():
     assert remote.embed("hello") == [1.0, 0.0, 0.0]
     assert calls == [("https://embed.example/v1", "hello")]
 
-    def short_transport(url, payload, timeout, token=None):
+    def short_transport(url, payload, timeout):
         return {"embedding": [1.0]}
 
     bad = RemoteEmbedder("https://embed.example/v1", dimension=3, transport=short_transport)

@@ -307,6 +307,51 @@ else:
     assert feedback.verdicts == (PASS, PASS)
 
 
+def test_the_workspace_lists_only_the_program_files():
+    # the input is a file with no name, so the candidate cannot find it by listing
+    program = 'import os\nprint(*sorted(os.listdir(".")))'
+    feedback = ProcessExecutor().execute(program, make_suite(("some input", "candidate.py sitecustomize.py")))
+    assert feedback.verdicts == (PASS,), feedback.failures
+
+
+@pytest.mark.parametrize(
+    "program, expected",
+    [("print('ok')", "ok"), ("import sys\nprint(len(sys.stdin.read()))", str(2**20))],
+    ids=["never_read", "read_whole"],
+)
+def test_a_one_mebibyte_input_passes_whether_or_not_it_is_read(program, expected):
+    feedback = ProcessExecutor().execute(program, make_suite(("x" * 2**20, expected)))
+    assert feedback.verdicts == (PASS,), feedback.failures
+
+
+@pytest.mark.parametrize(
+    "program, verdict",
+    [
+        (ECHO, PASS),
+        ("raise ValueError('boom')", EXCEPTION),
+        ("while True:\n    pass", TIMEOUT),
+        ("import sys\nwhile True:\n    sys.stdout.write('x' * 10**6)", WRONG_OUTPUT),
+    ],
+    ids=["pass", "exception", "timeout", "output_cap"],
+)
+def test_no_workspace_is_left_after_a_test(monkeypatch, tmp_path, program, verdict):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    feedback = ProcessExecutor(caps=ResourceCaps(wall_seconds=0.5)).execute(program, make_suite(("a", "a")))
+    assert feedback.verdicts == (verdict,)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_input_that_cannot_be_written_is_a_workspace_failure(monkeypatch, tmp_path):
+    def no_space(**kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
+    with pytest.raises(SandboxSetupError, match="cannot prepare workspace"):
+        ProcessExecutor().execute("print(1)", make_suite(("", "1")))
+    assert list(tmp_path.iterdir()) == []
+
+
 _GUARDED = "network access is disabled in this sandbox"
 
 

@@ -99,7 +99,7 @@ def test_scripted_round_trips_through_file(tmp_path):
 def test_remote_model_retries_then_succeeds():
     attempts = []
 
-    def flaky(url, payload, timeout, token=None):
+    def flaky(url, payload, timeout):
         attempts.append(payload["seed"])
         if len(attempts) < 3:
             raise TransportError("connection reset")
@@ -113,7 +113,7 @@ def test_remote_model_retries_then_succeeds():
 
 
 def test_remote_model_exhausts_retries():
-    def always_down(url, payload, timeout, token=None):
+    def always_down(url, payload, timeout):
         raise TransportError("no route")
 
     model = RemoteModel("https://model.example/v1", transport=always_down, backoff_seconds=0.0)
@@ -124,7 +124,7 @@ def test_remote_model_exhausts_retries():
 def test_remote_model_carries_decoding_params():
     seen = {}
 
-    def capture(url, payload, timeout, token=None):
+    def capture(url, payload, timeout):
         seen.update(payload)
         return {"text": "t"}
 
