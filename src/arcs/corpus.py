@@ -22,7 +22,6 @@ import os
 import re
 import secrets
 import stat
-import struct
 import tokenize
 import warnings
 import weakref
@@ -91,6 +90,15 @@ def _metadata(item: CorpusItem) -> dict:
     return {name: getattr(item, name) for name in _METADATA_NAMES}
 
 
+def _checked_record(record, position: int) -> dict:
+    """``record`` if it holds exactly the item metadata fields, each of its
+    type, with ``index`` equal to ``position``; otherwise ValueError."""
+    types = isinstance(record, dict) and {key: type(value) for key, value in record.items()}
+    if types != _METADATA_TYPES or record["index"] != position:
+        raise ValueError(f"record {position} is not the metadata of an item at index {position}")
+    return record
+
+
 @dataclass(frozen=True, eq=False)
 class CorpusSnapshot:
     """Immutable, digest-verified corpus of embedded items.
@@ -123,29 +131,20 @@ class CorpusSnapshot:
 
     @classmethod
     def build(
-        cls,
-        items: Sequence[CorpusItem],
-        embedder_id: str,
-        dimension: int,
-        created_at: str | None = None,
+        cls, records: Sequence[dict], matrix, embedder_id: str, created_at: str | None = None
     ) -> "CorpusSnapshot":
-        items = tuple(items)
-        if not items:
+        """The snapshot of ``records``, each an item's metadata fields, and the
+        ``(n, d)`` ``matrix`` whose row ``i`` embeds record ``i``. A record
+        checks as a snapshot line does at load; the snapshot keeps its own copy
+        of the matrix, so the caller's stays writeable."""
+        records = [_checked_record(record, position) for position, record in enumerate(records)]
+        if not records:
             raise EmptyCorpusError("snapshot requires at least one item")
-        for position, item in enumerate(items):
-            if item.index != position:
-                raise ValueError(f"item indices must be contiguous from 0, got {item.index} at {position}")
-            if len(item.embedding) != dimension:
-                raise ValueError(
-                    f"item {item.index} has embedding dimension {len(item.embedding)}, expected {dimension}"
-                )
-        # struct packs Python floats faster than np.array reads a list of tuples
-        row = struct.Struct(f"{dimension}d")
-        packed = b"".join([row.pack(*item.embedding) for item in items])
-        matrix = np.frombuffer(packed, dtype=np.float64).reshape(len(items), dimension)
-        records = [_metadata(item) for item in items]
-        digest = compute_content_digest((_metadata_line(record) for record in records), matrix)
-        # rows of a matrix over bytes, so read-only like it
+        matrix = np.array(matrix, dtype=np.float64, order="C")
+        if matrix.ndim != 2 or len(matrix) != len(records):
+            raise ValueError(f"a matrix of shape {matrix.shape} does not embed {len(records)} records")
+        matrix.flags.writeable = False
+        digest = compute_content_digest(map(_metadata_line, records), matrix)
         items = tuple(CorpusItem(**record, embedding=row) for record, row in zip(records, matrix))
         return cls(items, embedder_id, created_at or utc_now_iso(), digest, matrix)
 
@@ -365,7 +364,8 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
     absolute = [os.path.abspath(path) for path in paths]
     root = os.path.commonpath([os.path.dirname(path) for path in absolute])
     relative = [os.path.relpath(path, root) for path in absolute]
-    items: list[CorpusItem] = []
+    records: list[dict] = []
+    vectors = array("d")
     for source_path, path in sorted(zip(relative, paths), key=operator.itemgetter(0)):
         path = Path(path)
         try:
@@ -383,21 +383,21 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
             raise IngestError(f"cannot parse input path {path}{line}: {reason}") from exc
         for definition in definitions:
             parts = (definition.signature, definition.doc, *definition.comments)
-            vector = embed_metadata("\n".join(part for part in parts if part.strip()), embedder)
-            items.append(
-                CorpusItem(
-                    index=len(items),
-                    signature=definition.signature,
-                    doc=definition.doc,
-                    body=definition.body,
-                    source_path=source_path,
-                    language=language,
-                    embedding=tuple(vector),
-                )
+            vectors.extend(embed_metadata("\n".join(part for part in parts if part.strip()), embedder))
+            records.append(
+                {
+                    "index": len(records),
+                    "signature": definition.signature,
+                    "doc": definition.doc,
+                    "body": definition.body,
+                    "source_path": source_path,
+                    "language": language,
+                }
             )
-    if not items:
+    if not records:
         raise EmptyCorpusError("no definitions extracted from the given paths")
-    return CorpusSnapshot.build(items, embedder.embedder_id, embedder.dimension)
+    matrix = np.frombuffer(vectors, dtype=np.float64).reshape(len(records), embedder.dimension)
+    return CorpusSnapshot.build(records, matrix, embedder.embedder_id)
 
 
 def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
@@ -574,12 +574,9 @@ class _LoadedItems(Sequence[CorpusItem]):
         if hashlib.sha256(line).digest() != self._hashes[row * _HASH_SIZE : (row + 1) * _HASH_SIZE]:
             raise _corrupt_line(self.fd, self.path, self._offsets[row])
         try:
-            record = json.loads(line.decode("utf-8"))
+            record = _checked_record(json.loads(line.decode("utf-8")), row)
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
             raise _corrupt_line(self.fd, self.path, self._offsets[row]) from exc
-        types = isinstance(record, dict) and {key: type(value) for key, value in record.items()}
-        if types != _METADATA_TYPES or record["index"] != row:
-            raise _corrupt_line(self.fd, self.path, self._offsets[row])
         return CorpusItem(**record, embedding=self.matrix[row])
 
     def __eq__(self, other) -> bool:

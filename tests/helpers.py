@@ -83,22 +83,25 @@ def normalized(values) -> tuple[float, ...]:
     return tuple(v / norm for v in values)
 
 
+def make_record(index: int, signature: str = "", doc: str = "") -> dict:
+    """The metadata of a fixture item: a record for ``CorpusSnapshot.build``."""
+    return {
+        "index": index,
+        "signature": signature or f"item_{index}()",
+        "doc": doc,
+        "body": f"def item_{index}():\n    pass",
+        "source_path": "fixture.py",
+        "language": "python",
+    }
+
+
 def make_item(index: int, embedding, signature: str = "", doc: str = "") -> CorpusItem:
-    return CorpusItem(
-        index=index,
-        signature=signature or f"item_{index}()",
-        doc=doc,
-        body=f"def item_{index}():\n    pass",
-        source_path="fixture.py",
-        language="python",
-        embedding=tuple(float(x) for x in embedding),
-    )
+    return CorpusItem(**make_record(index, signature, doc), embedding=tuple(float(x) for x in embedding))
 
 
 def snapshot_from_embeddings(embeddings, embedder_id: str = "hash384") -> CorpusSnapshot:
-    dimension = len(embeddings[0])
-    items = [make_item(i, vec) for i, vec in enumerate(embeddings)]
-    return CorpusSnapshot.build(items, embedder_id, dimension, created_at="2026-01-01T00:00:00+00:00")
+    records = [make_record(i) for i in range(len(embeddings))]
+    return CorpusSnapshot.build(records, embeddings, embedder_id, created_at="2026-01-01T00:00:00+00:00")
 
 
 LONG_TASK_PAD = " ".join(f"detail{i}" for i in range(130))

@@ -52,6 +52,7 @@ from helpers import (
     fenced,
     long_spec,
     make_item,
+    make_record,
     sum_suite,
 )
 
@@ -144,19 +145,19 @@ class _PlantedEmbedder(EmbeddingProvider):
         return list(self._vector)
 
 
-def _brute_force_top_k(items, query_vector, k):
+def _brute_force_top_k(rows, query_vector, k):
     query_norm = math.sqrt(sum(x * x for x in query_vector))
     scores = []
-    for item in items:
+    for row in rows:
         dot = 0.0
         norm_sq = 0.0
-        for a, b in zip(query_vector, item.embedding):
+        for a, b in zip(query_vector, row):
             dot += a * b
             norm_sq += b * b
         norm = math.sqrt(norm_sq)
         scores.append(0.0 if query_norm == 0.0 or norm == 0.0 else dot / (query_norm * norm))
-    order = sorted(range(len(items)), key=lambda i: (-scores[i], i))
-    return order[: min(k, len(items))]
+    order = sorted(range(len(rows)), key=lambda i: (-scores[i], i))
+    return order[: min(k, len(rows))]
 
 
 def test_criterion_4_retrieval_oracle_equivalence():
@@ -170,16 +171,14 @@ def test_criterion_4_retrieval_oracle_equivalence():
             # plant an exact duplicate row to force the index tie-break
             src, dst = py_rng.sample(range(n), 2)
             matrix[dst] = matrix[src]
-        items = [
-            make_item(i, tuple(float(x) for x in matrix[i])) for i in range(n)
-        ]
-        snapshot = CorpusSnapshot.build(items, "hash384", 384, created_at="2026-01-01T00:00:00+00:00")
+        records = [make_record(i) for i in range(n)]
+        snapshot = CorpusSnapshot.build(records, matrix, "hash384", created_at="2026-01-01T00:00:00+00:00")
         query_vector = [float(x) for x in rng.standard_normal(384)]
         k = py_rng.randint(1, 20)
         result = top_k(
             RetrievalQuery("planted query", k), snapshot, _PlantedEmbedder(query_vector)
         )
-        expected = _brute_force_top_k(items, query_vector, k)
+        expected = _brute_force_top_k(matrix.tolist(), query_vector, k)
         assert [item.index for item, _ in result.items] == expected, f"corpus {corpus_number}"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -356,9 +355,9 @@ def test_criterion_8_cost_bound():
     embedder = HashingEmbedder(16)
     texts = [f"helper routine number {i}" for i in range(6)]
     snapshot = CorpusSnapshot.build(
-        [make_item(i, embedder.embed(t)) for i, t in enumerate(texts)],
+        [make_record(i) for i in range(len(texts))],
+        [embedder.embed(t) for t in texts],
         embedder.embedder_id,
-        16,
         created_at="2026-01-01T00:00:00+00:00",
     )
     rng = random.Random(1234)

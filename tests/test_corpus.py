@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from arcs import corpus
 from arcs.corpus import (
-    CorpusItem,
     CorpusSnapshot,
     compute_content_digest,
     extract_definitions,
@@ -39,7 +38,7 @@ from arcs.errors import (
 from arcs.retrieval import RetrievalQuery, signature_name, top_k
 
 from conftest import THREE_FUNCTION_FILE
-from helpers import make_item
+from helpers import make_record
 
 
 def test_extractor_on_three_function_fixture():
@@ -428,19 +427,48 @@ def test_tampered_snapshot_fails_digest(snapshot, tmp_path):
 
 def test_hundred_item_snapshot_preserves_order(tmp_path):
     embedder = HashingEmbedder(dimension=16)
-    items = [make_item(i, embedder.embed(f"function number {i}")) for i in range(100)]
-    snap = CorpusSnapshot.build(items, embedder.embedder_id, 16)
+    rows = [embedder.embed(f"function number {i}") for i in range(100)]
+    snap = CorpusSnapshot.build([make_record(i) for i in range(100)], rows, embedder.embedder_id)
     path = tmp_path / "big.snap"
     save_snapshot(snap, path)
     loaded = load_snapshot(path)
     assert [item.index for item in loaded.items] == list(range(100))
 
 
+@pytest.mark.parametrize(
+    "records, rows",
+    [
+        ([{key: value for key, value in make_record(0).items() if key != "doc"}], [(1.0, 0.0)]),
+        ([{**make_record(0), "embedding": [1.0, 0.0]}], [(1.0, 0.0)]),
+        ([{**make_record(0), "doc": None}], [(1.0, 0.0)]),
+        ([{**make_record(0), "index": 0.0}], [(1.0, 0.0)]),
+        ([make_record(0), make_record(0)], [(1.0, 0.0), (0.0, 1.0)]),
+        ([make_record(0), make_record(1)], [(1.0, 0.0)]),
+        ([make_record(0)], [(1.0, 0.0), (0.0, 1.0)]),
+        ([make_record(0)], [1.0, 0.0]),
+    ],
+    ids=["missing_field", "extra_field", "ill_typed_field", "float_index", "wrong_index", "too_few_rows",
+         "too_many_rows", "one_dimensional"],
+)
+def test_build_refuses_a_malformed_record_or_a_matrix_of_another_row_count(records, rows):
+    with pytest.raises(ValueError):
+        CorpusSnapshot.build(records, rows, "hash2")
+
+
+def test_build_keeps_its_own_read_only_copy_of_the_matrix():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+    snap = CorpusSnapshot.build([make_record(0), make_record(1)], rows, "hash2")
+    assert rows.flags.writeable and not snap.matrix.flags.writeable
+    assert snap.matrix.flags.c_contiguous and snap.matrix.dtype == np.float64
+    rows[0, 0] = 5.0
+    assert snap.matrix[0, 0] == 1.0 and snap.items[0].embedding[0] == 1.0
+
+
 def test_build_rejects_gapped_indices():
     embedder = HashingEmbedder(dimension=8)
-    items = [make_item(0, embedder.embed("a")), make_item(2, embedder.embed("b"))]
+    rows = [embedder.embed("a"), embedder.embed("b")]
     with pytest.raises(ValueError):
-        CorpusSnapshot.build(items, embedder.embedder_id, 8)
+        CorpusSnapshot.build([make_record(0), make_record(2)], rows, embedder.embedder_id)
 
 
 @pytest.mark.parametrize(
@@ -451,8 +479,8 @@ def test_build_rejects_gapped_indices():
 def test_non_finite_embeddings_are_rejected_at_build_and_at_load(tmp_path, row):
     rows = [(1.0, 0.0, 0.0), row, (0.0, 1.0, 0.0)]
     with pytest.raises(ValueError, match="item 1 has a non-finite embedding"):
-        CorpusSnapshot.build([make_item(i, vector) for i, vector in enumerate(rows)], "hash3", 3)
-    finite = CorpusSnapshot.build([make_item(i, (1.0, 0.0, float(i))) for i in range(3)], "hash3", 3)
+        CorpusSnapshot.build([make_record(i) for i in range(3)], rows, "hash3")
+    finite = CorpusSnapshot.build([make_record(i) for i in range(3)], [(1.0, 0.0, float(i)) for i in range(3)], "hash3")
     path = tmp_path / "forged.snap"
     save_snapshot(finite, path)
     _forge(path, finite, path.read_bytes().split(b"\n")[1:4], np.array(rows))
@@ -463,7 +491,7 @@ def test_non_finite_embeddings_are_rejected_at_build_and_at_load(tmp_path, row):
 def test_replacing_the_matrix_derives_and_checks_its_norms_again():
     embedder = HashingEmbedder(dimension=2)
     x, y = embedder.embed("query")
-    snap = CorpusSnapshot.build([make_item(0, (x, y)), make_item(1, (-y, x))], embedder.embedder_id, 2)
+    snap = CorpusSnapshot.build([make_record(0), make_record(1)], [(x, y), (-y, x)], embedder.embedder_id)
     doubled = dataclasses.replace(snap, matrix=2 * snap.matrix)
     scores = [score for _, score in top_k(RetrievalQuery("query", 2), doubled, embedder).items]
     assert scores == pytest.approx([1.0, 0.0])
@@ -604,8 +632,8 @@ def test_forged_item_line_loads_and_raises_on_first_access(snapshot, tmp_path, f
 
 def _other_snapshot(snapshot: CorpusSnapshot) -> CorpusSnapshot:
     """A one-item snapshot with ``snapshot``'s embedder and another digest."""
-    item = make_item(0, HashingEmbedder(snapshot.dimension).embed("another corpus"))
-    return CorpusSnapshot.build([item], snapshot.embedder_id, snapshot.dimension)
+    row = HashingEmbedder(snapshot.dimension).embed("another corpus")
+    return CorpusSnapshot.build([make_record(0)], [row], snapshot.embedder_id)
 
 
 def test_loaded_items_read_after_their_path_is_replaced_and_removed(snapshot, tmp_path):
@@ -722,8 +750,8 @@ def test_a_well_formed_line_not_in_canonical_form_loads_as_its_record(snapshot, 
 
 def test_a_query_decodes_only_the_items_it_walks(tmp_path, monkeypatch):
     embedder = HashingEmbedder(dimension=32)
-    items = [make_item(i, embedder.embed(f"function number {i}")) for i in range(200)]
-    built = CorpusSnapshot.build(items, embedder.embedder_id, 32)
+    rows = [embedder.embed(f"function number {i}") for i in range(200)]
+    built = CorpusSnapshot.build([make_record(i) for i in range(200)], rows, embedder.embedder_id)
     path = tmp_path / "corpus.snap"
     save_snapshot(built, path)
     ranked = top_k(RetrievalQuery("function number 7", 4), built, embedder).indices()
@@ -762,11 +790,12 @@ _AWKWARD_TEXT = st.lists(
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.lists(st.tuples(_AWKWARD_TEXT, _AWKWARD_TEXT, _AWKWARD_TEXT), min_size=1, max_size=4))
 def test_names_read_from_saved_lines_are_the_names_of_their_signatures(texts):
-    items = [
-        CorpusItem(i, signature, doc, body, "src.py", "python", embedding=(1.0, float(i)))
+    records = [
+        {"index": i, "signature": signature, "doc": doc, "body": body, "source_path": "src.py", "language": "python"}
         for i, (signature, doc, body) in enumerate(texts)
     ]
-    built = CorpusSnapshot.build(items, "hash2", 2, created_at="2026-01-01T00:00:00+00:00")
+    rows = [(1.0, float(i)) for i in range(len(texts))]
+    built = CorpusSnapshot.build(records, rows, "hash2", created_at="2026-01-01T00:00:00+00:00")
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "corpus.snap"
         save_snapshot(built, path)
@@ -792,33 +821,33 @@ def test_invalid_utf8_in_an_item_line_is_corrupt(snapshot, tmp_path):
 def _megabyte_snapshot() -> CorpusSnapshot:
     """About 1 MB on disk: 1,000 items with 21-line bodies and 32-dimension embeddings."""
     embedder = HashingEmbedder(dimension=32)
-    items = []
+    records, rows = [], []
     for index in range(1000):
         signature = f"handler_{index}(request, options)"
         body = "\n".join(
             [f"def {signature}:"]
             + [f"    value_{line} = request.field_{line} + {index}" for line in range(20)]
         )
-        items.append(
-            CorpusItem(
-                index=index,
-                signature=signature,
-                doc=f"Handle request number {index} with the given options.",
-                body=body,
-                source_path=f"pkg/module_{index % 7}.py",
-                language="python",
-                embedding=tuple(embedder.embed(signature)),
-            )
+        records.append(
+            {
+                "index": index,
+                "signature": signature,
+                "doc": f"Handle request number {index} with the given options.",
+                "body": body,
+                "source_path": f"pkg/module_{index % 7}.py",
+                "language": "python",
+            }
         )
-    return CorpusSnapshot.build(items, embedder.embedder_id, embedder.dimension)
+        rows.append(embedder.embed(signature))
+    return CorpusSnapshot.build(records, rows, embedder.embedder_id)
 
 
-def _traced_load(path) -> tuple[CorpusSnapshot, int, int]:
-    """``load_snapshot(path)``, the bytes it keeps and its peak, as tracemalloc counts them."""
+def _traced(function, *args) -> tuple[CorpusSnapshot, int, int]:
+    """``function(*args)``, the bytes it keeps and its peak, as tracemalloc counts them."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loaded = load_snapshot(path)
+        loaded = function(*args)
         kept, peak = (value - before for value in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
@@ -830,7 +859,7 @@ def test_snapshot_load_peaks_below_two_and_a_half_file_sizes(tmp_path):
     save_snapshot(_megabyte_snapshot(), path)
     size = path.stat().st_size
     assert 900_000 < size < 1_100_000
-    loaded, kept, peak = _traced_load(path)
+    loaded, kept, peak = _traced(load_snapshot, path)
     assert len(loaded) == 1000
     assert peak <= 2.5 * size, f"load peaked at {peak / size:.2f}x the file size"
     # streamed: beyond the snapshot it returns, the load holds little at once
@@ -840,19 +869,32 @@ def test_snapshot_load_peaks_below_two_and_a_half_file_sizes(tmp_path):
 def test_loaded_snapshot_keeps_little_beyond_its_matrix(tmp_path):
     path = tmp_path / "big.snap"
     save_snapshot(_megabyte_snapshot(), path)
-    loaded, kept, _ = _traced_load(path)
+    loaded, kept, _ = _traced(load_snapshot, path)
     per_item = (kept - loaded.matrix.nbytes) / len(loaded)
     # offsets, lengths and line hashes; not the item lines
     assert per_item <= 512, f"load kept {per_item:.0f} B per item beyond the matrix"
+
+
+def test_ingest_peaks_below_three_matrices(tmp_path):
+    # 300 definitions whose 4096-wide rows outweigh their text, so a second
+    # copy of each vector, as a tuple of floats or as packed bytes, would show
+    for number in range(10):
+        functions = [f"def handler_{number}_{index}(value):\n    return value + {index}\n" for index in range(30)]
+        (tmp_path / f"module_{number}.py").write_text("\n".join(functions), encoding="utf-8")
+    paths = sorted(tmp_path.iterdir())
+    snapshot, _, peak = _traced(ingest, paths, HashingEmbedder(dimension=4096))
+    assert len(snapshot) == 300
+    matrix = snapshot.matrix.nbytes
+    assert peak <= 3 * matrix, f"ingest peaked at {peak / matrix:.2f}x its matrix"
 
 
 def test_snapshot_load_holds_its_matrix_once(tmp_path):
     # 2 MB of sparse floats compress to a few KB, so a second copy of the
     # matrix would dominate what the load holds beyond its result
     embedder = HashingEmbedder(dimension=4096)
-    items = [make_item(i, embedder.embed(f"function number {i}")) for i in range(64)]
+    rows = [embedder.embed(f"function number {i}") for i in range(64)]
     path = tmp_path / "wide.snap"
-    save_snapshot(CorpusSnapshot.build(items, embedder.embedder_id, 4096), path)
-    loaded, kept, peak = _traced_load(path)
+    save_snapshot(CorpusSnapshot.build([make_record(i) for i in range(64)], rows, embedder.embedder_id), path)
+    loaded, kept, peak = _traced(load_snapshot, path)
     matrix = loaded.matrix.nbytes
     assert peak - kept <= 0.2 * matrix, f"load held {(peak - kept) / matrix:.2f}x the matrix transiently"

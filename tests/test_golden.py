@@ -32,7 +32,7 @@ from arcs.controller import (
     run,
     save_run_log,
 )
-from arcs.corpus import CorpusItem, CorpusSnapshot, load_snapshot, save_snapshot
+from arcs.corpus import CorpusSnapshot, load_snapshot, save_snapshot
 from arcs.embedding import HashingEmbedder
 from arcs.errors import ReplayAssetError
 from arcs.evalkit import TaskRecord, sweep
@@ -94,21 +94,19 @@ def _snapshot() -> tuple[CorpusSnapshot, HashingEmbedder]:
         ("read_pair()", "Read two integers from stdin."),
         ("print_sum(a, b)", "Print the sum of two integers."),
     ]
-    items = [
-        CorpusItem(
-            index=index,
-            signature=signature,
-            doc=doc,
-            body=f"def {signature}:\n    pass",
-            source_path=f"golden/module_{index % 2}.py",
-            language="python",
-            embedding=tuple(embedder.embed(f"{signature}\n{doc}")),
-        )
+    records = [
+        {
+            "index": index,
+            "signature": signature,
+            "doc": doc,
+            "body": f"def {signature}:\n    pass",
+            "source_path": f"golden/module_{index % 2}.py",
+            "language": "python",
+        }
         for index, (signature, doc) in enumerate(texts)
     ]
-    snapshot = CorpusSnapshot.build(
-        items, embedder.embedder_id, embedder.dimension, created_at="2026-01-01T00:00:00+00:00"
-    )
+    rows = [embedder.embed(f"{signature}\n{doc}") for signature, doc in texts]
+    snapshot = CorpusSnapshot.build(records, rows, embedder.embedder_id, created_at="2026-01-01T00:00:00+00:00")
     return snapshot, embedder
 
 

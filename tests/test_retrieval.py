@@ -23,7 +23,7 @@ from arcs.retrieval import (
     top_k,
 )
 
-from helpers import make_item, normalized, snapshot_from_embeddings, unit_vector
+from helpers import make_item, make_record, normalized, snapshot_from_embeddings, unit_vector
 
 
 def test_cosine_identical_unit_vectors():
@@ -192,9 +192,9 @@ def test_top_k_denylist_covers_every_row_of_a_shared_name():
     # several rows share the denylisted name "dup", several the allowed name "keep"
     names = ["dup", "keep", "solo_a", "dup", "keep", "dup", "solo_b", "keep", "dup", "solo_c"]
     rows = [normalized([rng.gauss(0, 1) for _ in range(dimension)]) for _ in names]
-    items = [make_item(i, row, signature=f"{name}(x)") for i, (name, row) in enumerate(zip(names, rows))]
+    records = [make_record(i, signature=f"{name}(x)") for i, name in enumerate(names)]
     embedder = PlantedEmbedder(dimension)
-    snap = CorpusSnapshot.build(items, embedder.embedder_id, dimension, created_at="2026-01-01T00:00:00+00:00")
+    snap = CorpusSnapshot.build(records, rows, embedder.embedder_id, created_at="2026-01-01T00:00:00+00:00")
     denylist = frozenset({"dup", "solo_b", "absent"})
 
     # independent oracle: pure-python cosine, denylisted names skipped, full sort
@@ -248,8 +248,8 @@ def test_top_k_with_a_denylist_equals_a_brute_force_scan(named_rows, query, data
             return [float(x) for x in query]
 
     embedder = PlantedEmbedder(3)
-    items = [make_item(i, row, signature=f"{name}(x)") for i, (name, row) in enumerate(zip(names, rows))]
-    snap = CorpusSnapshot.build(items, embedder.embedder_id, 3, created_at="2026-01-01T00:00:00+00:00")
+    records = [make_record(i, signature=f"{name}(x)") for i, name in enumerate(names)]
+    snap = CorpusSnapshot.build(records, rows, embedder.embedder_id, created_at="2026-01-01T00:00:00+00:00")
 
     # independent oracle: pure-python cosine, denylisted names skipped, full sort
     query_norm = math.sqrt(sum(x * x for x in query))
