@@ -163,11 +163,10 @@ def _cmd_index(args) -> int:
     root = Path(args.input)
     if not root.is_dir():
         raise ConfigError(f"input {root} is not a directory")
-    paths = sorted(
-        str(p)
-        for p in root.rglob("*")
-        if p.is_file() and p.suffix.lower() in LANGUAGE_BY_EXTENSION
-    )
+    paths = [p for p in root.rglob("*") if p.is_file() and p.suffix.lower() in LANGUAGE_BY_EXTENSION]
+    if not paths:
+        known = ", ".join(sorted(LANGUAGE_BY_EXTENSION))
+        raise ConfigError(f"input {root} holds no source file of a known extension ({known})")
     snapshot = ingest(paths, embedder)
     with _writing(args.out):
         save_snapshot(snapshot, args.out)

@@ -246,8 +246,11 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
     Halts early when a candidate passes every test; otherwise returns the
     candidate with the most tests passed (earliest round on ties). A hard
     model failure consumes its round with an empty candidate; if every round
-    is empty the run raises NoCandidateError carrying the log.
+    is empty the run raises NoCandidateError carrying the log. A spec with no
+    text is a ConfigError, raised before any model call.
     """
+    if not spec.strip():
+        raise ConfigError("the task spec holds no text")
     if tier.k > 0:
         if deps.snapshot is None:
             raise ConfigError("retrieval is enabled (k>0) but no corpus snapshot was provided")

@@ -757,51 +757,71 @@ def _index_embedder_past_the_gram_count(tmp_path, task_files):
     return ["index", "--input", str(tree), "--out", str(out), "--embedder", "hash54873"]
 
 
+def _run_spec_blank(tmp_path, task_files):
+    spec, _, _ = task_files
+    spec.write_text(" \n\t\n", encoding="utf-8")
+    return _run_args(tmp_path, task_files)
+
+
+def _index_tree_without_source_files(tmp_path, task_files):
+    tree = tmp_path / "docs_only"
+    tree.mkdir()
+    (tree / "notes.txt").write_text("def add(a, b):\n    return a + b\n", encoding="utf-8")
+    return ["index", "--input", str(tree), "--out", str(tmp_path / "corpus.snap")]
+
+
+def _case(malformed, fragment: str):
+    """A malformed-input case and the text its one error line must hold."""
+    return pytest.param(malformed, fragment, id=malformed.__name__)
+
+
 @pytest.mark.parametrize(
-    "malformed",
+    "malformed, fragment",
     [
-        _replay_manifest_without_spec,
-        _run_script_entry_without_response,
-        _exec_suite_not_json,
-        _sweep_task_record_not_object,
-        _exec_program_missing,
-        _run_spec_missing,
-        _sweep_task_tags_not_list,
-        _query_v1_snapshot,
-        _run_budget_b_zero,
-        _run_budget_k_negative,
-        _run_delta_above_one,
-        _run_seed_not_int,
-        _run_top_p_not_float,
-        _run_tier_huge,
-        _run_model_nope,
-        _exec_wall_seconds_zero,
-        _exec_memory_bytes_past_rlimit,
-        _exec_wall_seconds_past_selectors,
-        _query_k_zero,
-        _run_script_model_id_not_string,
-        _index_embedder_hash0,
-        _index_embedder_past_the_gram_count,
-        _run_max_stack_lines_negative,
-        _run_max_subgoals_negative,
-        _exec_wall_seconds_not_float,
-        _query_k_not_int,
-        _run_max_output_tokens_negative,
-        _run_top_p_above_one,
-        _run_temperature_negative,
-        _sweep_tasks_not_utf8,
-        _replay_manifest_not_utf8,
-        _run_config_unknown_key,
-        _run_config_line_without_equals,
+        _case(_replay_manifest_without_spec, "spec: missing field"),
+        _case(_run_script_entry_without_response, "entries[0].response: missing field"),
+        _case(_exec_suite_not_json, "suite.txt: Extra data"),
+        _case(_sweep_task_record_not_object, "has a bad record"),
+        _case(_exec_program_missing, "missing.py: [Errno 2] No such file"),
+        _case(_run_spec_missing, "nope.txt: [Errno 2] No such file"),
+        _case(_sweep_task_tags_not_list, "tags must be a list of strings"),
+        _case(_query_v1_snapshot, "has format version 1, not 2"),
+        _case(_run_budget_b_zero, "iteration budget must be >= 1"),
+        _case(_run_budget_k_negative, "retrieval budget k must be >= 0"),
+        _case(_run_delta_above_one, "delta must be in (0, 1]"),
+        _case(_run_seed_not_int, "config key seed has a bad value 'x'"),
+        _case(_run_top_p_not_float, "config key top_p has a bad value 'abc'"),
+        _case(_run_tier_huge, "unknown tier 'huge'"),
+        _case(_run_model_nope, "unknown model adapter 'nope'"),
+        _case(_exec_wall_seconds_zero, "wall_seconds must be in (0, 2147483.647], got 0.0"),
+        _case(_exec_memory_bytes_past_rlimit, "memory_bytes must be an integer in [1, 2**63 - 1]"),
+        _case(_exec_wall_seconds_past_selectors, "wall_seconds must be in (0, 2147483.647], got 3000000.0"),
+        _case(_query_k_zero, "retrieval budget k must be >= 1"),
+        _case(_run_script_model_id_not_string, "model_id must be a string"),
+        _case(_index_embedder_hash0, "dimension must be in [1, 54872], got 0"),
+        _case(_index_embedder_past_the_gram_count, "dimension must be in [1, 54872], got 54873"),
+        _case(_run_max_stack_lines_negative, "max_stack_lines must be a finite number >= 0"),
+        _case(_run_max_subgoals_negative, "max_subgoals must be a finite number >= 0"),
+        _case(_exec_wall_seconds_not_float, "config key wall_seconds has a bad value 'x'"),
+        _case(_query_k_not_int, "config key budget_k has a bad value 'x'"),
+        _case(_run_max_output_tokens_negative, "max_output_tokens must be a finite number >= 1"),
+        _case(_run_top_p_above_one, "top_p must be in (0, 1], got 7.0"),
+        _case(_run_temperature_negative, "temperature must be a finite number >= 0"),
+        _case(_sweep_tasks_not_utf8, "tasks.json: 'utf-8' codec can't decode"),
+        _case(_replay_manifest_not_utf8, "manifest.json is corrupt"),
+        _case(_run_config_unknown_key, "unknown config key 'not_a_key'"),
+        _case(_run_config_line_without_equals, "config line 1 is not key = value"),
+        _case(_run_spec_blank, "the task spec holds no text"),
+        _case(_index_tree_without_source_files, "docs_only holds no source file of a known extension"),
     ],
 )
-def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed):
+def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed, fragment):
     argv = malformed(tmp_path, task_files)
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err.strip().splitlines()
     assert code == 2
-    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert len(err) == 1 and err[0].startswith("error: ") and fragment in err[0], err
 
 
 @pytest.mark.parametrize("wall_seconds", ["nan", "inf"])

@@ -442,13 +442,12 @@ def test_hundred_item_snapshot_preserves_order(tmp_path):
         ([{**make_record(0), "embedding": [1.0, 0.0]}], [(1.0, 0.0)]),
         ([{**make_record(0), "doc": None}], [(1.0, 0.0)]),
         ([{**make_record(0), "index": 0.0}], [(1.0, 0.0)]),
-        ([make_record(0), make_record(0)], [(1.0, 0.0), (0.0, 1.0)]),
         ([make_record(0), make_record(1)], [(1.0, 0.0)]),
         ([make_record(0)], [(1.0, 0.0), (0.0, 1.0)]),
         ([make_record(0)], [1.0, 0.0]),
     ],
-    ids=["missing_field", "extra_field", "ill_typed_field", "float_index", "wrong_index", "too_few_rows",
-         "too_many_rows", "one_dimensional"],
+    ids=["missing_field", "extra_field", "ill_typed_field", "float_index", "too_few_rows", "too_many_rows",
+         "one_dimensional"],
 )
 def test_build_refuses_a_malformed_record_or_a_matrix_of_another_row_count(records, rows):
     with pytest.raises(ValueError):
@@ -477,10 +476,10 @@ def test_build_rejects_gapped_indices():
     ids=["norm_overflows", "nan", "infinite"],
 )
 def test_non_finite_embeddings_are_rejected_at_build_and_at_load(tmp_path, row):
-    rows = [(1.0, 0.0, 0.0), row, (0.0, 1.0, 0.0)]
+    records, rows = [make_record(i) for i in range(3)], [(1.0, 0.0, 0.0), row, (0.0, 1.0, 0.0)]
     with pytest.raises(ValueError, match="item 1 has a non-finite embedding"):
-        CorpusSnapshot.build([make_record(i) for i in range(3)], rows, "hash3")
-    finite = CorpusSnapshot.build([make_record(i) for i in range(3)], [(1.0, 0.0, float(i)) for i in range(3)], "hash3")
+        CorpusSnapshot.build(records, rows, "hash3")
+    finite = CorpusSnapshot.build(records, [(1.0, 0.0, float(i)) for i in range(3)], "hash3")
     path = tmp_path / "forged.snap"
     save_snapshot(finite, path)
     _forge(path, finite, path.read_bytes().split(b"\n")[1:4], np.array(rows))

@@ -76,6 +76,17 @@ def test_sweep_records_task_failures_and_continues():
     assert failed.error is not None
 
 
+def test_sweep_records_a_blank_spec_and_runs_the_other_task():
+    ok = _echo_task("ok", "1")
+    blank = TaskRecord(id="blank", spec=" \n\t", suite=make_suite(("", "2")))
+    model = ScriptedModel([{"needles": ["ok:"], "response": fenced("print('1')")}])
+    report = sweep([ok, blank], TIERS["small"], RunDeps(model=model, executor=InProcessExecutor()))
+    outcomes = {outcome.task_id: outcome for outcome in report.outcomes}
+    assert outcomes["ok"].passed and outcomes["ok"].error is None
+    assert outcomes["blank"].error == "the task spec holds no text"
+    assert not outcomes["blank"].passed and outcomes["blank"].rounds_used == 0
+
+
 def test_sweep_is_deterministic():
     values = {"a": "1", "b": "2"}
     tasks = [_echo_task(task_id, value) for task_id, value in values.items()]
