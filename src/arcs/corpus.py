@@ -95,7 +95,7 @@ def _checked_record(record, position: int) -> dict:
     type, with ``index`` equal to ``position``; otherwise ValueError."""
     types = isinstance(record, dict) and {key: type(value) for key, value in record.items()}
     if types != _METADATA_TYPES or record["index"] != position:
-        raise ValueError(f"record {position} is not the metadata of an item at index {position}")
+        raise ValueError(f"record {position} must hold exactly index {position} and the str {_METADATA_NAMES[1:]}")
     return record
 
 
@@ -131,7 +131,7 @@ class CorpusSnapshot:
 
     @classmethod
     def build(
-        cls, records: Sequence[dict], matrix, embedder_id: str, created_at: str | None = None
+        cls, records: Sequence[dict], matrix: np.typing.ArrayLike, embedder_id: str, created_at: str | None = None
     ) -> "CorpusSnapshot":
         """The snapshot of ``records``, each an item's metadata fields, and the
         ``(n, d)`` ``matrix`` whose row ``i`` embeds record ``i``. A record
