@@ -436,21 +436,21 @@ def test_hundred_item_snapshot_preserves_order(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "records, rows",
+    "records, rows, message",
     [
-        ([{key: value for key, value in make_record(0).items() if key != "doc"}], [(1.0, 0.0)]),
-        ([{**make_record(0), "embedding": [1.0, 0.0]}], [(1.0, 0.0)]),
-        ([{**make_record(0), "doc": None}], [(1.0, 0.0)]),
-        ([{**make_record(0), "index": 0.0}], [(1.0, 0.0)]),
-        ([make_record(0), make_record(1)], [(1.0, 0.0)]),
-        ([make_record(0)], [(1.0, 0.0), (0.0, 1.0)]),
-        ([make_record(0)], [1.0, 0.0]),
+        ([{key: value for key, value in make_record(0).items() if key != "doc"}], [(1.0, 0.0)], "record 0"),
+        ([{**make_record(0), "embedding": [1.0, 0.0]}], [(1.0, 0.0)], "record 0"),
+        ([{**make_record(0), "doc": None}], [(1.0, 0.0)], "record 0"),
+        ([{**make_record(0), "index": 0.0}], [(1.0, 0.0)], "record 0"),
+        ([make_record(0), make_record(1)], [(1.0, 0.0)], "does not embed 2 records"),
+        ([make_record(0)], [(1.0, 0.0), (0.0, 1.0)], "does not embed 1 records"),
+        ([make_record(0)], [1.0, 0.0], "does not embed 1 records"),
     ],
     ids=["missing_field", "extra_field", "ill_typed_field", "float_index", "too_few_rows", "too_many_rows",
          "one_dimensional"],
 )
-def test_build_refuses_a_malformed_record_or_a_matrix_of_another_row_count(records, rows):
-    with pytest.raises(ValueError):
+def test_build_refuses_a_malformed_record_or_a_matrix_of_another_row_count(records, rows, message):
+    with pytest.raises(ValueError, match=message):
         CorpusSnapshot.build(records, rows, "hash2")
 
 
