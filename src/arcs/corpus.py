@@ -56,14 +56,16 @@ LANGUAGE_BY_EXTENSION = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CorpusItem:
-    """One extracted top-level definition plus its metadata embedding.
+    """One extracted top-level definition and its metadata.
 
     ``index`` is the item's position in the fixed corpus ordering; indices
-    are unique and contiguous from 0 within a snapshot. Inside a snapshot
-    ``embedding`` is a read-only row of the snapshot's matrix; items built by
-    hand may hold any sequence of floats.
+    are unique and contiguous from 0 within a snapshot, and row ``index`` of
+    the snapshot's matrix is the item's vector. Items compare and hash by
+    their six metadata fields. ``embedding`` is not among them: inside a
+    snapshot it is a read-only view of that row, and the package reads only
+    the matrix.
     """
 
     index: int
@@ -72,17 +74,10 @@ class CorpusItem:
     body: str
     source_path: str
     language: str
-    embedding: Sequence[float]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CorpusItem):
-            return NotImplemented
-        return _metadata(self) == _metadata(other) and np.array_equal(
-            self.embedding, other.embedding
-        )
+    embedding: Sequence[float] = field(compare=False)
 
 
-_METADATA_NAMES = tuple(spec.name for spec in fields(CorpusItem) if spec.name != "embedding")
+_METADATA_NAMES = tuple(spec.name for spec in fields(CorpusItem) if spec.compare)
 _METADATA_TYPES = {name: int if name == "index" else str for name in _METADATA_NAMES}
 
 

@@ -178,23 +178,20 @@ def _ranking(scores: np.ndarray, size: int) -> Iterator[int]:
 
 
 def filter_redundancy(
-    items: Sequence[CorpusItem], delta: float = DEFAULTS["delta"]
+    items: Sequence[CorpusItem], snapshot: CorpusSnapshot, delta: float = DEFAULTS["delta"]
 ) -> list[CorpusItem]:
     """Drop items whose similarity to a surviving earlier-index item exceeds delta.
 
-    Survivors are decided by a greedy scan in ascending corpus-index order;
-    the input's relative order is preserved in the output. The earliest-index
-    item always survives. Each candidate is compared with the survivors so far
-    in ``cosine_sim``'s arithmetic. An embedding whose norm is not finite
-    raises ValueError naming its item.
+    Each item's vector is row ``item.index`` of ``snapshot.matrix``, which
+    holds no non-finite row. Survivors are decided by a greedy scan in
+    ascending corpus-index order; the input's relative order is preserved in
+    the output. The earliest-index item always survives. Each candidate is
+    compared with the survivors so far in ``cosine_sim``'s arithmetic.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
-    if len({len(item.embedding) for item in items}) > 1:
-        raise DimensionMismatchError("redundancy filter over embeddings of different dimensions")
     scan_order = sorted(range(len(items)), key=lambda p: (items[p].index, p))
-    vectors = np.array([item.embedding for item in items], dtype=np.float64, ndmin=2)
-    finite_norms(vectors, lambda position: f"item {items[position].index}")
+    vectors = snapshot.matrix[[item.index for item in items]]
     kept: list[int] = []
     for position in scan_order:
         if not (_cosines(vectors[kept], vectors[position]) > delta).any():
@@ -232,7 +229,7 @@ def plan_conditioned_retrieve(
                 best[item.index] = score
             by_index[item.index] = item
     candidates = [by_index[i] for i in sorted(by_index)]
-    survivors = filter_redundancy(candidates, delta)
+    survivors = filter_redundancy(candidates, snapshot, delta)
     ordered = sorted(survivors, key=lambda item: (-best[item.index], item.index))
     return RetrievalResult(
         items=tuple((item, best[item.index]) for item in ordered),

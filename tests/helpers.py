@@ -104,6 +104,13 @@ def snapshot_from_embeddings(embeddings, embedder_id: str = "hash384") -> Corpus
     return CorpusSnapshot.build(records, embeddings, embedder_id, created_at="2026-01-01T00:00:00+00:00")
 
 
+def snapshot_items(embeddings) -> tuple[CorpusSnapshot, list[CorpusItem]]:
+    """The snapshot of ``embeddings`` and its items. A snapshot holds at least one
+    item, so no embeddings give a one-row snapshot and no items."""
+    snapshot = snapshot_from_embeddings(embeddings if len(embeddings) else [(0.0,)])
+    return snapshot, list(snapshot.items)[: len(embeddings)]
+
+
 LONG_TASK_PAD = " ".join(f"detail{i}" for i in range(130))
 
 

@@ -51,8 +51,8 @@ from helpers import (
     buggy_then_fixed_model,
     fenced,
     long_spec,
-    make_item,
     make_record,
+    snapshot_items,
     sum_suite,
 )
 
@@ -226,9 +226,9 @@ def _planted_pair_instance(rng: np.random.Generator, py_rng: random.Random):
             duplicate = 0.95 * vector + math.sqrt(1 - 0.95**2) * noise
             vectors.append(duplicate)
             planted += 1
-    items = [make_item(i, tuple(float(x) for x in vec)) for i, vec in enumerate(vectors)]
+    snapshot, items = snapshot_items(vectors)
     py_rng.shuffle(items)
-    return items, planted
+    return snapshot, items, planted
 
 
 def test_criterion_5_redundancy_filter_oracle():
@@ -236,15 +236,15 @@ def test_criterion_5_redundancy_filter_oracle():
     py_rng = random.Random(7)
     total_planted = 0
     for _ in range(30):
-        items, planted = _planted_pair_instance(rng, py_rng)
+        snapshot, items, planted = _planted_pair_instance(rng, py_rng)
         total_planted += planted
-        survivors = filter_redundancy(items, 0.85)
+        survivors = filter_redundancy(items, snapshot, 0.85)
         assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 0.85)
         # idempotence
-        assert filter_redundancy(survivors, 0.85) == survivors
+        assert filter_redundancy(survivors, snapshot, 0.85) == survivors
         # delta monotonicity across thresholds clear of every pairwise sim
         survivor_sets = [
-            {item.index for item in filter_redundancy(items, delta)}
+            {item.index for item in filter_redundancy(items, snapshot, delta)}
             for delta in (0.7, 0.85, 0.9, 0.97)
         ]
         for tighter, looser in zip(survivor_sets, survivor_sets[1:]):
@@ -258,13 +258,13 @@ def test_redundancy_filter_matches_the_oracle_at_the_planted_cosine():
     rng = np.random.default_rng(11)
     py_rng = random.Random(11)
     for _ in range(30):
-        items, _ = _planted_pair_instance(rng, py_rng)
-        survivors = filter_redundancy(items, 0.95)
+        snapshot, items, _ = _planted_pair_instance(rng, py_rng)
+        survivors = filter_redundancy(items, snapshot, 0.95)
         assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 0.95)
     for _ in range(30):
         originals = rng.standard_normal((py_rng.randint(2, 6), 64)) * py_rng.uniform(0.1, 10.0)
-        items = [make_item(i, tuple(float(x) for x in originals[i % len(originals)])) for i in range(12)]
-        survivors = filter_redundancy(items, 1.0)
+        snapshot, items = snapshot_items([originals[i % len(originals)] for i in range(12)])
+        survivors = filter_redundancy(items, snapshot, 1.0)
         assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 1.0)
 
 

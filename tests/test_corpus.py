@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from arcs import corpus
 from arcs.corpus import (
+    CorpusItem,
     CorpusSnapshot,
     compute_content_digest,
     extract_definitions,
@@ -500,6 +501,12 @@ def test_replacing_the_matrix_derives_and_checks_its_norms_again():
         dataclasses.replace(snap, matrix=np.array([[x, y], [np.inf, 0.0]]))
     with pytest.raises(ValueError, match="norms"):
         dataclasses.replace(snap, norms=snap.norms)
+
+
+def test_items_compare_and_hash_by_their_metadata():
+    first, second = (CorpusItem(**make_record(0), embedding=row) for row in ((1.0, 0.0), np.array([0.0, 1.0])))
+    assert first == second and hash(first) == hash(second)
+    assert first != CorpusItem(**make_record(0, doc="other"), embedding=(1.0, 0.0))
 
 
 def test_snapshot_items_share_one_read_only_matrix(snapshot, tmp_path):

@@ -23,7 +23,7 @@ from arcs.retrieval import (
     top_k,
 )
 
-from helpers import make_item, make_record, normalized, snapshot_from_embeddings, unit_vector
+from helpers import make_record, normalized, snapshot_from_embeddings, snapshot_items, unit_vector
 
 
 def test_cosine_identical_unit_vectors():
@@ -68,9 +68,6 @@ def test_vectors_whose_squared_norm_is_not_finite_are_rejected(row):
         cosine_sim((1.0, 0.0, 0.0), row)
     with pytest.raises(ValueError, match="v1 has a non-finite embedding norm"):
         cosine_sim(row, row)
-    items = [make_item(0, (1.0, 0.0, 0.0)), make_item(1, row), make_item(2, row)]
-    with pytest.raises(ValueError, match="item 1 has a non-finite embedding norm"):
-        filter_redundancy(items, 0.85)
 
 
 def _id_embedder(dimension):
@@ -287,28 +284,28 @@ def _two_vectors_with_cosine(value):
 
 def test_filter_drops_later_index_above_delta():
     a, b = _two_vectors_with_cosine(0.9)
-    items = [make_item(0, a), make_item(1, b)]
-    survivors = filter_redundancy(items, delta=0.85)
+    snapshot, items = snapshot_items([a, b])
+    survivors = filter_redundancy(items, snapshot, delta=0.85)
     assert [item.index for item in survivors] == [0]
 
 
 def test_filter_keeps_everything_at_or_below_delta():
     a, b = _two_vectors_with_cosine(0.5)
-    items = [make_item(0, a), make_item(1, b)]
-    assert filter_redundancy(items, delta=0.85) == items
+    snapshot, items = snapshot_items([a, b])
+    assert filter_redundancy(items, snapshot, delta=0.85) == items
 
 
 def test_filter_collapses_exact_duplicates():
     vec = normalized([1.0, 2.0, 3.0])
-    items = [make_item(0, vec), make_item(1, vec)]
-    survivors = filter_redundancy(items, delta=0.85)
+    snapshot, items = snapshot_items([vec, vec])
+    survivors = filter_redundancy(items, snapshot, delta=0.85)
     assert [item.index for item in survivors] == [0]
 
 
 def test_filter_survivor_set_ignores_input_order():
     a, b = _two_vectors_with_cosine(0.99)
-    items = [make_item(1, b), make_item(0, a)]
-    survivors = filter_redundancy(items, delta=0.85)
+    snapshot, items = snapshot_items([a, b])
+    survivors = filter_redundancy(items[::-1], snapshot, delta=0.85)
     # lower corpus index survives even when listed later
     assert [item.index for item in survivors] == [0]
 
@@ -318,9 +315,9 @@ def test_filter_greedy_prefix_chain():
     a = (1.0, 0.0)
     b = (math.cos(math.radians(25)), math.sin(math.radians(25)))
     c = (math.cos(math.radians(50)), math.sin(math.radians(50)))
-    items = [make_item(0, a), make_item(1, b), make_item(2, c)]
+    snapshot, items = snapshot_items([a, b, c])
     assert cosine_sim(a, b) > 0.85 and cosine_sim(b, c) > 0.85 and cosine_sim(a, c) < 0.85
-    survivors = filter_redundancy(items, delta=0.85)
+    survivors = filter_redundancy(items, snapshot, delta=0.85)
     assert [item.index for item in survivors] == [0, 2]
 
 
@@ -338,9 +335,9 @@ def test_filter_greedy_prefix_chain():
     st.floats(min_value=0.05, max_value=1.0, allow_nan=False),
 )
 def test_filter_idempotent(vectors, delta):
-    items = [make_item(i, tuple(vec)) for i, vec in enumerate(vectors)]
-    once = filter_redundancy(items, delta)
-    twice = filter_redundancy(once, delta)
+    snapshot, items = snapshot_items(vectors)
+    once = filter_redundancy(items, snapshot, delta)
+    twice = filter_redundancy(once, snapshot, delta)
     assert twice == once
 
 
@@ -355,10 +352,10 @@ def test_filter_monotone_in_delta_on_planted_pairs():
         items.append(vec)
         noisy = [v + rng.gauss(0, 0.01) for v in vec]
         items.append(normalized(noisy))
-    corpus = [make_item(i, vec) for i, vec in enumerate(items)]
+    snapshot, corpus = snapshot_items(items)
     deltas = [0.5, 0.85, 0.9, 0.999]
     survivor_sets = [
-        {item.index for item in filter_redundancy(corpus, delta)} for delta in deltas
+        {item.index for item in filter_redundancy(corpus, snapshot, delta)} for delta in deltas
     ]
     for tighter, looser in zip(survivor_sets, survivor_sets[1:]):
         assert tighter <= looser
@@ -422,13 +419,13 @@ def test_filter_matches_a_greedy_loop_scan(vectors, rng, data):
     delta = data.draw(
         st.sampled_from([0.5, 0.85, 0.99, 1.0, *on_a_pair]) | st.floats(min_value=0.05, max_value=1.0)
     )
-    items = [make_item(index, vector) for index, vector in enumerate(vectors)]
+    snapshot, items = snapshot_items(vectors)
     rng.shuffle(items)
     kept = []
     for item in sorted(items, key=lambda item: item.index):
         if not any(_loop_cosine(item.embedding, other.embedding) > delta for other in kept):
             kept.append(item)
-    assert filter_redundancy(items, delta) == [item for item in items if item in kept]
+    assert filter_redundancy(items, snapshot, delta) == [item for item in items if item in kept]
 
 
 def test_plan_conditioned_single_subgoal_equals_top_k():
