@@ -98,14 +98,16 @@ def _checked_record(record, position: int) -> dict:
 class CorpusSnapshot:
     """Immutable, digest-verified corpus of embedded items.
 
-    The snapshot owns its embeddings as one read-only, C-contiguous float64
-    ``(n, dimension)`` ``matrix``, which decides the rest: ``norms``, its
-    read-only row L2 norms, is derived at construction, where a row whose norm
-    is not finite raises ValueError, and ``dimension`` is its width. So a
-    ``dataclasses.replace`` of the matrix derives and checks them again.
-    ``items`` is a tuple in a built snapshot; in a loaded one it is a
-    read-only sequence that reads each item from the snapshot file on every
-    access and keeps none.
+    The snapshot owns its embeddings as one read-only float64 ``(n,
+    dimension)`` ``matrix`` whose row ``i`` is item ``i``'s vector; no other
+    copy is read. It decides the rest: ``norms``, its read-only row L2 norms,
+    is derived at construction, where a row whose norm is not finite raises
+    ValueError, and ``dimension`` is its width. So a ``dataclasses.replace``
+    of the matrix checks it again: one that is not 2-D with a row per item
+    raises ValueError, and a writeable one is kept as a read-only,
+    C-contiguous copy. ``items`` is a tuple in a built snapshot; in a loaded
+    one it is a read-only sequence that reads each item from the snapshot
+    file on every access and keeps none.
     """
 
     items: Sequence[CorpusItem]
@@ -116,6 +118,7 @@ class CorpusSnapshot:
     norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _read_only_rows(self.matrix, len(self.items)))
         norms = finite_norms(self.matrix, "item {}".format)
         norms.flags.writeable = False
         object.__setattr__(self, "norms", norms)
@@ -130,21 +133,30 @@ class CorpusSnapshot:
     ) -> "CorpusSnapshot":
         """The snapshot of ``records``, each an item's metadata fields, and the
         ``(n, d)`` ``matrix`` whose row ``i`` embeds record ``i``. A record
-        checks as a snapshot line does at load; the snapshot keeps its own copy
-        of the matrix, so the caller's stays writeable."""
+        checks as a snapshot line does at load; the snapshot keeps a read-only
+        copy of a writeable matrix, so the caller's stays writeable."""
         records = [_checked_record(record, position) for position, record in enumerate(records)]
         if not records:
             raise EmptyCorpusError("snapshot requires at least one item")
-        matrix = np.array(matrix, dtype=np.float64, order="C")
-        if matrix.ndim != 2 or len(matrix) != len(records):
-            raise ValueError(f"a matrix of shape {matrix.shape} does not embed {len(records)} records")
-        matrix.flags.writeable = False
+        matrix = _read_only_rows(matrix, len(records))
         digest = compute_content_digest(map(_metadata_line, records), matrix)
         items = tuple(CorpusItem(**record, embedding=row) for record, row in zip(records, matrix))
         return cls(items, embedder_id, created_at or utc_now_iso(), digest, matrix)
 
     def __len__(self) -> int:
         return len(self.items)
+
+
+def _read_only_rows(matrix: np.typing.ArrayLike, count: int) -> np.ndarray:
+    """``matrix`` as float64 if it is ``(count, d)``, else ValueError; a
+    writeable matrix is replaced by a read-only, C-contiguous copy."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or len(matrix) != count:
+        raise ValueError(f"a matrix of shape {matrix.shape} does not embed {count} records")
+    if matrix.flags.writeable:
+        matrix = np.array(matrix, order="C")
+        matrix.flags.writeable = False
+    return matrix
 
 
 def finite_norms(rows: np.ndarray, name: Callable[[int], str]) -> np.ndarray:

@@ -133,8 +133,10 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
     if not isinstance(records, list):
         raise ConfigError(f"task set {path} must be a JSON list")
     tasks = []
-    for record in records:
+    for position, record in enumerate(records):
         try:
+            if not isinstance(record, dict):
+                raise TypeError(f"record {position} must be a JSON object, got {type(record).__name__}")
             if "spec" in record:
                 spec = record["spec"]
             else:

@@ -580,6 +580,14 @@ def _sweep_task_record_not_object(tmp_path, task_files):
     return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
 
 
+def _sweep_task_record_a_number(tmp_path, task_files):
+    spec, suite, script = task_files
+    tasks = tmp_path / "tasks.json"
+    record = {"id": "t1", "spec_path": str(spec), "suite_path": str(suite)}
+    tasks.write_text(json.dumps([record, 3]), encoding="utf-8")
+    return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
+
+
 def _sweep_tasks_not_utf8(tmp_path, task_files):
     _, _, script = task_files
     tasks = tmp_path / "tasks.json"
@@ -781,7 +789,8 @@ def _case(malformed, fragment: str):
         _case(_replay_manifest_without_spec, "spec: missing field"),
         _case(_run_script_entry_without_response, "entries[0].response: missing field"),
         _case(_exec_suite_not_json, "suite.txt: Extra data"),
-        _case(_sweep_task_record_not_object, "has a bad record"),
+        _case(_sweep_task_record_not_object, "has a bad record: record 0 must be a JSON object, got str"),
+        _case(_sweep_task_record_a_number, "has a bad record: record 1 must be a JSON object, got int"),
         _case(_exec_program_missing, "missing.py: [Errno 2] No such file"),
         _case(_run_spec_missing, "nope.txt: [Errno 2] No such file"),
         _case(_sweep_task_tags_not_list, "tags must be a list of strings"),

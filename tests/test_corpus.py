@@ -6,6 +6,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import stat
 import tempfile
 import tracemalloc
@@ -501,6 +502,20 @@ def test_replacing_the_matrix_derives_and_checks_its_norms_again():
         dataclasses.replace(snap, matrix=np.array([[x, y], [np.inf, 0.0]]))
     with pytest.raises(ValueError, match="norms"):
         dataclasses.replace(snap, norms=snap.norms)
+
+
+def test_a_replaced_matrix_must_embed_every_item_and_is_kept_read_only():
+    snap = CorpusSnapshot.build([make_record(i) for i in range(3)], [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)], "hash2")
+    for matrix in (snap.matrix[:1], snap.matrix[0], snap.matrix[np.newaxis]):
+        with pytest.raises(ValueError, match=re.escape(f"a matrix of shape {matrix.shape} does not embed 3 records")):
+            dataclasses.replace(snap, matrix=matrix)
+    for rows in (2 * snap.matrix, np.asfortranarray(2 * snap.matrix), (2 * snap.matrix).astype(np.float32)):
+        doubled = dataclasses.replace(snap, matrix=rows)
+        assert not doubled.matrix.flags.writeable and doubled.matrix.flags.c_contiguous
+        assert doubled.matrix.dtype == np.float64 and not np.shares_memory(doubled.matrix, rows)
+        rows[0, 0] = 5.0
+        assert doubled.matrix[0, 0] == 2.0
+    assert dataclasses.replace(snap, matrix=snap.matrix).matrix is snap.matrix
 
 
 def test_items_compare_and_hash_by_their_metadata():
