@@ -16,7 +16,6 @@ import hashlib
 import io
 import itertools
 import json
-import logging
 import operator
 import os
 import re
@@ -36,8 +35,6 @@ import numpy as np
 from .embedding import EmbeddingProvider
 from .errors import DimensionMismatchError, EmptyCorpusError, IngestError, SnapshotCorruptionError
 from .util import canonical_json, utc_now_iso
-
-log = logging.getLogger(__name__)
 
 SNAPSHOT_FORMAT = "arcs-snapshot"
 SNAPSHOT_VERSION = 2
@@ -193,19 +190,6 @@ def _metadata_hash(count: int, dimension: int, metadata_lines: Iterable[bytes]):
 
 def _metadata_line(record: dict) -> bytes:
     return canonical_json(record).encode("utf-8")
-
-
-def embed_metadata(item_metadata: str, embedder: EmbeddingProvider) -> list[float]:
-    """Embed metadata text; empty text yields the zero vector with a warning."""
-    if not item_metadata.strip():
-        log.warning("embedding empty metadata text; using zero vector")
-        return [0.0] * embedder.dimension
-    vector = embedder.embed(item_metadata)
-    if len(vector) != embedder.dimension:
-        raise DimensionMismatchError(
-            f"embedder produced {len(vector)} dimensions, declared {embedder.dimension}"
-        )
-    return vector
 
 
 @dataclass(frozen=True)
@@ -390,7 +374,12 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
             raise IngestError(f"cannot parse input path {path}{line}: {reason}") from exc
         for definition in definitions:
             parts = (definition.signature, definition.doc, *definition.comments)
-            vectors.extend(embed_metadata("\n".join(part for part in parts if part.strip()), embedder))
+            vector = embedder.embed("\n".join(part for part in parts if part.strip()))
+            if len(vector) != embedder.dimension:
+                raise DimensionMismatchError(
+                    f"embedder produced {len(vector)} dimensions, declared {embedder.dimension}"
+                )
+            vectors.extend(vector)
             records.append(
                 {
                     "index": len(records),

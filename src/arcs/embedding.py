@@ -12,6 +12,7 @@ from .errors import ConfigError, DimensionMismatchError, TransportError
 from .util import http_post_json
 
 DEFAULT_DIMENSION = 384
+TIMEOUT_SECONDS = 30.0  # per remote request
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 _HASH_ID_RE = re.compile(r"hash([0-9]+)")
@@ -82,7 +83,6 @@ class RemoteEmbedder(EmbeddingProvider):
         dimension: int = DEFAULT_DIMENSION,
         embedder_id: str = "remote",
         transport: Callable[..., dict] | None = None,
-        timeout: float = 30.0,
     ):
         if not endpoint:
             raise ValueError("endpoint required")
@@ -90,10 +90,9 @@ class RemoteEmbedder(EmbeddingProvider):
         self.dimension = dimension
         self.embedder_id = embedder_id
         self._transport = transport or http_post_json
-        self._timeout = timeout
 
     def embed(self, text: str) -> list[float]:
-        reply = self._transport(self.endpoint, {"text": text}, self._timeout)
+        reply = self._transport(self.endpoint, {"text": text}, TIMEOUT_SECONDS)
         vector = reply.get("embedding") if isinstance(reply, dict) else None
         if not isinstance(vector, list):
             raise TransportError(f"malformed embedding reply {reply!r:.80}")

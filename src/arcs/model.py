@@ -29,6 +29,10 @@ from .util import (
 
 log = logging.getLogger(__name__)
 
+TIMEOUT_SECONDS = 60.0  # per request
+RETRIES = 2  # after the first attempt
+BACKOFF_SECONDS = 0.5  # between attempts
+
 
 @dataclass(frozen=True)
 class DecodingParams(JsonRecord):
@@ -96,12 +100,10 @@ class ScriptedModel(ProposalModel):
     keeps no state. No matching entry is a hard model failure for that call.
     """
 
-    def __init__(self, entries: list[ScriptEntry] | list[dict], model_id: str = "scripted"):
+    def __init__(self, entries: list[dict], model_id: str = "scripted"):
         self.model_id = model_id
         self.entries = tuple(
-            entry
-            if isinstance(entry, ScriptEntry)
-            else decode_record(ScriptEntry, entry, f"entries[{position}]")
+            decode_record(ScriptEntry, entry, f"entries[{position}]")
             for position, entry in enumerate(entries)
         )
 
@@ -141,8 +143,8 @@ class RemoteModel(ProposalModel):
     One request carries {prompt, temperature, top_p, max_tokens, seed} and
     the reply must contain {"text": ..., "usage": {...}}. The default
     transport reads the credential from the environment, and it never
-    appears in logs. Transport failures are retried with fixed backoff,
-    then surface as a hard model failure; a malformed reply is one at once.
+    appears in logs. Transport failures are retried ``RETRIES`` times with fixed
+    backoff, then surface as a hard model failure; a malformed reply is one at once.
     """
 
     def __init__(
@@ -150,18 +152,12 @@ class RemoteModel(ProposalModel):
         endpoint: str,
         model_id: str = "remote",
         transport: Callable[..., dict] | None = None,
-        timeout: float = 60.0,
-        retries: int = 2,
-        backoff_seconds: float = 0.5,
     ):
         if not endpoint:
             raise ValueError("endpoint required")
         self.endpoint = endpoint
         self.model_id = model_id
         self._transport = transport or http_post_json
-        self._timeout = timeout
-        self._retries = retries
-        self._backoff = backoff_seconds
 
     def propose(self, prompt: ComposedPrompt, params: DecodingParams) -> tuple[str, Usage]:
         payload = {
@@ -172,19 +168,17 @@ class RemoteModel(ProposalModel):
             "seed": params.seed,
         }
         last_error: TransportError | None = None
-        for attempt in range(self._retries + 1):
+        for attempt in range(RETRIES + 1):
             try:
-                reply = self._transport(self.endpoint, payload, self._timeout)
+                reply = self._transport(self.endpoint, payload, TIMEOUT_SECONDS)
                 break
             except TransportError as exc:
                 last_error = exc
-                if attempt < self._retries:
+                if attempt < RETRIES:
                     log.warning("transport failure (attempt %d), retrying", attempt + 1)
-                    time.sleep(self._backoff)
+                    time.sleep(BACKOFF_SECONDS)
         else:
-            raise ModelProposalError(
-                f"transport failure after {self._retries} retries"
-            ) from last_error
+            raise ModelProposalError(f"transport failure after {RETRIES} retries") from last_error
         text = reply.get("text", "") if isinstance(reply, dict) else None
         usage_reply = (reply.get("usage") or {}) if isinstance(reply, dict) else None
         if not isinstance(text, str) or not isinstance(usage_reply, dict):

@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcs.corpus import embed_metadata
 from arcs.embedding import HashingEmbedder, RemoteEmbedder, embedder_for
 from arcs.errors import ArcsError, ConfigError, DimensionMismatchError, TransportError
 from arcs.retrieval import cosine_sim
 
 
 def test_empty_text_embeds_to_zero_vector(embedder):
-    vector = embed_metadata("", embedder)
+    vector = embedder.embed("")
     assert vector == [0.0] * embedder.dimension
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from arcs import model as model_module
 from arcs.errors import ModelProposalError, TransportError
 from arcs.model import (
     DecodingParams,
@@ -96,7 +97,15 @@ def test_scripted_round_trips_through_file(tmp_path):
     assert model.script_digest == same.script_digest
 
 
-def test_remote_model_retries_then_succeeds():
+@pytest.fixture
+def backoffs(monkeypatch):
+    """The backoff sleeps a remote model takes, recorded instead of slept."""
+    slept = []
+    monkeypatch.setattr(model_module.time, "sleep", slept.append)
+    return slept
+
+
+def test_remote_model_retries_then_succeeds(backoffs):
     attempts = []
 
     def flaky(url, payload, timeout):
@@ -105,20 +114,26 @@ def test_remote_model_retries_then_succeeds():
             raise TransportError("connection reset")
         return {"text": "ok", "usage": {"input_tokens": 5, "output_tokens": 1}}
 
-    model = RemoteModel("https://model.example/v1", transport=flaky, backoff_seconds=0.0)
+    model = RemoteModel("https://model.example/v1", transport=flaky)
     text, usage = model.propose(single_segment_prompt("p"), DecodingParams())
     assert text == "ok"
     assert usage == Usage(input_tokens=5, output_tokens=1)
     assert len(attempts) == 3
+    assert backoffs == [0.5, 0.5]
 
 
-def test_remote_model_exhausts_retries():
+def test_remote_model_exhausts_retries(backoffs):
+    timeouts = []
+
     def always_down(url, payload, timeout):
+        timeouts.append(timeout)
         raise TransportError("no route")
 
-    model = RemoteModel("https://model.example/v1", transport=always_down, backoff_seconds=0.0)
+    model = RemoteModel("https://model.example/v1", transport=always_down)
     with pytest.raises(ModelProposalError):
         model.propose(single_segment_prompt("p"), DecodingParams())
+    assert timeouts == [60.0, 60.0, 60.0]
+    assert backoffs == [0.5, 0.5]
 
 
 def test_remote_model_carries_decoding_params():
@@ -189,10 +204,10 @@ def test_default_transport_sends_the_token_and_the_json_payload(monkeypatch):
     [urllib.error.URLError("no route to host"), b"<html>bad gateway</html>"],
     ids=["unreachable", "not_json"],
 )
-def test_default_transport_failures_are_retried_then_a_hard_failure(monkeypatch, reply):
+def test_default_transport_failures_are_retried_then_a_hard_failure(monkeypatch, backoffs, reply):
     endpoint = _FakeEndpoint(reply)
     monkeypatch.setattr(urllib.request, "urlopen", endpoint)
-    model = RemoteModel("https://model.example/v1", retries=2, backoff_seconds=0.0)
+    model = RemoteModel("https://model.example/v1")
     with pytest.raises(ModelProposalError) as caught:
         model.propose(single_segment_prompt("p"), DecodingParams())
     assert isinstance(caught.value.__cause__, TransportError)
