@@ -29,7 +29,7 @@ from .controller import (
 from .corpus import LANGUAGE_BY_EXTENSION, ingest, load_snapshot, save_snapshot
 from .embedding import embedder_for
 from .errors import ArcsError, ConfigError, NoCandidateError
-from .evalkit import ablation_matrix, load_tasks, render_table, sweep
+from .evalkit import ablation_matrix, ablation_tier, load_tasks, render_table, sweep
 from .executor import ProcessExecutor, ResourceCaps, encode_feedback, load_suite
 from .model import RemoteModel, ScriptedModel
 from .retrieval import RetrievalQuery, load_denylist, top_k
@@ -246,13 +246,14 @@ def _cmd_sweep(args) -> int:
     cfg = _resolved_config(args)
     tasks = load_tasks(args.tasks)
     tier = _tier_from_config(cfg)
-    deps = _deps_from_config(cfg, tier)
     if args.ablate:
         toggles = tuple(part.strip() for part in args.ablate.split(",") if part.strip())
         base = TierConfig.large(tier.k or None, tier.iterations if tier.iterations > 1 else None)
+        # the row that enables every toggle needs the most: its deps serve each row
+        deps = _deps_from_config(cfg, ablation_tier(toggles, base))
         rows = ablation_matrix(tasks, deps, toggles, base)
     else:
-        rows = [(tier.name, sweep(tasks, tier, deps))]
+        rows = [(tier.name, sweep(tasks, tier, _deps_from_config(cfg, tier)))]
     print(render_table(rows))
     if args.report:
         summary = {label: report.to_jsonable() for label, report in rows}

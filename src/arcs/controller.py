@@ -173,7 +173,7 @@ class RunLog(JsonRecord):
 
     The cost is derived from the rounds, and its bound from the tier and the
     suite; an older log's setting echoes and stored cost are not fields, so
-    loading ignores them.
+    ``load_run_log`` ignores them.
     """
 
     spec: str
@@ -263,8 +263,9 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
             )
     cfg = {**DEFAULTS, **deps.config}
     check_loop_settings(cfg)
-    # the decoding keys of the config are the record's field names
-    decoding = DecodingParams.from_jsonable(cfg)
+    decoding = DecodingParams.from_jsonable(
+        {key: cfg[key] for key in ("temperature", "top_p", "max_output_tokens", "seed")}
+    )
     calls = itertools.count()
 
     def propose(prompt: prompting.ComposedPrompt) -> tuple[str, Usage]:
@@ -413,7 +414,8 @@ def load_run_log(directory: str | Path) -> RunLog:
         rounds = [
             _read_round(directory, entry["file"], entry["digest"]) for entry in manifest["rounds"]
         ]
-        run_log = RunLog.from_jsonable({**manifest, "rounds": rounds})
+        names = manifest.keys() & {spec.name for spec in dataclasses.fields(RunLog)}
+        run_log = RunLog.from_jsonable({**{name: manifest[name] for name in names}, "rounds": rounds})
     except (KeyError, TypeError, ValueError) as exc:
         raise ReplayAssetError(f"run log {directory} is malformed: {exc}") from exc
     if run_log.version != RUN_LOG_VERSION:

@@ -123,8 +123,13 @@ def ablation_matrix(
     return rows
 
 
+_TASK_KEYS = {"id", "spec", "spec_path", "suite", "suite_path", "tags"}
+# a task record holds at least one key of each group
+_REQUIRED_TASK_KEYS = (("id",), ("spec", "spec_path"), ("suite", "suite_path"))
+
+
 def load_tasks(path: str | Path) -> list[TaskRecord]:
-    """Task-set file: a JSON list of {id, spec|spec_path, suite_path|suite, tags}."""
+    """Task-set file: a JSON list of {id, spec|spec_path, suite|suite_path, tags}."""
     path = Path(path)
     try:
         records = json.loads(path.read_text(encoding="utf-8"))
@@ -137,6 +142,12 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
         try:
             if not isinstance(record, dict):
                 raise TypeError(f"record {position} must be a JSON object, got {type(record).__name__}")
+            unknown = record.keys() - _TASK_KEYS
+            if unknown:
+                raise ValueError(f"record {position} has an unknown key {min(unknown)!r}")
+            for keys in _REQUIRED_TASK_KEYS:
+                if not record.keys() & set(keys):
+                    raise ValueError(f"record {position} needs {' or '.join(keys)}")
             if "spec" in record:
                 spec = record["spec"]
             else:
@@ -149,7 +160,7 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
             if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
                 raise ValueError(f"tags must be a list of strings, got {tags!r:.40}")
             tasks.append(TaskRecord(str(record["id"]), spec, suite, frozenset(tags)))
-        except (KeyError, OSError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"task set {path} has a bad record: {exc}") from exc
     return tasks
 

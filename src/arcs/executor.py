@@ -65,7 +65,8 @@ _LIBRARY_DIRS = sorted(
 
 # the workspace's sitecustomize, which the child runs before the candidate; its audit hook
 # refuses each socket call that takes an address or looks up a name, without importing
-# socket, and recorded tracebacks put _blocked's raise on line 10
+# socket, and each signal sent outside the candidate's own process group (the child
+# leads a new session); recorded tracebacks put _blocked's network raise on line 10
 _CHILD_SETUP = """\
 import errno, os, resource, sys
 
@@ -74,9 +75,21 @@ for _limit, _cap in ((resource.RLIMIT_AS, ({memory}, {memory})), (resource.RLIMI
         resource.setrlimit(_limit, _cap)
     except (ValueError, OSError):
         pass
-def _blocked(event, args):
+def _blocked(event, args, _getpgid=os.getpgid, _own=os.getpgrp()):
     if event in ("socket.connect", "socket.bind", "socket.sendto", "socket.getaddrinfo", "socket.gethostbyname", "socket.gethostbyaddr", "socket.getnameinfo") or event == "socket.sendmsg" and args[1] is not None:
         raise OSError("network access is disabled in this sandbox")
+    if event == "os.kill" and args[0] > 0:
+        try:
+            _target = _getpgid(args[0])
+        except OSError:
+            return  # no such process: the call fails on its own
+    elif event in ("os.kill", "os.killpg"):
+        # 0 is the caller's group; kill's -1, every process, maps to group 1
+        _target = abs(args[0]) or _own
+    else:
+        return
+    if _target != _own:
+        raise PermissionError("signals to other process groups are disabled in this sandbox")
 
 sys.addaudithook(_blocked)
 

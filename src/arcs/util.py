@@ -41,8 +41,8 @@ class JsonRecord:
 
     The JSON keys are the dataclass fields. A subclass may name properties
     in ``json_derived``; they are written after the fields and ignored when
-    read back. With ``json_sparse`` set, fields equal to their default are
-    left out.
+    read back. Any other key is refused when read. With ``json_sparse`` set,
+    fields equal to their default are left out.
     """
 
     json_derived = ()
@@ -100,13 +100,17 @@ def decode_record(cls, data, path: str = ""):
 
     Missing fields take their default; a missing timing field reads as the
     empty value of its type. A bare list stands for the record's first
-    field. Any missing or ill-typed field raises ValueError naming its path.
+    field. A missing or ill-typed field, or a key that is neither a field nor
+    a ``json_derived`` name, raises ValueError naming its path.
     """
     fields = dataclasses.fields(cls)
     if isinstance(data, list):
         data = {fields[0].name: data}
     if not isinstance(data, dict):
         raise ValueError(f"{path or cls.__name__}: expected an object, got {type(data).__name__}")
+    unknown = data.keys() - {spec.name for spec in fields} - set(getattr(cls, "json_derived", ()))
+    if unknown:
+        raise ValueError(f"{path or cls.__name__}: unknown key {min(unknown)!r}")
     hints = _field_types(cls)
     values = {}
     for spec in fields:

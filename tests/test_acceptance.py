@@ -188,16 +188,16 @@ def test_criterion_4_retrieval_oracle_equivalence():
 # ------------------------------------------------------------------ criterion 5
 
 
-def _reference_greedy_filter(items, delta):
-    """Independent oracle: survivors by ascending corpus index."""
+def _reference_greedy_filter(items, matrix, delta):
+    """Independent oracle: survivors by ascending corpus index; item i's vector is row i of ``matrix``."""
     ordered = sorted(items, key=lambda item: item.index)
     survivors = []
     for item in ordered:
         redundant = False
         for kept in survivors:
-            dot = sum(a * b for a, b in zip(item.embedding, kept.embedding))
-            na = math.sqrt(sum(a * a for a in item.embedding))
-            nb = math.sqrt(sum(b * b for b in kept.embedding))
+            dot = sum(a * b for a, b in zip(matrix[item.index], matrix[kept.index]))
+            na = math.sqrt(sum(a * a for a in matrix[item.index]))
+            nb = math.sqrt(sum(b * b for b in matrix[kept.index]))
             sim = 0.0 if na == 0.0 or nb == 0.0 else dot / (na * nb)
             if sim > delta:
                 redundant = True
@@ -239,7 +239,7 @@ def test_criterion_5_redundancy_filter_oracle():
         snapshot, items, planted = _planted_pair_instance(rng, py_rng)
         total_planted += planted
         survivors = filter_redundancy(items, snapshot, 0.85)
-        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 0.85)
+        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, snapshot.matrix, 0.85)
         # idempotence
         assert filter_redundancy(survivors, snapshot, 0.85) == survivors
         # delta monotonicity across thresholds clear of every pairwise sim
@@ -260,12 +260,12 @@ def test_redundancy_filter_matches_the_oracle_at_the_planted_cosine():
     for _ in range(30):
         snapshot, items, _ = _planted_pair_instance(rng, py_rng)
         survivors = filter_redundancy(items, snapshot, 0.95)
-        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 0.95)
+        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, snapshot.matrix, 0.95)
     for _ in range(30):
         originals = rng.standard_normal((py_rng.randint(2, 6), 64)) * py_rng.uniform(0.1, 10.0)
         snapshot, items = snapshot_items([originals[i % len(originals)] for i in range(12)])
         survivors = filter_redundancy(items, snapshot, 1.0)
-        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, 1.0)
+        assert sorted(item.index for item in survivors) == _reference_greedy_filter(items, snapshot.matrix, 1.0)
 
 
 # ------------------------------------------------------------------ criterion 6

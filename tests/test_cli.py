@@ -470,6 +470,28 @@ def test_sweep_ablation_produces_all_rows(tmp_path, capsys):
     assert "baseline" in out and "+feedback" in out
 
 
+def test_sweep_ablating_retrieval_loads_the_snapshot_on_the_default_tier(tmp_path, task_files, capsys):
+    spec, suite, script = task_files
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps([{"id": "t1", "spec_path": str(spec), "suite_path": str(suite)}]), encoding="utf-8")
+    report = tmp_path / "report.json"
+    code = main(
+        [
+            "sweep",
+            "--tasks", str(tasks),
+            "--script", str(script),
+            "--ablate", "retrieval",
+            "--snapshot", str(_index(tmp_path)),
+            "--report", str(report),
+        ]
+    )
+    assert code == 0
+    rows = json.loads(report.read_text(encoding="utf-8"))
+    assert sorted(rows) == ["+retrieval", "baseline"]
+    outcomes = [outcome for row in rows.values() for outcome in row["outcomes"]]
+    assert len(outcomes) == 2 and not any(outcome["error"] for outcome in outcomes)
+
+
 def test_credential_never_reaches_logs(tmp_path, task_files, monkeypatch):
     spec, suite, script = task_files
     secret = "extremely-secret-token-value"
@@ -586,6 +608,54 @@ def _sweep_task_record_a_number(tmp_path, task_files):
     record = {"id": "t1", "spec_path": str(spec), "suite_path": str(suite)}
     tasks.write_text(json.dumps([record, 3]), encoding="utf-8")
     return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
+
+
+def _exec_suite_key_misspelled(tmp_path, task_files):
+    program = tmp_path / "program.py"
+    program.write_text(FIXED_SUM, encoding="utf-8")
+    suite = tmp_path / "suite_typo.json"
+    suite.write_text(
+        json.dumps({"cases": [{"id": 1, "input": "1 2", "expected": "3"}], "comapre": "exact"}),
+        encoding="utf-8",
+    )
+    return ["exec", "--program", str(program), "--suite", str(suite)]
+
+
+def _run_script_entry_key_misspelled(tmp_path, task_files):
+    script = tmp_path / "typo_script.json"
+    entry = {"needle": ["never in a prompt"], "response": fenced(FIXED_SUM)}
+    script.write_text(json.dumps({"entries": [entry]}), encoding="utf-8")
+    return _run_args(tmp_path, task_files, script=script)
+
+
+def _sweep_one_record(tmp_path, task_files, **changes):
+    """Sweep argv for a task set of one record: the fixture's task with
+    ``changes`` applied, and the keys they set to None left out."""
+    spec, suite, script = task_files
+    record = {"id": "t1", "spec_path": str(spec), "suite_path": str(suite), **changes}
+    tasks = tmp_path / "tasks.json"
+    tasks.write_text(json.dumps([{k: v for k, v in record.items() if v is not None}]), encoding="utf-8")
+    return ["sweep", "--tasks", str(tasks), "--tier", "small", "--script", str(script)]
+
+
+def _sweep_task_record_without_id(tmp_path, task_files):
+    return _sweep_one_record(tmp_path, task_files, id=None)
+
+
+def _sweep_task_record_without_spec(tmp_path, task_files):
+    return _sweep_one_record(tmp_path, task_files, spec_path=None)
+
+
+def _sweep_task_record_without_suite(tmp_path, task_files):
+    return _sweep_one_record(tmp_path, task_files, suite_path=None)
+
+
+def _sweep_task_record_key_misspelled(tmp_path, task_files):
+    return _sweep_one_record(tmp_path, task_files, tag=["group"])
+
+
+def _sweep_ablate_retrieval_without_snapshot(tmp_path, task_files):
+    return [*_sweep_one_record(tmp_path, task_files), "--ablate", "planning,retrieval"]
 
 
 def _sweep_tasks_not_utf8(tmp_path, task_files):
@@ -791,6 +861,13 @@ def _case(malformed, fragment: str):
         _case(_exec_suite_not_json, "suite.txt: Extra data"),
         _case(_sweep_task_record_not_object, "has a bad record: record 0 must be a JSON object, got str"),
         _case(_sweep_task_record_a_number, "has a bad record: record 1 must be a JSON object, got int"),
+        _case(_sweep_task_record_without_id, "has a bad record: record 0 needs id"),
+        _case(_sweep_task_record_without_spec, "has a bad record: record 0 needs spec or spec_path"),
+        _case(_sweep_task_record_without_suite, "has a bad record: record 0 needs suite or suite_path"),
+        _case(_sweep_task_record_key_misspelled, "has a bad record: record 0 has an unknown key 'tag'"),
+        _case(_sweep_ablate_retrieval_without_snapshot, "retrieval is enabled (k>0) but no --snapshot was given"),
+        _case(_exec_suite_key_misspelled, "TestSuite: unknown key 'comapre'"),
+        _case(_run_script_entry_key_misspelled, "entries[0]: unknown key 'needle'"),
         _case(_exec_program_missing, "missing.py: [Errno 2] No such file"),
         _case(_run_spec_missing, "nope.txt: [Errno 2] No such file"),
         _case(_sweep_task_tags_not_list, "tags must be a list of strings"),

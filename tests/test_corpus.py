@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import base64
 import dataclasses
 import importlib
@@ -534,6 +535,18 @@ def test_snapshot_items_share_one_read_only_matrix(snapshot, tmp_path):
             snap.matrix[0, 0] = 1.0
         for item in snap.items:
             assert np.shares_memory(item.embedding, snap.matrix)
+
+
+def test_no_module_of_the_package_reads_an_items_embedding():
+    # every vector is read from the snapshot's matrix; the field is kept for callers outside
+    package = Path(corpus.__file__).parent
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "embedding"
+    ]
+    assert readers == []
 
 
 @pytest.mark.parametrize("version", [1, 99, None])

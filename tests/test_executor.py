@@ -455,6 +455,48 @@ def test_network_guard_covers_a_socket_module_imported_before_the_setup(tmp_path
     assert child.stdout == "network access is disabled in this sandbox\n", child.stderr
 
 
+@pytest.mark.parametrize(
+    "program, expected",
+    [
+        ("import os, signal\nos.kill(os.getppid(), signal.SIGKILL)", EXCEPTION),
+        ("import os, signal\nos.killpg(os.getpgid(os.getppid()), signal.SIGKILL)", EXCEPTION),
+        ("import os\nos.kill(-1, 0)", EXCEPTION),  # signal 0 only checks: nothing is sent
+        (
+            "import subprocess\nchild = subprocess.Popen(['sleep', '30'])\nchild.kill()\n"
+            "print(child.wait())",
+            PASS,
+        ),
+    ],
+    ids=["kill_the_harness", "killpg_the_harness_group", "kill_every_process", "kill_its_own_child"],
+)
+def test_a_candidate_signals_only_its_own_process_group(program, expected):
+    # the harness runs in a session of its own, so a signal the guard lets through
+    # ends the harness, not the test run
+    harness = textwrap.dedent(
+        f"""\
+        from arcs.executor import ProcessExecutor, TestCase, TestSuite
+
+        feedback = ProcessExecutor().execute({program!r}, TestSuite((TestCase(1, "", "-9"),)))
+        print(feedback.verdicts[0])
+        print("\\n".join(feedback.failures[0].detail_lines) if feedback.failures else "")
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(
+        [sys.executable, "-c", harness],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        start_new_session=True,
+    )
+    assert child.returncode == 0, (child.returncode, child.stderr)
+    verdict, _, detail = child.stdout.partition("\n")
+    assert verdict == expected, detail
+    if expected == EXCEPTION:
+        assert "signals to other process groups are disabled in this sandbox" in detail
+
+
 def test_deterministic_verdicts_across_runs(executor):
     suite = make_suite(("1 2", "3"), ("4 4", "8"))
     first = executor.execute(SUM, suite)

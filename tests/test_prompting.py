@@ -30,14 +30,8 @@ def scale(values, factor):
 
 def _fixture_item():
     item = make_item(0, unit_vector(4, 0), signature="scale(values, factor)", doc="Multiply every value.")
-    return item.__class__(
-        index=item.index,
-        signature=item.signature,
-        doc=item.doc,
-        body="def scale(values, factor):\n    return [v * factor for v in values]",
-        source_path=item.source_path,
-        language="python",
-        embedding=item.embedding,
+    return replace(
+        item, body="def scale(values, factor):\n    return [v * factor for v in values]", language="python"
     )
 
 

@@ -108,10 +108,10 @@ def test_top_k_matches_brute_force_oracle():
     # independent oracle: pure-python cosine over every item, full sort
     query_vector = embedder.embed(query)
     scores = []
-    for item in snap.items:
-        dot = sum(a * b for a, b in zip(query_vector, item.embedding))
+    for row in snap.matrix:
+        dot = sum(a * b for a, b in zip(query_vector, row))
         qn = math.sqrt(sum(a * a for a in query_vector))
-        en = math.sqrt(sum(b * b for b in item.embedding))
+        en = math.sqrt(sum(b * b for b in row))
         scores.append(0.0 if qn == 0 or en == 0 else dot / (qn * en))
     expected = sorted(range(len(snap.items)), key=lambda i: (-scores[i], i))[:5]
     assert [item.index for item, _ in result.items] == expected
@@ -423,7 +423,8 @@ def test_filter_matches_a_greedy_loop_scan(vectors, rng, data):
     rng.shuffle(items)
     kept = []
     for item in sorted(items, key=lambda item: item.index):
-        if not any(_loop_cosine(item.embedding, other.embedding) > delta for other in kept):
+        row = snapshot.matrix[item.index]
+        if not any(_loop_cosine(row, snapshot.matrix[other.index]) > delta for other in kept):
             kept.append(item)
     assert filter_redundancy(items, snapshot, delta) == [item for item in items if item in kept]
 
