@@ -146,10 +146,12 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
             if unknown:
                 raise ValueError(f"record {position} has an unknown key {min(unknown)!r}")
             for keys in _REQUIRED_TASK_KEYS:
-                if not record.keys() & set(keys):
+                if not any(key in record for key in keys):
                     raise ValueError(f"record {position} needs {' or '.join(keys)}")
             if "spec" in record:
                 spec = record["spec"]
+                if not isinstance(spec, str):
+                    raise TypeError(f"record {position} spec must be a string, got {type(spec).__name__}")
             else:
                 spec = (path.parent / record["spec_path"]).read_text(encoding="utf-8")
             if "suite" in record:

@@ -470,7 +470,7 @@ def test_sweep_ablation_produces_all_rows(tmp_path, capsys):
     assert "baseline" in out and "+feedback" in out
 
 
-def test_sweep_ablating_retrieval_loads_the_snapshot_on_the_default_tier(tmp_path, task_files, capsys):
+def test_sweep_ablating_retrieval_loads_the_snapshot_on_the_default_tier(tmp_path, task_files):
     spec, suite, script = task_files
     tasks = tmp_path / "tasks.json"
     tasks.write_text(json.dumps([{"id": "t1", "spec_path": str(spec), "suite_path": str(suite)}]), encoding="utf-8")
@@ -652,6 +652,10 @@ def _sweep_task_record_without_suite(tmp_path, task_files):
 
 def _sweep_task_record_key_misspelled(tmp_path, task_files):
     return _sweep_one_record(tmp_path, task_files, tag=["group"])
+
+
+def _sweep_task_spec_not_string(tmp_path, task_files):
+    return _sweep_one_record(tmp_path, task_files, spec_path=None, spec=3)
 
 
 def _sweep_ablate_retrieval_without_snapshot(tmp_path, task_files):
@@ -865,6 +869,7 @@ def _case(malformed, fragment: str):
         _case(_sweep_task_record_without_spec, "has a bad record: record 0 needs spec or spec_path"),
         _case(_sweep_task_record_without_suite, "has a bad record: record 0 needs suite or suite_path"),
         _case(_sweep_task_record_key_misspelled, "has a bad record: record 0 has an unknown key 'tag'"),
+        _case(_sweep_task_spec_not_string, "has a bad record: record 0 spec must be a string, got int"),
         _case(_sweep_ablate_retrieval_without_snapshot, "retrieval is enabled (k>0) but no --snapshot was given"),
         _case(_exec_suite_key_misspelled, "TestSuite: unknown key 'comapre'"),
         _case(_run_script_entry_key_misspelled, "entries[0]: unknown key 'needle'"),
