@@ -67,9 +67,9 @@ def test_record_survives_json_round_trip(cls, data):
         (Suite, {"cases": [{"id": "one", "input": "", "expected": ""}]}, r"cases\[0\]\.id: expected int"),
         (Suite, {"cases": "1 2 -> 3"}, r"cases: expected a list"),
         (Suite, "1 2 -> 3", r"TestSuite: expected an object"),
-        (Suite, {"cases": [{"id": 1, "input": "", "expected": "", "expcted": ""}]}, r"cases\[0\]: unknown key 'expcted'"),
         (ScriptEntry, {"response": 3}, r"response: expected str"),
         (ScriptEntry, {"response": "", "feedback": "false"}, r"feedback: expected bool"),
+        (Suite, {"cases": [{"id": 1, "input": "", "expected": "", "expcted": ""}]}, r"cases\[0\]: unknown key 'expcted'"),
     ],
 )
 def test_decode_names_the_bad_field(cls, data, message):
