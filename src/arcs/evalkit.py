@@ -12,7 +12,7 @@ from typing import Sequence
 from .controller import TIERS, RunDeps, TierConfig, best_so_far_trajectory, run
 from .errors import ArcsError, ConfigError
 from .executor import TestSuite, load_suite
-from .util import JsonRecord
+from .util import JsonRecord, decode_record
 
 log = logging.getLogger(__name__)
 
@@ -123,9 +123,16 @@ def ablation_matrix(
     return rows
 
 
-_TASK_KEYS = {"id", "spec", "spec_path", "suite", "suite_path", "tags"}
-# a task record holds at least one key of each group
-_REQUIRED_TASK_KEYS = (("id",), ("spec", "spec_path"), ("suite", "suite_path"))
+@dataclass(frozen=True)
+class _TaskJson:
+    """One record of a task-set file as written; ``spec`` wins over ``spec_path``."""
+
+    id: str
+    spec: str | None = None
+    spec_path: str | None = None
+    suite: TestSuite | None = None
+    suite_path: str | None = None
+    tags: tuple[str, ...] = ()
 
 
 def load_tasks(path: str | Path) -> list[TaskRecord]:
@@ -140,29 +147,18 @@ def load_tasks(path: str | Path) -> list[TaskRecord]:
     tasks = []
     for position, record in enumerate(records):
         try:
-            if not isinstance(record, dict):
-                raise TypeError(f"record {position} must be a JSON object, got {type(record).__name__}")
-            unknown = record.keys() - _TASK_KEYS
-            if unknown:
-                raise ValueError(f"record {position} has an unknown key {min(unknown)!r}")
-            for keys in _REQUIRED_TASK_KEYS:
-                if not any(key in record for key in keys):
-                    raise ValueError(f"record {position} needs {' or '.join(keys)}")
-            if "spec" in record:
-                spec = record["spec"]
-                if not isinstance(spec, str):
-                    raise TypeError(f"record {position} spec must be a string, got {type(spec).__name__}")
-            else:
-                spec = (path.parent / record["spec_path"]).read_text(encoding="utf-8")
-            if "suite" in record:
-                suite = TestSuite.from_jsonable(record["suite"])
-            else:
-                suite = load_suite(path.parent / record["suite_path"])
-            tags = record.get("tags", [])
-            if not isinstance(tags, list) or not all(isinstance(tag, str) for tag in tags):
-                raise ValueError(f"tags must be a list of strings, got {tags!r:.40}")
-            tasks.append(TaskRecord(str(record["id"]), spec, suite, frozenset(tags)))
-        except (OSError, TypeError, ValueError) as exc:
+            task = decode_record(_TaskJson, record, f"record {position}")
+            if task.spec is None and task.spec_path is None:
+                raise ValueError(f"record {position} needs spec or spec_path")
+            if task.suite is None and task.suite_path is None:
+                raise ValueError(f"record {position} needs suite or suite_path")
+            spec, suite = task.spec, task.suite
+            if spec is None:
+                spec = (path.parent / task.spec_path).read_text(encoding="utf-8")
+            if suite is None:
+                suite = load_suite(path.parent / task.suite_path)
+            tasks.append(TaskRecord(task.id, spec, suite, frozenset(task.tags)))
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"task set {path} has a bad record: {exc}") from exc
     return tasks
 

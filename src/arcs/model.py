@@ -92,6 +92,12 @@ class ScriptEntry(JsonRecord):
         return True
 
 
+@dataclass(frozen=True)
+class _ScriptFile:
+    model_id: str = "scripted"
+    entries: tuple[dict, ...] = ()
+
+
 class ScriptedModel(ProposalModel):
     """Deterministic model driven by an ordered trigger/response script.
 
@@ -111,12 +117,8 @@ class ScriptedModel(ProposalModel):
     def from_file(cls, path: str | Path) -> "ScriptedModel":
         """Script file: {"model_id": ..., "entries": [entry, ...]}."""
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            if not isinstance(data, dict) or not isinstance(data.get("entries", []), list):
-                raise ValueError('expected {"model_id": ..., "entries": [...]}')
-            if not isinstance(data.get("model_id", ""), str):
-                raise ValueError(f"model_id must be a string, got {data['model_id']!r:.40}")
-            return cls(data.get("entries", []), model_id=data.get("model_id", "scripted"))
+            script = decode_record(_ScriptFile, json.loads(Path(path).read_text(encoding="utf-8")))
+            return cls(list(script.entries), model_id=script.model_id)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad script file {path}: {exc}") from exc
 

@@ -852,6 +852,15 @@ def _index_tree_without_source_files(tmp_path, task_files):
     return ["index", "--input", str(tree), "--out", str(tmp_path / "corpus.snap")]
 
 
+def _run_script_key_misspelled(tmp_path, task_files):
+    script = tmp_path / "typo_script.json"
+    script.write_text(
+        json.dumps({"model_id": "m", "entires": [{"response": fenced(FIXED_SUM)}]}),
+        encoding="utf-8",
+    )
+    return _run_args(tmp_path, task_files, script=script)
+
+
 def _case(malformed, fragment: str):
     """A malformed-input case and the text its one error line must hold."""
     return pytest.param(malformed, fragment, id=malformed.__name__)
@@ -863,19 +872,19 @@ def _case(malformed, fragment: str):
         _case(_replay_manifest_without_spec, "spec: missing field"),
         _case(_run_script_entry_without_response, "entries[0].response: missing field"),
         _case(_exec_suite_not_json, "suite.txt: Extra data"),
-        _case(_sweep_task_record_not_object, "has a bad record: record 0 must be a JSON object, got str"),
-        _case(_sweep_task_record_a_number, "has a bad record: record 1 must be a JSON object, got int"),
-        _case(_sweep_task_record_without_id, "has a bad record: record 0 needs id"),
+        _case(_sweep_task_record_not_object, "has a bad record: record 0: expected an object, got str"),
+        _case(_sweep_task_record_a_number, "has a bad record: record 1: expected an object, got int"),
+        _case(_sweep_task_record_without_id, "has a bad record: record 0.id: missing field"),
         _case(_sweep_task_record_without_spec, "has a bad record: record 0 needs spec or spec_path"),
         _case(_sweep_task_record_without_suite, "has a bad record: record 0 needs suite or suite_path"),
-        _case(_sweep_task_record_key_misspelled, "has a bad record: record 0 has an unknown key 'tag'"),
-        _case(_sweep_task_spec_not_string, "has a bad record: record 0 spec must be a string, got int"),
+        _case(_sweep_task_record_key_misspelled, "has a bad record: record 0: unknown key 'tag'"),
+        _case(_sweep_task_spec_not_string, "has a bad record: record 0.spec: expected str, got int"),
         _case(_sweep_ablate_retrieval_without_snapshot, "retrieval is enabled (k>0) but no --snapshot was given"),
         _case(_exec_suite_key_misspelled, "TestSuite: unknown key 'comapre'"),
         _case(_run_script_entry_key_misspelled, "entries[0]: unknown key 'needle'"),
         _case(_exec_program_missing, "missing.py: [Errno 2] No such file"),
         _case(_run_spec_missing, "nope.txt: [Errno 2] No such file"),
-        _case(_sweep_task_tags_not_list, "tags must be a list of strings"),
+        _case(_sweep_task_tags_not_list, "record 0.tags: expected a list, got str"),
         _case(_query_v1_snapshot, "has format version 1, not 2"),
         _case(_run_budget_b_zero, "iteration budget must be >= 1"),
         _case(_run_budget_k_negative, "retrieval budget k must be >= 0"),
@@ -888,7 +897,7 @@ def _case(malformed, fragment: str):
         _case(_exec_memory_bytes_past_rlimit, "memory_bytes must be an integer in [1, 2**63 - 1]"),
         _case(_exec_wall_seconds_past_selectors, "wall_seconds must be in (0, 2147483.647], got 3000000.0"),
         _case(_query_k_zero, "retrieval budget k must be >= 1"),
-        _case(_run_script_model_id_not_string, "model_id must be a string"),
+        _case(_run_script_model_id_not_string, "model_id: expected str, got int"),
         _case(_index_embedder_hash0, "dimension must be in [1, 54872], got 0"),
         _case(_index_embedder_past_the_gram_count, "dimension must be in [1, 54872], got 54873"),
         _case(_run_max_stack_lines_negative, "max_stack_lines must be a finite number >= 0"),
@@ -904,6 +913,7 @@ def _case(malformed, fragment: str):
         _case(_run_config_line_without_equals, "config line 1 is not key = value"),
         _case(_run_spec_blank, "the task spec holds no text"),
         _case(_index_tree_without_source_files, "docs_only holds no source file of a known extension"),
+        _case(_run_script_key_misspelled, "unknown key 'entires'"),
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed, fragment):
