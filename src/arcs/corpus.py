@@ -477,6 +477,8 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     try:
         count, dimension = int(header["count"]), int(header["dimension"])
         embedder_id, created_at = header["embedder_id"], header["created_at"]
+        if not isinstance(embedder_id, str) or not isinstance(created_at, str):
+            raise TypeError("embedder_id and created_at must be strings")
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
     if count < 1:

@@ -110,9 +110,7 @@ def ablation_matrix(
     base: TierConfig = TIERS["large"],
 ) -> list[tuple[str, SweepReport]]:
     """One sweep per toggle combination; rows keyed by the enabled set."""
-    unknown = set(toggles) - set(ABLATION_TOGGLES)
-    if unknown:
-        raise ConfigError(f"unknown ablation toggles: {sorted(unknown)}")
+    ablation_tier(toggles, base)  # refuses an unknown toggle before the first sweep
     ordered_toggles = [toggle for toggle in ABLATION_TOGGLES if toggle in toggles]
     rows: list[tuple[str, SweepReport]] = []
     for size in range(len(ordered_toggles) + 1):

@@ -218,19 +218,17 @@ class Executor(ABC):
         """Deterministic text describing runtime, entry point, and caps."""
 
 
-_TRACEBACK_KIND_RE = re.compile(r"^([A-Za-z_][\w.]*)(?::\s|:$|$)")
+_TRACEBACK_KIND_RE = re.compile(r"^([A-Z][\w.]*)(?::\s|:$|$)")
 
 
-def _exception_kind(stderr_lines: tuple[str, ...]) -> str:
-    for line in reversed(stderr_lines):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        match = _TRACEBACK_KIND_RE.match(stripped)
-        if match and match.group(1)[:1].isupper():
-            return match.group(1)
-        break
-    return "exception"
+def _last_line(text: str) -> str:
+    """The last non-blank line of ``text``, stripped, or ""; only a tail of ``text`` is copied."""
+    size = 4096
+    while True:
+        lines = text[-size:].rstrip().splitlines()
+        if len(lines) > 1 or size >= len(text):
+            return lines[-1].strip() if lines else ""
+        size *= 8
 
 
 def _judge(
@@ -250,11 +248,11 @@ def _judge(
     """
     # only the kept lines are split: they end at the end of the last kept line break
     breaks = list(itertools.islice(_LINE_BREAK_RE.finditer(stderr), _STDERR_KEEP_LINES))
-    if len(breaks) == _STDERR_KEEP_LINES:
-        stderr = stderr[: breaks[-1].end()]
+    kept = stderr[: breaks[-1].end()] if len(breaks) == _STDERR_KEEP_LINES else stderr
+    last = _last_line(stderr)  # of all of stderr, kept or not: it names the error
     for directory in _LIBRARY_DIRS:
-        stderr = stderr.replace(directory, "")
-    lines = tuple(stderr.splitlines())
+        kept, last = kept.replace(directory, ""), last.replace(directory, "")
+    lines = tuple(kept.splitlines())
     if limit == "wall":
         verdict, kind, lines = TIMEOUT, "timeout", ()
         summary = f"no result within {caps.wall_seconds:g}s"
@@ -271,10 +269,11 @@ def _judge(
         verdict, kind = MEMORY_EXCEEDED, "memory exceeded"
         summary = f"memory cap {caps.memory_bytes} bytes breached"
     else:
-        verdict, kind = EXCEPTION, _exception_kind(lines)
+        match = _TRACEBACK_KIND_RE.match(last)
+        kind = match.group(1) if match else "exception"
         if kind == "exception" and returncode < 0:
             kind = f"signal {-returncode}"
-        summary = lines[-1].strip() if lines else f"exit code {returncode}"
+        verdict, summary = EXCEPTION, last or f"exit code {returncode}"
     return verdict, FailureDetail(case.id, case.input, kind, summary, lines)
 
 

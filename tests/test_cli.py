@@ -861,6 +861,15 @@ def _run_script_key_misspelled(tmp_path, task_files):
     return _run_args(tmp_path, task_files, script=script)
 
 
+def _query_header_embedder_id_not_string(tmp_path, task_files):
+    # the header is outside the content digest, so the snapshot still passes it
+    snapshot = _index(tmp_path)
+    header, rest = snapshot.read_text(encoding="utf-8").split("\n", 1)
+    header = {**json.loads(header), "embedder_id": 5}
+    snapshot.write_text(json.dumps(header, sort_keys=True) + "\n" + rest, encoding="utf-8")
+    return ["query", "--snapshot", str(snapshot), "--q", "add"]
+
+
 def _case(malformed, fragment: str):
     """A malformed-input case and the text its one error line must hold."""
     return pytest.param(malformed, fragment, id=malformed.__name__)
@@ -914,6 +923,7 @@ def _case(malformed, fragment: str):
         _case(_run_spec_blank, "the task spec holds no text"),
         _case(_index_tree_without_source_files, "docs_only holds no source file of a known extension"),
         _case(_run_script_key_misspelled, "unknown key 'entires'"),
+        _case(_query_header_embedder_id_not_string, "corpus.snap has a malformed header"),
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed, fragment):

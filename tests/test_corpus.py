@@ -564,6 +564,20 @@ def test_snapshot_of_another_version_is_rejected(snapshot, tmp_path, version):
         assert "version 1" in str(caught.value) and "arcs index" in str(caught.value)
 
 
+@pytest.mark.parametrize("key, value", [("embedder_id", 5), ("created_at", 7)])
+def test_header_text_field_that_is_not_a_string_is_corrupt(snapshot, tmp_path, key, value):
+    # the header is outside the content digest, so only its own check catches this
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    header[key] = value
+    lines[0] = json.dumps(header, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(SnapshotCorruptionError, match="malformed header"):
+        load_snapshot(path)
+
+
 def test_damaged_matrix_line_is_corrupt(snapshot, tmp_path):
     path = tmp_path / "corpus.snap"
     save_snapshot(snapshot, path)

@@ -146,6 +146,12 @@ def _component_fixture():
     return tasks, deps
 
 
+def test_ablation_matrix_refuses_an_unknown_toggle_before_any_sweep():
+    # no task and no deps: a sweep would fail differently
+    with pytest.raises(ConfigError, match=r"unknown ablation toggles: \['nope'\]"):
+        ablation_matrix([], None, toggles=("retrieval", "nope"))
+
+
 def test_ablation_matrix_shape_and_baseline():
     tasks, deps = _component_fixture()
     rows = ablation_matrix(tasks, deps(), base=TierConfig.large(k=2, iterations=3))

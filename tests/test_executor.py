@@ -563,6 +563,14 @@ print("started")
                 os.kill(pid, signal.SIGKILL)
 
 
+# more stderr lines than a failure keeps, then an uncaught exception
+LONG_STDERR_THEN_RAISE = (
+    "import sys\n"
+    "for i in range(300):\n"
+    "    print('debug step', i, file=sys.stderr)\n"
+    "raise ValueError('boom')"
+)
+
 PARITY_PROGRAMS = {
     "echo": ECHO,
     "off_by_one": OFF_BY_ONE_ON_22,
@@ -577,6 +585,7 @@ PARITY_PROGRAMS = {
         "sys.stdout.buffer.write(str(total).encode())"
     ),
     "stderr_buffer": 'import sys\nsys.stderr.buffer.write(b"x")\nprint(3)',
+    "long_stderr_then_raise": LONG_STDERR_THEN_RAISE,
 }
 
 
@@ -588,6 +597,15 @@ def test_backends_reach_the_same_judgement(program):
     in_process = InProcessExecutor().execute(program, suite)
     assert process.verdicts == in_process.verdicts
     assert process.failures == in_process.failures
+
+
+@pytest.mark.parametrize("backend", ["process", "in_process"])
+def test_a_long_stderr_is_summarised_by_its_last_line(backend):
+    executor = ProcessExecutor(caps=ResourceCaps(wall_seconds=10.0)) if backend == "process" else InProcessExecutor()
+    feedback = executor.execute(LONG_STDERR_THEN_RAISE, make_suite(("", "x")))
+    (failure,) = feedback.failures
+    assert (failure.kind, failure.summary) == ("ValueError", "ValueError: boom")
+    assert failure.detail_lines == tuple(f"debug step {i}" for i in range(_STDERR_KEEP_LINES))
 
 
 EXACT_PARITY_PROGRAMS = {
