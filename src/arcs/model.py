@@ -93,7 +93,9 @@ class ScriptEntry(JsonRecord):
 
 
 @dataclass(frozen=True)
-class _ScriptFile:
+class ScriptFile:
+    """The top level of a script file; ``ScriptedModel`` decodes each entry."""
+
     model_id: str = "scripted"
     entries: tuple[dict, ...] = ()
 
@@ -117,7 +119,7 @@ class ScriptedModel(ProposalModel):
     def from_file(cls, path: str | Path) -> "ScriptedModel":
         """Script file: {"model_id": ..., "entries": [entry, ...]}."""
         try:
-            script = decode_record(_ScriptFile, json.loads(Path(path).read_text(encoding="utf-8")))
+            script = decode_record(ScriptFile, json.loads(Path(path).read_text(encoding="utf-8")))
             return cls(list(script.entries), model_id=script.model_id)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad script file {path}: {exc}") from exc

@@ -922,7 +922,7 @@ def _case(malformed, fragment: str):
         _case(_run_config_line_without_equals, "config line 1 is not key = value"),
         _case(_run_spec_blank, "the task spec holds no text"),
         _case(_index_tree_without_source_files, "docs_only holds no source file of a known extension"),
-        _case(_run_script_key_misspelled, "unknown key 'entires'"),
+        _case(_run_script_key_misspelled, "ScriptFile: unknown key 'entires'"),
         _case(_query_header_embedder_id_not_string, "corpus.snap has a malformed header"),
     ],
 )

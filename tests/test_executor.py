@@ -13,6 +13,8 @@ from contextlib import suppress
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcs.errors import SandboxSetupError
 from arcs.executor import (
@@ -191,6 +193,19 @@ def test_judging_a_long_stderr_splits_only_its_kept_head():
 def test_kept_stderr_lines_are_the_head_of_all_its_lines(stderr):
     _, detail = _judge(SuiteCase(1, "", "x"), "trim", 1, "", stderr, None, None)
     assert detail.detail_lines == tuple(stderr.splitlines()[:_STDERR_KEEP_LINES])
+
+
+# long chunks reach past the tail the judge first looks at for the last line
+_STDERR_CHUNKS = ["a", "b c", " ", "\t", "\n", "\r", "\r\n", "\x0c", "\u2028", "d" * 5000, " " * 5000, "\n" * 3000]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_STDERR_CHUNKS), max_size=12))
+def test_the_summary_is_the_last_non_blank_line_of_all_of_stderr(chunks):
+    stderr = "".join(chunks)
+    _, detail = _judge(SuiteCase(1, "", "x"), "trim", 1, "", stderr, None, None)
+    named = [line.strip() for line in stderr.splitlines() if line.strip()]
+    assert detail.summary == (named[-1] if named else "exit code 1")
 
 
 def test_candidate_killed_by_a_signal_is_an_exception_naming_it():
