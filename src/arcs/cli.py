@@ -15,7 +15,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .config import DEFAULTS, coerce, load_config_file, read_input_file, resolve_config
+from .config import DEFAULTS, checked, coerce, load_config_file, read_input_file, resolve_config
 from .controller import (
     TIERS,
     RunDeps,
@@ -105,14 +105,6 @@ def _resolved_config(args) -> dict:
     return resolve_config(flag_values, file_values)
 
 
-def _checked(record_type, *args, **kwargs):
-    """A record built from user values; a value it rejects is a ConfigError."""
-    try:
-        return record_type(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 @contextmanager
 def _writing(path):
     """A failure to write the output at ``path`` is a ConfigError, exit code 2."""
@@ -123,7 +115,7 @@ def _writing(path):
 
 
 def _tier_from_config(cfg: dict) -> TierConfig:
-    return _checked(TierConfig.named, cfg["tier"], k=cfg["budget_k"], iterations=cfg["budget_b"])
+    return checked(TierConfig.named, cfg["tier"], k=cfg["budget_k"], iterations=cfg["budget_b"])
 
 
 def _model_from_config(cfg: dict):
@@ -139,14 +131,14 @@ def _model_from_config(cfg: dict):
 
 
 def _deps_from_config(cfg: dict, tier: TierConfig) -> RunDeps:
-    caps = _checked(ResourceCaps, wall_seconds=cfg["wall_seconds"], memory_bytes=cfg["memory_bytes"])
+    caps = checked(ResourceCaps, wall_seconds=cfg["wall_seconds"], memory_bytes=cfg["memory_bytes"])
     snapshot = None
     embedder = None
     if tier.k > 0:
         if not cfg["snapshot"]:
             raise ConfigError("retrieval is enabled (k>0) but no --snapshot was given")
         snapshot = load_snapshot(cfg["snapshot"])
-        embedder = _checked(embedder_for, snapshot.embedder_id, cfg["embed_endpoint"], snapshot.dimension)
+        embedder = checked(embedder_for, snapshot.embedder_id, cfg["embed_endpoint"], snapshot.dimension)
     denylist = load_denylist(cfg["denylist"]) if cfg["denylist"] else None
     return RunDeps(
         model=_model_from_config(cfg),
@@ -159,7 +151,7 @@ def _deps_from_config(cfg: dict, tier: TierConfig) -> RunDeps:
 
 
 def _cmd_index(args) -> int:
-    embedder = _checked(embedder_for, args.embedder, args.embed_endpoint)
+    embedder = checked(embedder_for, args.embedder, args.embed_endpoint)
     root = Path(args.input)
     if not root.is_dir():
         raise ConfigError(f"input {root} is not a directory")
@@ -176,9 +168,9 @@ def _cmd_index(args) -> int:
 
 def _cmd_query(args) -> int:
     snapshot = load_snapshot(args.snapshot)
-    embedder = _checked(embedder_for, snapshot.embedder_id, args.embed_endpoint, snapshot.dimension)
+    embedder = checked(embedder_for, snapshot.embedder_id, args.embed_endpoint, snapshot.dimension)
     denylist = load_denylist(args.denylist) if args.denylist else None
-    query = _checked(RetrievalQuery, args.q, coerce("budget_k", args.k))
+    query = checked(RetrievalQuery, args.q, coerce("budget_k", args.k))
     result = top_k(query, snapshot, embedder, denylist)
     for item, score in result.items:
         print(f"{item.index}\t{score:.6f}\t{item.signature}\t{item.source_path}")
@@ -189,7 +181,7 @@ def _cmd_exec(args) -> int:
     program = read_input_file(args.program, "program")
     suite = load_suite(args.suite)
     caps = {key: coerce(key, getattr(args, key)) for key in ("wall_seconds", "memory_bytes")}
-    feedback = ProcessExecutor(caps=_checked(ResourceCaps, **caps)).execute(program, suite)
+    feedback = ProcessExecutor(caps=checked(ResourceCaps, **caps)).execute(program, suite)
     print(encode_feedback(feedback).text)
     return 0 if feedback.all_passed else 1
 

@@ -70,6 +70,14 @@ def read_input_file(path: str | Path, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def checked(record_type, *args, **kwargs):
+    """A record built from user values; a value it rejects is a ConfigError."""
+    try:
+        return record_type(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def load_config_file(path: str | Path) -> dict:
     return parse_config_text(read_input_file(path, "config file"))
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import planner as planner_mod
 from . import prompting, retrieval
-from .config import DEFAULTS, check_loop_settings
+from .config import DEFAULTS, check_loop_settings, checked
 from .corpus import CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import (
@@ -138,8 +138,8 @@ class CostReport(JsonRecord):
 class RunDeps:
     """Everything a run needs besides the task.
 
-    ``config`` overrides keys of ``DEFAULTS``, range-checked as a flag is (a
-    ConfigError); the run log holds it once, as given.
+    ``config`` overrides keys of ``DEFAULTS``, range- and type-checked as a flag is
+    (a ConfigError); the run log holds it once, as given.
     """
 
     model: ProposalModel
@@ -263,9 +263,8 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
             )
     cfg = {**DEFAULTS, **deps.config}
     check_loop_settings(cfg)
-    decoding = DecodingParams.from_jsonable(
-        {key: cfg[key] for key in ("temperature", "top_p", "max_output_tokens", "seed")}
-    )
+    names = ("temperature", "top_p", "max_output_tokens", "seed")
+    decoding = checked(DecodingParams.from_jsonable, {name: cfg[name] for name in names})
     calls = itertools.count()
 
     def propose(prompt: prompting.ComposedPrompt) -> tuple[str, Usage]:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .embedding import EmbeddingProvider
 from .errors import DimensionMismatchError, EmptyCorpusError, IngestError, SnapshotCorruptionError
-from .util import canonical_json, utc_now_iso
+from .util import JsonRecord, canonical_json, decode_record, utc_now_iso
 
 SNAPSHOT_FORMAT = "arcs-snapshot"
 SNAPSHOT_VERSION = 2
@@ -396,6 +396,17 @@ def ingest(paths: Sequence[str | Path], embedder: EmbeddingProvider) -> CorpusSn
     return CorpusSnapshot.build(records, matrix, embedder.embedder_id)
 
 
+@dataclass(frozen=True)
+class _SnapshotHeader(JsonRecord):
+    count: int
+    dimension: int
+    embedder_id: str
+    created_at: str
+    content_digest: str
+    format: str = SNAPSHOT_FORMAT
+    version: int = SNAPSHOT_VERSION
+
+
 def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
     """Persist a snapshot as a header line, one metadata line per item, one matrix line.
 
@@ -407,21 +418,15 @@ def save_snapshot(snapshot: CorpusSnapshot, path: str | Path) -> None:
     A symbolic link at ``path`` is followed: the file it points to is replaced.
     """
     path = Path(os.path.realpath(path))
-    header = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "embedder_id": snapshot.embedder_id,
-        "dimension": snapshot.dimension,
-        "created_at": snapshot.created_at,
-        "count": len(snapshot.items),
-        "content_digest": snapshot.content_digest,
-    }
+    header = _SnapshotHeader(
+        len(snapshot), snapshot.dimension, snapshot.embedder_id, snapshot.created_at, snapshot.content_digest
+    )
     # "x" creates the file with the mode open(path, "wb") gives a new file
     temporary = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     file = temporary.open("xb")
     try:
         with file:
-            file.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+            file.write(json.dumps(header.to_jsonable(), sort_keys=True).encode("utf-8") + b"\n")
             for item in snapshot.items:
                 file.write(_metadata_line(_metadata(item)) + b"\n")
             matrix = np.ascontiguousarray(snapshot.matrix, dtype="<f8")
@@ -463,24 +468,19 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
     _, first = next(lines, (None, None))
     if first is None:
         raise SnapshotCorruptionError(f"snapshot {path} is empty")
-    try:
+    try:  # JSONDecodeError, UnicodeDecodeError and the codec's errors are ValueErrors
         header = json.loads(first.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise SnapshotCorruptionError(f"snapshot {path} has an unreadable header") from exc
-    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotCorruptionError(f"snapshot {path} is not an {SNAPSHOT_FORMAT} file")
-    if header.get("version") != SNAPSHOT_VERSION:
-        raise SnapshotCorruptionError(
-            f"snapshot {path} has format version {header.get('version')!r}, not {SNAPSHOT_VERSION}; "
-            "re-run `arcs index` to rebuild it"
-        )
-    try:
-        count, dimension = int(header["count"]), int(header["dimension"])
-        embedder_id, created_at = header["embedder_id"], header["created_at"]
-        if not isinstance(embedder_id, str) or not isinstance(created_at, str):
-            raise TypeError("embedder_id and created_at must be strings")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc!r}") from exc
+        if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
+            raise SnapshotCorruptionError(f"snapshot {path} is not an {SNAPSHOT_FORMAT} file")
+        if header.get("version") != SNAPSHOT_VERSION:
+            raise SnapshotCorruptionError(
+                f"snapshot {path} has format version {header.get('version')!r}, not {SNAPSHOT_VERSION}; "
+                "re-run `arcs index` to rebuild it"
+            )
+        header = decode_record(_SnapshotHeader, header)
+    except ValueError as exc:
+        raise SnapshotCorruptionError(f"snapshot {path} has a malformed header: {exc}") from exc
+    count, dimension = header.count, header.dimension
     if count < 1:
         raise SnapshotCorruptionError(f"snapshot {path} declares {count} items; a snapshot holds at least one")
     offsets, lengths, hashes = array("q"), array("q"), bytearray()
@@ -515,13 +515,13 @@ def _read_snapshot(file: BinaryIO, path: Path) -> CorpusSnapshot:
         raise SnapshotCorruptionError(f"snapshot {path} has a corrupt embedding matrix") from exc
     digest.update(matrix_bytes)
     content_digest = digest.hexdigest()
-    if content_digest != header.get("content_digest"):
+    if content_digest != header.content_digest:
         raise SnapshotCorruptionError(f"snapshot {path} failed its content digest check")
     matrix.flags.writeable = False
     # the items hold their own descriptor of the file, which ``file`` closes
     items = _LoadedItems(os.dup(file.fileno()), path, offsets, lengths, hashes, matrix)
     try:
-        return CorpusSnapshot(items, embedder_id, created_at, content_digest, matrix)
+        return CorpusSnapshot(items, header.embedder_id, header.created_at, content_digest, matrix)
     except ValueError as exc:  # a non-finite row, which only a hand-forged file holds
         items.close()
         raise SnapshotCorruptionError(f"snapshot {path}: {exc}") from exc

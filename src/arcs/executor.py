@@ -116,6 +116,8 @@ class TestSuite(JsonRecord):
     cases: tuple[TestCase, ...]
     compare: str = "trim"
 
+    json_bare_list = "cases"
+
     def __post_init__(self):
         if len(self.cases) < 1:
             raise ValueError("a test suite requires at least one case")
@@ -134,7 +136,7 @@ class TestSuite(JsonRecord):
 
 
 def load_suite(path: str | Path) -> TestSuite:
-    """Suite file: {"compare": ..., "cases": [{id, input, expected}, ...]} or a bare list."""
+    """Suite file: {"compare": ..., "cases": [{id, input, expected}, ...]}, or a bare list of the cases."""
     try:
         return TestSuite.from_jsonable(json.loads(Path(path).read_text(encoding="utf-8")))
     except (OSError, ValueError) as exc:

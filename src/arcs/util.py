@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -42,7 +43,8 @@ class JsonRecord:
     The JSON keys are the dataclass fields. A subclass may name properties
     in ``json_derived``; they are written after the fields and ignored when
     read back. Any other key is refused when read. With ``json_sparse`` set,
-    fields equal to their default are left out.
+    fields equal to their default are left out. A bare list reads as the
+    field that ``json_bare_list`` names, if the subclass names one.
     """
 
     json_derived = ()
@@ -90,22 +92,19 @@ def _default(spec: dataclasses.Field):
     return spec.default
 
 
-@functools.cache
-def _field_types(cls) -> dict:
-    return typing.get_type_hints(cls)
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def decode_record(cls, data, path: str = ""):
-    """Rebuild dataclass ``cls`` from JSON ``data``, checking field types.
+    """Rebuild dataclass ``cls`` from JSON ``data``, checking field types strictly.
 
     Missing fields take their default; a missing timing field reads as the
-    empty value of its type. A bare list stands for the record's first
-    field. A missing or ill-typed field, or a key that is neither a field nor
-    a ``json_derived`` name, raises ValueError naming its path.
+    empty value of its type. An ``int`` field takes a JSON integer, a ``float``
+    field any number, neither a bool; anything else raises ValueError naming its path.
     """
     fields = dataclasses.fields(cls)
-    if isinstance(data, list):
-        data = {fields[0].name: data}
+    if isinstance(data, list) and getattr(cls, "json_bare_list", None):
+        data = {cls.json_bare_list: data}
     if not isinstance(data, dict):
         raise ValueError(f"{path or cls.__name__}: expected an object, got {type(data).__name__}")
     unknown = data.keys() - {spec.name for spec in fields} - set(getattr(cls, "json_derived", ()))
@@ -148,13 +147,12 @@ def _decode(hint, value, where: str):
             for i, (item_hint, item) in enumerate(zip(item_hints, value))
         ]
         return tuple(items) if origin is tuple else items
-    if hint is bool and not isinstance(value, bool):
-        raise ValueError(f"{where}: expected bool, got {value!r:.40}")
     if hint in (int, float, bool):
-        try:
-            return hint(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}: expected {hint.__name__}, got {value!r:.40}") from None
+        kinds = (int, float) if hint is float else hint
+        if isinstance(value, kinds) and (hint is bool or not isinstance(value, bool)):
+            with contextlib.suppress(OverflowError):  # an integer too large for a float field
+                return hint(value)
+        raise ValueError(f"{where}: expected {hint.__name__}, got {value!r:.40}")
     if not isinstance(value, origin or hint):
         raise ValueError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
     return value

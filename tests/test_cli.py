@@ -870,6 +870,52 @@ def _query_header_embedder_id_not_string(tmp_path, task_files):
     return ["query", "--snapshot", str(snapshot), "--q", "add"]
 
 
+def _run_suite_case_id_past_float(tmp_path, task_files):
+    _, suite, _ = task_files
+    suite.write_text('{"cases": [{"id": 1e999, "input": "1 2", "expected": "3"}]}', encoding="utf-8")
+    return _run_args(tmp_path, task_files)
+
+
+def _golden_log(tmp_path) -> Path:
+    log_dir = tmp_path / "log"
+    shutil.copytree(Path(__file__).parent / "golden" / "runlog", log_dir)
+    return log_dir
+
+
+def _replay_manifest_version_past_float(tmp_path, task_files):
+    manifest = _golden_log(tmp_path) / "manifest.json"
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace('\n  "version": 1\n', '\n  "version": 1e999\n'), encoding="utf-8")
+    return ["replay", "--log", str(manifest.parent)]
+
+
+def _replay_round_wall_seconds_past_float(tmp_path, task_files):
+    # a digest-valid round whose wall time is an integer too large for a float
+    log_dir = _golden_log(tmp_path)
+    round_file = log_dir / "round_000.json"
+    text = round_file.read_text(encoding="utf-8")
+    text = re.sub(r'"wall_seconds": [0-9.e-]+', '"wall_seconds": 1' + "0" * 400, text)
+    round_file.write_text(text, encoding="utf-8")
+    manifest = json.loads((log_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest["rounds"][0]["digest"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    (log_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    return ["replay", "--log", str(log_dir)]
+
+
+def _query_header_count_past_float(tmp_path, task_files):
+    snapshot = _index(tmp_path)
+    header, rest = snapshot.read_text(encoding="utf-8").split("\n", 1)
+    header = json.dumps({**json.loads(header), "count": "COUNT"}, sort_keys=True).replace('"COUNT"', "1e999")
+    snapshot.write_text(header + "\n" + rest, encoding="utf-8")
+    return ["query", "--snapshot", str(snapshot), "--q", "add"]
+
+
+def _run_script_bare_list(tmp_path, task_files):
+    script = tmp_path / "list_script.json"
+    script.write_text(json.dumps([{"response": fenced(FIXED_SUM)}]), encoding="utf-8")
+    return _run_args(tmp_path, task_files, script=script)
+
+
 def _case(malformed, fragment: str):
     """A malformed-input case and the text its one error line must hold."""
     return pytest.param(malformed, fragment, id=malformed.__name__)
@@ -924,6 +970,11 @@ def _case(malformed, fragment: str):
         _case(_index_tree_without_source_files, "docs_only holds no source file of a known extension"),
         _case(_run_script_key_misspelled, "ScriptFile: unknown key 'entires'"),
         _case(_query_header_embedder_id_not_string, "corpus.snap has a malformed header"),
+        _case(_run_suite_case_id_past_float, "suite.json: cases[0].id: expected int, got inf"),
+        _case(_replay_manifest_version_past_float, "is malformed: version: expected int, got inf"),
+        _case(_replay_round_wall_seconds_past_float, "is malformed: rounds[0].wall_seconds: expected float, got 1000"),
+        _case(_query_header_count_past_float, "corpus.snap has a malformed header: count: expected int, got inf"),
+        _case(_run_script_bare_list, "list_script.json: ScriptFile: expected an object, got list"),
     ],
 )
 def test_malformed_input_file_exits_two_with_one_line(tmp_path, task_files, capsys, malformed, fragment):

@@ -298,6 +298,8 @@ def test_library_config_is_range_checked_like_a_flag():
         ("top_p", 7.0),
         ("top_p", 0.0),
         ("temperature", -1.0),
+        ("seed", 7.9),
+        ("max_output_tokens", True),
     ]
     for key, value in out_of_range:
         deps = _deps(buggy_then_fixed_model(), config={key: value})

@@ -41,7 +41,7 @@ from arcs.errors import (
 from arcs.retrieval import RetrievalQuery, signature_name, top_k
 
 from conftest import THREE_FUNCTION_FILE
-from helpers import make_record
+from helpers import make_record, snapshot_from_embeddings
 
 
 def test_extractor_on_three_function_fixture():
@@ -575,6 +575,27 @@ def test_header_text_field_that_is_not_a_string_is_corrupt(snapshot, tmp_path, k
     lines[0] = json.dumps(header, sort_keys=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(SnapshotCorruptionError, match="malformed header"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("count", 2.9, "count: expected int, got 2.9"),
+        ("count", "2", "count: expected int, got '2'"),
+        ("dimension", 384.0, "dimension: expected int, got 384.0"),
+        ("version", 2.0, "version: expected int, got 2.0"),
+        ("comment", "", "unknown key 'comment'"),
+    ],
+)
+def test_header_field_is_read_strictly(tmp_path, key, value, message):
+    # the snapshot holds 2 items of 384 floats, so int() would read each number as the true one
+    path = tmp_path / "corpus.snap"
+    save_snapshot(snapshot_from_embeddings(np.eye(2, 384)), path)
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    header = {**json.loads(header), key: value}
+    path.write_text(json.dumps(header, sort_keys=True) + "\n" + rest, encoding="utf-8")
+    with pytest.raises(SnapshotCorruptionError, match=f"has a malformed header: .*{re.escape(message)}$"):
         load_snapshot(path)
 
 

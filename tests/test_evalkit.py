@@ -217,3 +217,10 @@ def test_load_tasks_and_render_table(tmp_path):
     report = sweep(tasks, TIERS["small"], RunDeps(model=model, executor=InProcessExecutor()))
     table = render_table([("small", report)])
     assert "pass@1" in table and "small" in table
+
+
+def test_inline_suite_may_be_a_bare_list_of_cases(tmp_path):
+    tasks_path = tmp_path / "tasks.json"
+    case = {"id": 1, "input": "", "expected": "1"}
+    tasks_path.write_text(json.dumps([{"id": "a", "spec": "print 1", "suite": [case]}]), encoding="utf-8")
+    assert load_tasks(tasks_path)[0].suite.m == 1
