@@ -93,8 +93,12 @@ def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
 
 def check_loop_settings(cfg: dict) -> None:
     """Range checks on the loop's settings, for flags, files and library configs alike."""
+    def number(key):
+        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
+            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
+        return cfg[key]
     for key in ("delta", "top_p"):
-        if not 0.0 < cfg[key] <= 1.0:
+        if not 0.0 < number(key) <= 1.0:
             raise ConfigError(f"{key} must be in (0, 1], got {cfg[key]}")
     for key, low in (
         ("max_subgoals", 0),
@@ -104,5 +108,5 @@ def check_loop_settings(cfg: dict) -> None:
         ("input_cap", 1),
         ("max_output_tokens", 1),
     ):
-        if not low <= cfg[key] < math.inf:  # exact for an int too large for a float
+        if not low <= number(key) < math.inf:  # exact for an int too large for a float
             raise ConfigError(f"{key} must be a finite number >= {low}, got {cfg[key]}")

@@ -71,10 +71,10 @@ class RemoteEmbedder(EmbeddingProvider):
     """Adapter for a remote embedding endpoint.
 
     Sends ``{"text": ...}`` and expects ``{"embedding": [...]}`` of the
-    configured dimension, with finite values and norm; any other reply
-    raises TransportError. The default transport reads the credential,
-    if any, from the ``ARCS_API_TOKEN`` environment variable; it is never
-    logged.
+    configured dimension, whose entries are numbers, not bools, of finite
+    value and norm; any other reply raises TransportError. The default
+    transport reads the credential, if any, from the ``ARCS_API_TOKEN``
+    environment variable; it is never logged.
     """
 
     def __init__(
@@ -100,9 +100,11 @@ class RemoteEmbedder(EmbeddingProvider):
             raise DimensionMismatchError(
                 f"endpoint returned {len(vector)} dimensions, expected {self.dimension}"
             )
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in vector):
+            raise TransportError(f"malformed embedding reply {reply!r:.80}")
         try:
             vector = [float(x) for x in vector]
-        except (TypeError, ValueError) as exc:
+        except OverflowError as exc:  # an integer too large for a float
             raise TransportError(f"malformed embedding reply: {exc}") from exc
         if not math.isfinite(sum(x * x for x in vector)):
             raise TransportError("embedding reply has a non-finite value or norm")

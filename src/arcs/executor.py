@@ -31,6 +31,7 @@ from contextlib import redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import _child
 from .config import DEFAULTS
 from .errors import ConfigError, SandboxSetupError
 from .prompting import PromptSegment
@@ -53,54 +54,12 @@ _READ_SIZE = 32 * 1024
 # the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
-# left in the workspace by a child that dies of an uncaught memory failure
-_MEMORY_MARKER = ".memory-exceeded"
-
 # the interpreter's library directories, longest first since site-packages lies inside the
 # standard library: stderr names library files relative to them, wherever Python is installed
 _LIBRARY_DIRS = sorted(
     {sysconfig.get_path(name) + os.sep for name in ("stdlib", "platstdlib", "purelib", "platlib")},
     key=len, reverse=True,
 )
-
-# the workspace's sitecustomize, which the child runs before the candidate; its audit hook
-# refuses each socket call that takes an address or looks up a name, without importing
-# socket, and each signal sent outside the candidate's own process group (the child
-# leads a new session); recorded tracebacks put _blocked's network raise on line 10
-_CHILD_SETUP = """\
-import errno, os, resource, sys
-
-for _limit, _cap in ((resource.RLIMIT_AS, ({memory}, {memory})), (resource.RLIMIT_CPU, ({cpu}, {cpu} + 1)), (resource.RLIMIT_FSIZE, ({memory}, {memory}))):
-    try:
-        resource.setrlimit(_limit, _cap)
-    except (ValueError, OSError):
-        pass
-def _blocked(event, args, _getpgid=os.getpgid, _own=os.getpgrp()):
-    if event in ("socket.connect", "socket.bind", "socket.sendto", "socket.getaddrinfo", "socket.gethostbyname", "socket.gethostbyaddr", "socket.getnameinfo") or event == "socket.sendmsg" and args[1] is not None:
-        raise OSError("network access is disabled in this sandbox")
-    if event == "os.kill" and args[0] > 0:
-        try:
-            _target = _getpgid(args[0])
-        except OSError:
-            return  # no such process: the call fails on its own
-    elif event in ("os.kill", "os.killpg"):
-        # 0 is the caller's group; kill's -1, every process, maps to group 1
-        _target = abs(args[0]) or _own
-    else:
-        return
-    if _target != _own:
-        raise PermissionError("signals to other process groups are disabled in this sandbox")
-
-sys.addaudithook(_blocked)
-
-def _report_memory(kind, value, frames, _previous=sys.excepthook):
-    if issubclass(kind, MemoryError) or isinstance(value, OSError) and value.errno == errno.ENOMEM:
-        open(os.path.join(os.path.dirname(__file__), "{marker}"), "w").close()
-    _previous(kind, value, frames)
-
-sys.excepthook = _report_memory
-"""
-
 
 @dataclass(frozen=True)
 class TestCase:
@@ -301,15 +260,18 @@ class ProcessExecutor(Executor):
     """Runs each test in a fresh OS process inside a temp workspace.
 
     Isolation is process-level: fresh working directory per test, a minimal
-    environment, and a sitecustomize through which the child sets its own
-    address-space, CPU-time and file-size rlimits and a Python-level network
-    guard before the candidate runs. The parent keeps at most ``_OUTPUT_CAP``
+    environment, and the module ``arcs._child``, written into the workspace as
+    its sitecustomize. Before the candidate runs, the child installs through it
+    a Python-level network and signal guard, then sets its own address-space,
+    CPU-time and file-size rlimits from one environment variable that it
+    removes. The parent keeps at most ``_OUTPUT_CAP``
     bytes of each of the child's stdout and stderr, and stops a test that
     writes more. A container backend can replace this behind the same interface.
     """
 
     def __init__(self, caps: ResourceCaps | None = None):
         self.caps = caps or ResourceCaps()
+        self._setup = Path(_child.__file__).read_bytes()
 
     def environment_description(self) -> str:
         return (
@@ -331,7 +293,6 @@ class ProcessExecutor(Executor):
         try:
             program_path = Path(workdir) / _CANDIDATE_FILE
             cpu = max(1, int(self.caps.wall_seconds) + 1)
-            setup = _CHILD_SETUP.format(memory=self.caps.memory_bytes, cpu=cpu, marker=_MEMORY_MARKER)
             env = {
                 "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
                 "HOME": workdir,
@@ -342,11 +303,12 @@ class ProcessExecutor(Executor):
                 "PYTHONIOENCODING": "utf-8",
                 "PYTHONHASHSEED": "0",
                 "PYTHONPATH": workdir,
+                _child.CAPS_VARIABLE: f"{self.caps.memory_bytes} {cpu}",
             }
             started = time.perf_counter()
             try:
                 program_path.write_text(program, encoding="utf-8")
-                (Path(workdir) / "sitecustomize.py").write_text(setup, encoding="utf-8")
+                (Path(workdir) / "sitecustomize.py").write_bytes(self._setup)
                 # the input is a file with no name that the child inherits as its stdin, so
                 # the parent only reads, and the workspace lists only the two files above;
                 # the parent's copy closes as soon as the child holds its own
@@ -378,7 +340,7 @@ class ProcessExecutor(Executor):
                     pipe.close()
                 process.wait()
             wall = time.perf_counter() - started
-            if limit is None and (Path(workdir) / _MEMORY_MARKER).exists():
+            if limit is None and (Path(workdir) / _child.MEMORY_MARKER).exists():
                 limit = "memory"
             # decoded once, as written: `exact` must see a "\r\n" the program wrote;
             # the workspace path is random, and replay needs bare file names

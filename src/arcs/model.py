@@ -145,7 +145,8 @@ class RemoteModel(ProposalModel):
     """Adapter for a remote completion endpoint.
 
     One request carries {prompt, temperature, top_p, max_tokens, seed} and
-    the reply must contain {"text": ..., "usage": {...}}. The default
+    the reply must contain {"text": ..., "usage": {...}}, whose token counts, if
+    given, are integers. The default
     transport reads the credential from the environment, and it never
     appears in logs. Transport failures are retried ``RETRIES`` times with fixed
     backoff, then surface as a hard model failure; a malformed reply is one at once.
@@ -187,12 +188,10 @@ class RemoteModel(ProposalModel):
         usage_reply = (reply.get("usage") or {}) if isinstance(reply, dict) else None
         if not isinstance(text, str) or not isinstance(usage_reply, dict):
             raise ModelProposalError(f"malformed model reply {reply!r:.80}")
+        counts = {"input_tokens": prompt.total_tokens, "output_tokens": token_count(text)}
         try:
-            usage = Usage(
-                input_tokens=int(usage_reply.get("input_tokens", prompt.total_tokens)),
-                output_tokens=int(usage_reply.get("output_tokens", token_count(text))),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
+            usage = decode_record(Usage, {key: usage_reply.get(key, count) for key, count in counts.items()})
+        except ValueError as exc:
             raise ModelProposalError(f"malformed usage in model reply: {exc}") from exc
         if not text:
             log.warning("model returned an empty response; candidate will fail all tests")

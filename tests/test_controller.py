@@ -300,6 +300,9 @@ def test_library_config_is_range_checked_like_a_flag():
         ("temperature", -1.0),
         ("seed", 7.9),
         ("max_output_tokens", True),
+        ("delta", "x"),
+        ("max_subgoals", True),
+        ("plan_gate_tokens", "3"),
     ]
     for key, value in out_of_range:
         deps = _deps(buggy_then_fixed_model(), config={key: value})

@@ -95,8 +95,15 @@ def test_remote_embedder_uses_transport_and_checks_dimension():
 
 @pytest.mark.parametrize(
     "reply",
-    [[1.0, 0.0, 0.0], {"embedding": ["a", "b", "c"]}, {"embedding": [1.0, None, 0.0]}],
-    ids=["not_an_object", "entries_not_numbers", "entry_null"],
+    [
+        [1.0, 0.0, 0.0],
+        {"embedding": ["a", "b", "c"]},
+        {"embedding": [1.0, None, 0.0]},
+        {"embedding": ["1.5", 1.0, 0.0]},
+        {"embedding": [True, 0.0, 0.0]},
+        {"embedding": [10**400, 0.0, 0.0]},
+    ],
+    ids=["not_an_object", "entries_not_numbers", "entry_null", "entry_numeric_text", "entry_bool", "entry_past_float"],
 )
 def test_remote_embedder_malformed_reply_is_arcs_error(reply):
     remote = RemoteEmbedder(
@@ -106,7 +113,7 @@ def test_remote_embedder_malformed_reply_is_arcs_error(reply):
         remote.embed("hello")
 
 
-@pytest.mark.parametrize("vector", [["nan", 1e309, 1], [1e200, 1e200, 0.0]], ids=["non_finite", "norm_overflows"])
+@pytest.mark.parametrize("vector", [[float("nan"), 1e309, 1], [1e200, 1e200, 0.0]], ids=["non_finite", "norm_overflows"])
 def test_remote_embedder_rejects_a_non_finite_reply(vector):
     remote = RemoteEmbedder(
         "https://embed.example/v1", dimension=3, transport=lambda *args, **kwargs: {"embedding": vector}

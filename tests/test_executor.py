@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcs import _child
 from arcs.errors import SandboxSetupError
 from arcs.executor import (
-    _CHILD_SETUP,
     _STDERR_KEEP_LINES,
     EXCEPTION,
     MEMORY_EXCEEDED,
@@ -451,10 +452,10 @@ except OSError as exc:
 
 
 def test_network_guard_covers_a_socket_module_imported_before_the_setup(tmp_path):
-    setup = _CHILD_SETUP.format(memory=2**31, cpu=10, marker=".memory")
+    shutil.copy(_child.__file__, tmp_path / "sitecustomize.py")
     program = (
         "import socket\n"
-        + setup
+        + "import sitecustomize\n"
         + "try:\n"
         + '    socket.create_connection(("127.0.0.1", 9))\n'
         + "except OSError as exc:\n"
@@ -465,6 +466,7 @@ def test_network_guard_covers_a_socket_module_imported_before_the_setup(tmp_path
         capture_output=True,
         text=True,
         cwd=tmp_path,
+        env={_child.CAPS_VARIABLE: f"{2**31} 10"},
         timeout=30,
     )
     assert child.stdout == "network access is disabled in this sandbox\n", child.stderr

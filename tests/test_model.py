@@ -158,8 +158,17 @@ def test_remote_model_carries_decoding_params():
         ["text", "x"],
         {"text": 5},
         {"text": "x", "usage": [1, 2]},
+        {"text": "x", "usage": {"input_tokens": 3.7, "output_tokens": 2}},
+        {"text": "x", "usage": {"input_tokens": 3, "output_tokens": True}},
     ],
-    ids=["usage_not_a_number", "not_an_object", "text_not_a_string", "usage_not_an_object"],
+    ids=[
+        "usage_not_a_number",
+        "not_an_object",
+        "text_not_a_string",
+        "usage_not_an_object",
+        "usage_float",
+        "usage_bool",
+    ],
 )
 def test_remote_model_malformed_reply_is_hard_failure(reply):
     model = RemoteModel("https://model.example/v1", transport=lambda *args, **kwargs: reply)
