@@ -23,7 +23,7 @@ def _blocked(event, args, _getpgid=os.getpgid, _own=os.getpgrp()):
 
 
 MEMORY_MARKER = ".memory-exceeded"  # left in the workspace by a child that dies of a memory failure
-CAPS_VARIABLE = "ARCS_CHILD_CAPS"  # "<memory bytes> <CPU seconds>", from the parent to the child
+CAPS_VARIABLE = "ARCS_CHILD_CAPS"  # "<memory bytes> <CPU seconds> <file-size bytes>", from the parent to the child
 
 
 def _report_memory(kind, value, frames, _previous=sys.excepthook, _directory=os.path.dirname(__file__)):
@@ -38,8 +38,8 @@ def _report_memory(kind, value, frames, _previous=sys.excepthook, _directory=os.
 if __name__ == "sitecustomize":
     sys.addaudithook(_blocked)
     sys.excepthook = _report_memory
-    _memory, _cpu = map(int, os.environ.pop(CAPS_VARIABLE).split())
-    for _limit, _cap in ((resource.RLIMIT_AS, (_memory, _memory)), (resource.RLIMIT_CPU, (_cpu, _cpu + 1)), (resource.RLIMIT_FSIZE, (_memory, _memory))):
+    _memory, _cpu, _file_size = map(int, os.environ.pop(CAPS_VARIABLE).split())
+    for _limit, _cap in ((resource.RLIMIT_AS, (_memory, _memory)), (resource.RLIMIT_CPU, (_cpu, _cpu + 1)), (resource.RLIMIT_FSIZE, (_file_size, _file_size))):
         try:
             resource.setrlimit(_limit, _cap)
         except (ValueError, OSError):

@@ -35,7 +35,7 @@ from .errors import (
 from .executor import ExecutionFeedback, Executor, TestSuite, encode_feedback
 from .model import DecodingParams, ProposalModel, Usage, extract_code
 from .planner import Plan
-from .util import TIMING, JsonRecord, json_digest, text_digest, utc_now_iso
+from .util import TIMING, JsonRecord, check_field_types, json_digest, text_digest, utc_now_iso
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +61,7 @@ class TierConfig(JsonRecord):
     json_derived = ("name",)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k < 0:
             raise ValueError("retrieval budget k must be >= 0")
         if self.iterations < 1:

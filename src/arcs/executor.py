@@ -27,7 +27,7 @@ import threading
 import time
 import traceback
 from abc import ABC, abstractmethod
-from contextlib import redirect_stderr, redirect_stdout, suppress
+from contextlib import ExitStack, redirect_stderr, redirect_stdout, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,7 +35,7 @@ from . import _child
 from .config import DEFAULTS
 from .errors import ConfigError, SandboxSetupError
 from .prompting import PromptSegment
-from .util import TIMING, JsonRecord
+from .util import TIMING, JsonRecord, check_field_types
 
 PASS = "pass"
 WRONG_OUTPUT = "wrong_output"
@@ -47,10 +47,9 @@ VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 _STDERR_KEEP_LINES = 200
 # the line breaks of str.splitlines, a CRLF pair as one
 _LINE_BREAK_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
-# bytes the process backend keeps of each of a test's stdout and stderr; a test that
-# writes more is stopped and judged wrong output
+# bytes the process backend keeps of each of a test's stdout and stderr; the child's file-size
+# cap is one byte more, and a test whose output reaches that byte is judged wrong output
 _OUTPUT_CAP = 4 * 1024 * 1024
-_READ_SIZE = 32 * 1024
 # the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
@@ -114,9 +113,10 @@ class ResourceCaps:
     memory_bytes: int = DEFAULTS["memory_bytes"]
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.wall_seconds <= _MAX_WALL_SECONDS:
             raise ValueError(f"wall_seconds must be in (0, {_MAX_WALL_SECONDS}], got {self.wall_seconds}")
-        if not (isinstance(self.memory_bytes, int) and 0 < self.memory_bytes <= _MAX_MEMORY_BYTES):
+        if not 0 < self.memory_bytes <= _MAX_MEMORY_BYTES:
             raise ValueError(f"memory_bytes must be an integer in [1, 2**63 - 1], got {self.memory_bytes}")
 
 
@@ -264,9 +264,10 @@ class ProcessExecutor(Executor):
     its sitecustomize. Before the candidate runs, the child installs through it
     a Python-level network and signal guard, then sets its own address-space,
     CPU-time and file-size rlimits from one environment variable that it
-    removes. The parent keeps at most ``_OUTPUT_CAP``
-    bytes of each of the child's stdout and stderr, and stops a test that
-    writes more. A container backend can replace this behind the same interface.
+    removes. Its stdin, stdout and stderr are unnamed files in the workspace.
+    The parent only waits for the child to exit, then reads at most one byte
+    past ``_OUTPUT_CAP`` of each output, where the file-size rlimit stops it.
+    A container backend can replace this behind the same interface.
     """
 
     def __init__(self, caps: ResourceCaps | None = None):
@@ -286,11 +287,12 @@ class ProcessExecutor(Executor):
         return _run_suite(self._run_case, program, suite, self.caps)
 
     def _run_case(self, program: str, case: TestCase):
-        try:
-            workdir = tempfile.mkdtemp(prefix="arcs-exec-")
-        except OSError as exc:
-            raise SandboxSetupError(f"cannot create a workspace: {exc}") from exc
-        try:
+        with ExitStack() as stack:
+            try:
+                workdir = tempfile.mkdtemp(prefix="arcs-exec-")
+            except OSError as exc:
+                raise SandboxSetupError(f"cannot create a workspace: {exc}") from exc
+            stack.callback(shutil.rmtree, workdir, ignore_errors=True)
             program_path = Path(workdir) / _CANDIDATE_FILE
             cpu = max(1, int(self.caps.wall_seconds) + 1)
             env = {
@@ -303,81 +305,67 @@ class ProcessExecutor(Executor):
                 "PYTHONIOENCODING": "utf-8",
                 "PYTHONHASHSEED": "0",
                 "PYTHONPATH": workdir,
-                _child.CAPS_VARIABLE: f"{self.caps.memory_bytes} {cpu}",
+                _child.CAPS_VARIABLE: f"{self.caps.memory_bytes} {cpu} {_OUTPUT_CAP + 1}",
             }
             started = time.perf_counter()
             try:
                 program_path.write_text(program, encoding="utf-8")
                 (Path(workdir) / "sitecustomize.py").write_bytes(self._setup)
-                # the input is a file with no name that the child inherits as its stdin, so
-                # the parent only reads, and the workspace lists only the two files above;
-                # the parent's copy closes as soon as the child holds its own
-                with tempfile.TemporaryFile(dir=workdir) as stdin:
-                    stdin.write(case.input.encode("utf-8", "replace"))
-                    stdin.seek(0)
-                    try:
-                        process = subprocess.Popen(
-                            [sys.executable, str(program_path)],
-                            stdin=stdin,
-                            stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE,
-                            cwd=workdir,
-                            env=env,
-                            start_new_session=True,
-                        )
-                    except OSError as exc:
-                        raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
+                # the child's stdio is three files with no name: the workspace lists only the two
+                # files above, and the parent neither writes nor reads while the child runs
+                unnamed = (tempfile.TemporaryFile(dir=workdir) for _ in range(3))
+                stdin, stdout, stderr = map(stack.enter_context, unnamed)
+                stdin.write(case.input.encode("utf-8", "replace"))
+                stdin.seek(0)
             except OSError as exc:
                 raise SandboxSetupError(f"cannot prepare workspace: {exc}") from exc
             try:
-                returncode, stdout, stderr, limit = _exchange(process, started + self.caps.wall_seconds)
+                process = subprocess.Popen(
+                    [sys.executable, str(program_path)],
+                    stdin=stdin,
+                    stdout=stdout,
+                    stderr=stderr,
+                    cwd=workdir,
+                    env=env,
+                    start_new_session=True,
+                )
+            except OSError as exc:
+                raise SandboxSetupError(f"cannot start {sys.executable!r}: {exc}") from exc
+            try:
+                exited = _exits_by(process, started + self.caps.wall_seconds)
             finally:
                 # one teardown for every exit: background children of the candidate must not
-                # outlive its test, and a detached grandchild can hold the pipes open past it
+                # outlive its test
                 with suppress(OSError):
                     os.killpg(process.pid, signal.SIGKILL)
-                for pipe in (process.stdout, process.stderr):
-                    pipe.close()
-                process.wait()
+                returncode = process.wait()
             wall = time.perf_counter() - started
-            if limit is None and (Path(workdir) / _child.MEMORY_MARKER).exists():
-                limit = "memory"
+            if not exited:
+                return None, "", "", "wall", wall
+            # the child's file-size cap ends each output at most one byte past the cap
+            stdout, stderr = (os.pread(file.fileno(), _OUTPUT_CAP + 1, 0) for file in (stdout, stderr))
+            limit = "memory" if (Path(workdir) / _child.MEMORY_MARKER).exists() else None
+            if max(len(stdout), len(stderr)) > _OUTPUT_CAP:
+                stdout, stderr, limit = b"", stderr[:_OUTPUT_CAP], "output"
             # decoded once, as written: `exact` must see a "\r\n" the program wrote;
             # the workspace path is random, and replay needs bare file names
             stderr = stderr.decode("utf-8", "replace").replace(workdir + os.sep, "")
             return returncode, stdout.decode("utf-8", "replace"), stderr, limit, wall
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
 
 
-def _exchange(process: subprocess.Popen, deadline: float):
-    """Read the stdout and stderr of ``process`` until it exits.
-
-    Its stdin is a file, so the parent writes nothing and waits only on the
-    two pipes. Returns its exit status, stdout, stderr, and the limit it hit,
-    if any: "wall" when the ``time.perf_counter`` ``deadline`` passes first,
-    "output" when either output would pass ``_OUTPUT_CAP`` bytes. Past a limit
-    the status is None, no stdout is returned, and on a timeout no stderr either.
-    """
-    stdout, stderr = bytearray(), bytearray()
-    with selectors.DefaultSelector() as selector:
-        selector.register(process.stdout, selectors.EVENT_READ, stdout)
-        selector.register(process.stderr, selectors.EVENT_READ, stderr)
-        while selector.get_map():
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                return None, b"", b"", "wall"
-            for key, _ in selector.select(remaining):
-                chunk = os.read(key.fd, _READ_SIZE)
-                if not chunk:
-                    selector.unregister(key.fileobj)
-                elif len(key.data) + len(chunk) > _OUTPUT_CAP:
-                    return None, b"", stderr, "output"
-                key.data.extend(chunk)
+def _exits_by(process: subprocess.Popen, deadline: float) -> bool:
+    """Whether ``process`` exits before the ``time.perf_counter`` ``deadline``; the parent sleeps
+    on its process file descriptor, which turns readable when it exits (Linux 5.3 or later)."""
     try:
-        return process.wait(max(deadline - time.perf_counter(), 0)), stdout, stderr, None
-    except subprocess.TimeoutExpired:  # the program closed its outputs and ran on
-        return None, b"", b"", "wall"
+        pidfd = os.pidfd_open(process.pid)
+    except (AttributeError, OSError) as exc:
+        raise SandboxSetupError(f"cannot wait for the test's process: {exc}") from exc
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(pidfd, selectors.EVENT_READ)
+            return bool(selector.select(max(deadline - time.perf_counter(), 0)))
+    finally:
+        os.close(pidfd)
 
 
 _IN_PROCESS_LOCK = threading.RLock()  # reentrant, for a candidate that runs a suite in-process

@@ -123,6 +123,14 @@ def decode_record(cls, data, path: str = ""):
     return cls(**values)
 
 
+def check_field_types(record) -> None:
+    """Raise ValueError naming the first field of dataclass ``record`` whose value
+    ``decode_record`` would refuse, so a record built in code obeys the codec's rule."""
+    hints = _field_types(type(record))
+    for spec in dataclasses.fields(record):
+        _decode(hints[spec.name], getattr(record, spec.name), spec.name)
+
+
 def _decode(hint, value, where: str):
     origin = typing.get_origin(hint)
     args = typing.get_args(hint)

@@ -70,6 +70,22 @@ def test_tier_projections_and_names():
         TierConfig(k=-1, iterations=1)
 
 
+@pytest.mark.parametrize(
+    ("field", "fields"),
+    [
+        ("iterations", {"k": 0, "iterations": True}),  # its log would not load: a bool is no int
+        ("planning", {"k": 0, "iterations": 1, "planning": 1}),
+        ("iterations", {"k": 0, "iterations": 2.5}),
+        ("k", {"k": "1", "iterations": 1}),
+        ("k", {"k": 0.0, "iterations": 1}),
+    ],
+    ids=["iterations_bool", "planning_int", "iterations_float", "k_text", "k_float"],
+)
+def test_tier_fields_of_the_wrong_type_are_refused(field, fields):
+    with pytest.raises(ValueError, match=f"^{field}: expected "):
+        TierConfig(**fields)
+
+
 def test_repair_loop_passes_at_round_one():
     model = buggy_then_fixed_model()
     result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=5, planning=False), _deps(model))
