@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 task failure (the loop ran but the returned
 candidate does not pass, or replay diverged), 2 configuration or usage
-error, or an output path that cannot be written. Diagnostics go to stderr,
-results to stdout.
+error, an output path that cannot be written, or an error that stopped a
+run (which still writes the log of its finished rounds). Diagnostics go to
+stderr, results to stdout.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .controller import (
     save_run_log,
 )
 from .corpus import LANGUAGE_BY_EXTENSION, ingest, load_snapshot, save_snapshot
-from .embedding import embedder_for
+from .embedding import DEFAULT_DIMENSION, embedder_for
 from .errors import ArcsError, ConfigError, NoCandidateError
 from .evalkit import ablation_matrix, ablation_tier, load_tasks, render_table, sweep
 from .executor import ProcessExecutor, ResourceCaps, encode_feedback, load_suite
@@ -46,7 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="ingest a source tree into a frozen snapshot")
     p_index.add_argument("--input", required=True, help="directory of source files")
     p_index.add_argument("--out", required=True, help="snapshot output path")
-    p_index.add_argument("--embedder", default="hash384", help="hash<dim> or a remote embedder id")
+    p_index.add_argument(
+        "--embedder", default=f"hash{DEFAULT_DIMENSION}", help="hash<dim> or a remote embedder id"
+    )
     p_index.add_argument("--embed-endpoint", default="", help="remote embedding endpoint URL")
     p_index.set_defaults(handler=_cmd_index)
 
@@ -196,10 +199,13 @@ def _cmd_run(args) -> int:
     program_path = log_dir / "program.py"
     try:
         result = run(spec, suite, tier, deps)
-    except NoCandidateError as exc:
-        with _writing(log_dir):
-            save_run_log(exc.run_log, log_dir)
-            program_path.unlink(missing_ok=True)
+    except ArcsError as exc:
+        if exc.run_log is not None:
+            with _writing(log_dir):
+                save_run_log(exc.run_log, log_dir)
+                program_path.unlink(missing_ok=True)
+        if not isinstance(exc, NoCandidateError):
+            raise
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
     with _writing(log_dir):
@@ -218,11 +224,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_replay(args) -> int:
     run_log = load_run_log(args.log)
-    cfg = {**DEFAULTS, **run_log.config}
-    if args.script:
-        cfg.update(model="scripted", script=args.script)
+    overrides = {"model": "scripted", "script": args.script} if args.script else {}
     if args.snapshot:
-        cfg["snapshot"] = args.snapshot
+        overrides["snapshot"] = args.snapshot
+    cfg = resolve_config(overrides, run_log.config)
     fresh = replay(run_log, _deps_from_config(cfg, run_log.tier))
     differences = compare_run_logs(run_log, fresh)
     if differences:

@@ -4,39 +4,70 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .util import check_field_types, decode_record, encode_record
 
-DEFAULTS: dict[str, object] = {
-    "tier": "small",
-    "budget_b": None,  # None: the named tier's own budget, from controller.TIERS
-    "budget_k": None,
-    "max_subgoals": 4,
-    "temperature": 0.7,
-    "top_p": 0.95,
-    "max_output_tokens": 512,
-    "seed": 42,
-    "input_cap": 4096,
-    "wall_seconds": 10.0,
-    "memory_bytes": 4 * 1024**3,
-    "model": "scripted",
-    "script": "",
-    "endpoint": "",
-    "embed_endpoint": "",
-    "snapshot": "",
-    "denylist": "",
-    "delta": 0.85,
-    "plan_gate_tokens": 120,
-    "max_stack_lines": 10,
-}
+
+@dataclass(frozen=True)
+class Settings:
+    """The loop's settings: one field per config key, with its type and default."""
+
+    tier: str = "small"
+    budget_b: int | None = None  # None: the named tier's own budget, from controller.TIERS
+    budget_k: int | None = None
+    max_subgoals: int = 4
+    temperature: float = 0.7
+    top_p: float = 0.95
+    max_output_tokens: int = 512
+    seed: int = 42
+    input_cap: int = 4096
+    wall_seconds: float = 10.0
+    memory_bytes: int = 4 * 1024**3
+    model: str = "scripted"
+    script: str = ""
+    endpoint: str = ""
+    embed_endpoint: str = ""
+    snapshot: str = ""
+    denylist: str = ""
+    delta: float = 0.85
+    plan_gate_tokens: int = 120
+    max_stack_lines: int = 10
+
+    def __post_init__(self):
+        check_field_types(self)
+        cfg = vars(self)
+        for key in ("delta", "top_p"):
+            if not 0.0 < cfg[key] <= 1.0:
+                raise ValueError(f"{key} must be in (0, 1], got {cfg[key]}")
+        for key, low in (
+            ("max_subgoals", 0),
+            ("plan_gate_tokens", 0),
+            ("max_stack_lines", 0),
+            ("temperature", 0),
+            ("input_cap", 1),
+            ("max_output_tokens", 1),
+        ):
+            if not low <= cfg[key] < math.inf:  # exact for an int too large for a float
+                raise ValueError(f"{key} must be a finite number >= {low}, got {cfg[key]}")
+
+    @classmethod
+    def of(cls, config: dict) -> "Settings":
+        """``config``'s keys over the defaults, by the codec's rule: no unknown key, and
+        a value of its field's type. ``embedder``, a retired key older run logs hold, is dropped."""
+        return checked(decode_record, cls, {k: v for k, v in config.items() if k != "embedder"})
+
+
+DEFAULTS: dict[str, object] = encode_record(Settings())
 
 
 def coerce(key: str, raw: str):
     """A key's value typed like its default; the one parse of flags and file lines."""
     default = DEFAULTS[key]
     try:
-        if key in ("budget_b", "budget_k") or isinstance(default, int):
+        if default is None or isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
@@ -83,30 +114,5 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def resolve_config(flag_values: dict, file_values: dict | None = None) -> dict:
-    """Merge with precedence flag > file > default and range-check the result. Keys are
-    checked where they are read: the CLI's flags are the ``DEFAULTS`` keys, and
-    ``parse_config_text`` rejects any other."""
-    resolved = {**DEFAULTS, **(file_values or {}), **flag_values}
-    check_loop_settings(resolved)
-    return resolved
-
-
-def check_loop_settings(cfg: dict) -> None:
-    """Range checks on the loop's settings, for flags, files and library configs alike."""
-    def number(key):
-        if isinstance(cfg[key], bool) or not isinstance(cfg[key], (int, float)):
-            raise ConfigError(f"{key} must be a number, got {cfg[key]!r}")
-        return cfg[key]
-    for key in ("delta", "top_p"):
-        if not 0.0 < number(key) <= 1.0:
-            raise ConfigError(f"{key} must be in (0, 1], got {cfg[key]}")
-    for key, low in (
-        ("max_subgoals", 0),
-        ("plan_gate_tokens", 0),
-        ("max_stack_lines", 0),
-        ("temperature", 0),
-        ("input_cap", 1),
-        ("max_output_tokens", 1),
-    ):
-        if not low <= number(key) < math.inf:  # exact for an int too large for a float
-            raise ConfigError(f"{key} must be a finite number >= {low}, got {cfg[key]}")
+    """Merge with precedence flag > file > default, read by ``Settings.of``."""
+    return encode_record(Settings.of({**(file_values or {}), **flag_values}))

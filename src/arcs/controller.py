@@ -22,10 +22,11 @@ from pathlib import Path
 
 from . import planner as planner_mod
 from . import prompting, retrieval
-from .config import DEFAULTS, check_loop_settings, checked
+from .config import Settings
 from .corpus import CorpusSnapshot
 from .embedding import EmbeddingProvider
 from .errors import (
+    ArcsError,
     ConfigError,
     EmbedderMismatchError,
     ModelProposalError,
@@ -139,7 +140,7 @@ class CostReport(JsonRecord):
 class RunDeps:
     """Everything a run needs besides the task.
 
-    ``config`` overrides keys of ``DEFAULTS``, range- and type-checked as a flag is
+    ``config`` overrides fields of ``Settings``, read by ``Settings.of`` as a flag is
     (a ConfigError); the run log holds it once, as given.
     """
 
@@ -196,7 +197,7 @@ class RunLog(JsonRecord):
 
     @property
     def seed(self) -> int:
-        return {**DEFAULTS, **self.config}["seed"]
+        return Settings.of(self.config).seed
 
     @property
     def cost(self) -> CostReport:
@@ -247,8 +248,10 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
     Halts early when a candidate passes every test; otherwise returns the
     candidate with the most tests passed (earliest round on ties). A hard
     model failure consumes its round with an empty candidate; if every round
-    is empty the run raises NoCandidateError carrying the log. A spec with no
-    text is a ConfigError, raised before any model call.
+    is empty the run raises NoCandidateError carrying the log. Any other
+    ArcsError raised in a round ends the run, carrying the log of the rounds
+    finished before it. A spec with no text, or a config that ``Settings.of``
+    refuses, is a ConfigError, raised before any model call.
     """
     if not spec.strip():
         raise ConfigError("the task spec holds no text")
@@ -262,10 +265,8 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
                 f"snapshot embedder {deps.snapshot.embedder_id!r} does not match "
                 f"provided embedder {deps.embedder.embedder_id!r}"
             )
-    cfg = {**DEFAULTS, **deps.config}
-    check_loop_settings(cfg)
-    names = ("temperature", "top_p", "max_output_tokens", "seed")
-    decoding = checked(DecodingParams.from_jsonable, {name: cfg[name] for name in names})
+    cfg = Settings.of(deps.config)
+    decoding = DecodingParams(cfg.temperature, cfg.top_p, cfg.max_output_tokens, cfg.seed)
     calls = itertools.count()
 
     def propose(prompt: prompting.ComposedPrompt) -> tuple[str, Usage]:
@@ -279,71 +280,85 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
     prior: tuple[Plan, ExecutionFeedback] | None = None
     rounds: list[RoundLog] = []
 
-    for t in range(tier.iterations):
-        round_start = time.perf_counter()
-        plan_t: Plan | None = None
-        if tier.planning:
-            plan_t = planner_mod.plan(
-                q_t,
-                propose,
-                prior,
-                max_subgoals=cfg["max_subgoals"],
-                gate_tokens=cfg["plan_gate_tokens"],
-            )
-        evidence = None
-        if tier.k > 0:
-            evidence = retrieval.refresh(
-                q_t,
-                plan_t,
-                tier.k,
-                deps.snapshot,
-                deps.embedder,
-                cfg["delta"],
-                deps.denylist,
-            )
-        composed = prompting.compose(
-            task=spec,
-            plan=plan_t,
-            evidence=evidence,
-            feedback_history=feedback_segments,
-            invariants=invariants_text,
-            environment=environment_text,
-        )
-        composed = prompting.truncate(composed, cfg["input_cap"])
-
-        candidate_raw = usage = program = feedback = None
-        try:
-            candidate_raw, usage = propose(composed)
-        except ModelProposalError as exc:
-            log.warning("round %d: model hard failure (%s); recording an empty round", t, exc)
-        if candidate_raw is not None:
-            program = extract_code(candidate_raw)
-            feedback = deps.executor.execute(program, suite)
-
-        rounds.append(
-            RoundLog(
-                t=t,
-                prompt_state=q_t,
+    try:
+        for t in range(tier.iterations):
+            round_start = time.perf_counter()
+            plan_t: Plan | None = None
+            if tier.planning:
+                plan_t = planner_mod.plan(
+                    q_t,
+                    propose,
+                    prior,
+                    max_subgoals=cfg.max_subgoals,
+                    gate_tokens=cfg.plan_gate_tokens,
+                )
+            evidence = None
+            if tier.k > 0:
+                evidence = retrieval.refresh(
+                    q_t,
+                    plan_t,
+                    tier.k,
+                    deps.snapshot,
+                    deps.embedder,
+                    cfg.delta,
+                    deps.denylist,
+                )
+            composed = prompting.compose(
+                task=spec,
                 plan=plan_t,
-                retrieval=evidence.to_jsonable() if evidence is not None else None,
-                composed_text=composed.text,
-                composed_digest=composed.digest,
-                candidate_raw=candidate_raw,
-                program=program,
-                feedback=feedback,
-                usage=usage,
-                wall_seconds=time.perf_counter() - round_start,
+                evidence=evidence,
+                feedback_history=feedback_segments,
+                invariants=invariants_text,
+                environment=environment_text,
             )
-        )
-        if feedback is None:
-            continue
-        if feedback.all_passed:
-            break
-        segment = encode_feedback(feedback, cfg["max_stack_lines"])
-        feedback_segments.append(segment)
-        q_t = q_t + "\n\n" + segment.text
-        prior = (plan_t, feedback) if plan_t is not None else None
+            composed = prompting.truncate(composed, cfg.input_cap)
 
+            candidate_raw = usage = program = feedback = None
+            try:
+                candidate_raw, usage = propose(composed)
+            except ModelProposalError as exc:
+                log.warning("round %d: model hard failure (%s); recording an empty round", t, exc)
+            if candidate_raw is not None:
+                program = extract_code(candidate_raw)
+                feedback = deps.executor.execute(program, suite)
+
+            rounds.append(
+                RoundLog(
+                    t=t,
+                    prompt_state=q_t,
+                    plan=plan_t,
+                    retrieval=evidence.to_jsonable() if evidence is not None else None,
+                    composed_text=composed.text,
+                    composed_digest=composed.digest,
+                    candidate_raw=candidate_raw,
+                    program=program,
+                    feedback=feedback,
+                    usage=usage,
+                    wall_seconds=time.perf_counter() - round_start,
+                )
+            )
+            if feedback is None:
+                continue
+            if feedback.all_passed:
+                break
+            segment = encode_feedback(feedback, cfg.max_stack_lines)
+            feedback_segments.append(segment)
+            q_t = q_t + "\n\n" + segment.text
+            prior = (plan_t, feedback) if plan_t is not None else None
+    except ArcsError as exc:  # the error ends the run; its log keeps the rounds it finished
+        exc.run_log = _run_log(spec, suite, tier, deps, environment_text, rounds)
+        raise
+    run_log = _run_log(spec, suite, tier, deps, environment_text, rounds)
+    if run_log.outcome["returned_round"] is None:
+        raise NoCandidateError(
+            "no candidate: every round ended with an empty proposal", run_log
+        )
+    return RunResult(program=run_log.outcome["returned_program"], log=run_log)
+
+
+def _run_log(
+    spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps, environment_text: str, rounds: list
+) -> RunLog:
     # the all-pass round that halted the loop is also the earliest maximum
     best = max(
         (round_log for round_log in rounds if round_log.feedback is not None),
@@ -358,7 +373,7 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         "rounds_executed": len(rounds),
         "suite_size": suite.m,
     }
-    run_log = RunLog(
+    return RunLog(
         spec=spec,
         suite=suite,
         tier=tier,
@@ -372,11 +387,6 @@ def run(spec: str, suite: TestSuite, tier: TierConfig, deps: RunDeps) -> RunResu
         rounds=rounds,
         outcome=outcome,
     )
-    if best is None:
-        raise NoCandidateError(
-            "no candidate: every round ended with an empty proposal", run_log
-        )
-    return RunResult(program=best.program, log=run_log)
 
 
 def save_run_log(run_log: RunLog, directory: str | Path) -> Path:

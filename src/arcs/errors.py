@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class ArcsError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. One raised in a run's rounds holds in
+    ``run_log`` the log of the rounds that run finished."""
+
+    run_log = None
 
 
 class ConfigError(ArcsError):

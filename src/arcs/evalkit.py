@@ -76,7 +76,7 @@ def sweep(tasks: Sequence[TaskRecord], tier: TierConfig, deps: RunDeps) -> Sweep
             run_log = run(task.spec, task.suite, tier, deps).log
         except ArcsError as exc:
             log.warning("task %s failed: %s", task.id, exc)
-            run_log, error = getattr(exc, "run_log", None), str(exc)
+            run_log, error = exc.run_log, str(exc)
         report.outcomes.append(
             TaskOutcome(
                 task_id=task.id,

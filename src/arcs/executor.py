@@ -463,7 +463,8 @@ def encode_feedback(
         lines.append(f"[test {detail.test_id}] {detail.kind}")
         lines.append(f"input: {json.dumps(detail.input)}")
         lines.append(f"summary: {detail.summary}")
-        if detail.detail_lines:
+        stack = detail.detail_lines[:max_stack_lines]
+        if stack:
             lines.append("stack:")
-            lines.extend(f"  {line}" for line in detail.detail_lines[:max_stack_lines])
+            lines.extend(f"  {line}" for line in stack)
     return PromptSegment(kind="fb", text="\n".join(lines))

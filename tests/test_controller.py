@@ -25,7 +25,13 @@ from arcs.controller import (
     save_run_log,
 )
 from arcs.embedding import HashingEmbedder
-from arcs.errors import ConfigError, NoCandidateError, ReplayAssetError
+from arcs.errors import (
+    ConfigError,
+    ContextExhaustedError,
+    NoCandidateError,
+    ReplayAssetError,
+    SandboxSetupError,
+)
 from arcs.executor import Executor, InProcessExecutor, ProcessExecutor
 from arcs.model import ScriptedModel
 
@@ -139,6 +145,38 @@ def test_model_hard_failure_consumes_round():
     assert result.log.outcome["passed"] is True
     assert result.log.outcome["returned_round"] == 1
     assert result.log.cost.rounds[0].total == 0.0
+
+
+class SetupFailsOnSecondCall(InProcessExecutor):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def execute(self, program, suite):
+        self.calls += 1
+        if self.calls == 2:
+            raise SandboxSetupError("no workspace")
+        return super().execute(program, suite)
+
+
+@pytest.mark.parametrize(
+    ("error", "executor_type", "config"),
+    [
+        # round 1's feedback quotes the 500-token input, past the input cap
+        (ContextExhaustedError, InProcessExecutor, {"input_cap": 300}),
+        (SandboxSetupError, SetupFailsOnSecondCall, {}),
+    ],
+    ids=["context_exhausted", "sandbox_setup"],
+)
+def test_an_error_that_ends_a_run_carries_the_rounds_it_finished(error, executor_type, config):
+    suite = make_suite((" ".join(["7"] * 500), "never"))
+    deps = RunDeps(model=constant_model("print('y')"), executor=executor_type(), config=config)
+    with pytest.raises(error) as excinfo:
+        run(SPEC, suite, TierConfig(k=0, iterations=3, planning=False), deps)
+    run_log = excinfo.value.run_log
+    assert [round_log.t for round_log in run_log.rounds] == [0]
+    assert run_log.outcome["rounds_executed"] == 1 and run_log.outcome["best_pass_count"] == 0
+    assert run_log.cost.total == 3.0 and run_log.config == config
 
 
 def test_all_rounds_empty_raises_no_candidate_with_log():
@@ -319,11 +357,31 @@ def test_library_config_is_range_checked_like_a_flag():
         ("delta", "x"),
         ("max_subgoals", True),
         ("plan_gate_tokens", "3"),
+        ("max_stack_lines", 2.5),
+        ("max_subgoals", 2.5),
+        ("plan_gate_tokens", 2.5),
+        ("input_cap", 4096.0),
+        ("model", 5),
+        ("sede", 7),
     ]
     for key, value in out_of_range:
-        deps = _deps(buggy_then_fixed_model(), config={key: value})
+        model = CountingModel(buggy_then_fixed_model())
         with pytest.raises(ConfigError, match=key):
-            run(SPEC, sum_suite(), TierConfig(k=0, iterations=2, planning=False), deps)
+            run(SPEC, sum_suite(), TierConfig(k=0, iterations=2, planning=False), _deps(model, config={key: value}))
+        assert model.returned == 0
+
+
+def test_a_config_holding_the_retired_embedder_key_runs_with_its_other_keys():
+    seeds = []
+
+    class SeedRecorder(CountingModel):
+        def propose(self, prompt, params):
+            seeds.append(params.seed)
+            return super().propose(prompt, params)
+
+    deps = _deps(SeedRecorder(buggy_then_fixed_model()), config={"embedder": "hash384", "seed": 3})
+    result = run(SPEC, sum_suite(), TierConfig(k=0, iterations=2, planning=False), deps)
+    assert result.log.outcome["passed"] and seeds == [3, 3] and result.log.seed == 3
 
 
 def test_retrieval_requires_snapshot():

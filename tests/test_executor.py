@@ -806,6 +806,14 @@ def test_encode_feedback_truncates_stack_to_head(executor):
     assert [line.strip() for line in stack_lines] == [line.strip() for line in full[:10]]
 
 
+def test_encode_feedback_without_stack_lines_writes_no_stack_header(executor):
+    feedback = executor.execute(RAISER, make_suite(("", "never")))
+    text = encode_feedback(feedback, max_stack_lines=0).text
+    assert feedback.failures[0].detail_lines
+    assert text.endswith(f"summary: {feedback.failures[0].summary}")
+    assert "stack:" not in text
+
+
 def test_encode_feedback_names_failing_input(executor):
     feedback = executor.execute(OFF_BY_ONE_ON_22, make_suite(("1 2", "3"), ("2 2", "4")))
     text = encode_feedback(feedback).text
