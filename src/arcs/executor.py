@@ -45,11 +45,15 @@ MEMORY_EXCEEDED = "memory_exceeded"
 VERDICTS = (PASS, WRONG_OUTPUT, EXCEPTION, TIMEOUT, MEMORY_EXCEEDED)
 
 _STDERR_KEEP_LINES = 200
-# the line breaks of str.splitlines, a CRLF pair as one
-_LINE_BREAK_RE = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# the line breaks of str.splitlines, each also whitespace to str.strip; a CRLF pair is one break
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK_RE = re.compile(f"\r\n|[{_LINE_BREAKS}]")
 # bytes the process backend keeps of each of a test's stdout and stderr; the child's file-size
 # cap is one byte more, and a test whose output reaches that byte is judged wrong output
 _OUTPUT_CAP = 4 * 1024 * 1024
+# characters of each failing test's input, kind, summary and stack line that feedback quotes:
+# a candidate or a suite can make each as long as it likes, and feedback is never truncated
+FEEDBACK_QUOTE_CHARS = 300
 # the process backend's program file; in-process candidates compile under its name
 _CANDIDATE_FILE = "candidate.py"
 
@@ -148,12 +152,7 @@ def normalize_output(text: str, mode: str = "trim") -> str:
     """Trailing-whitespace-trimmed line-by-line form used for comparison."""
     if mode == "exact":
         return text
-    lines = [line.rstrip() for line in text.splitlines()]
-    while lines and not lines[0]:
-        lines.pop(0)
-    while lines and not lines[-1]:
-        lines.pop()
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in text.splitlines()).strip("\n")
 
 
 def first_difference(expected: str, actual: str) -> str:
@@ -183,13 +182,9 @@ _TRACEBACK_KIND_RE = re.compile(r"^([A-Z][\w.]*)(?::\s|:$|$)")
 
 
 def _last_line(text: str) -> str:
-    """The last non-blank line of ``text``, stripped, or ""; only a tail of ``text`` is copied."""
-    size = 4096
-    while True:
-        lines = text[-size:].rstrip().splitlines()
-        if len(lines) > 1 or size >= len(text):
-            return lines[-1].strip() if lines else ""
-        size *= 8
+    """The last non-blank line of ``text``, stripped, or ""."""
+    text = text.rstrip()
+    return text[max(map(text.rfind, _LINE_BREAKS)) + 1 :].lstrip()
 
 
 def _judge(
@@ -444,6 +439,13 @@ def _exit_status(code, stderr) -> int:
     return 1
 
 
+def quote(text: str, render=str) -> str:
+    """``render`` of ``text``'s first ``FEEDBACK_QUOTE_CHARS`` characters, marked with the count it cut."""
+    dropped = len(text) - FEEDBACK_QUOTE_CHARS
+    marker = f" [{dropped} more characters cut]" if dropped > 0 else ""
+    return render(text[:FEEDBACK_QUOTE_CHARS]) + marker
+
+
 def encode_feedback(
     feedback: ExecutionFeedback, max_stack_lines: int = DEFAULTS["max_stack_lines"]
 ) -> PromptSegment:
@@ -451,8 +453,9 @@ def encode_feedback(
 
     The verdict vector comes first; each failing test then contributes its
     kind, its input, a first-difference or error summary, and at most
-    ``max_stack_lines`` stack/stderr lines (head of stack). Passing tests
-    appear only in the vector. No speculative repair hints.
+    ``max_stack_lines`` stack/stderr lines (head of stack), each quoted to
+    at most ``FEEDBACK_QUOTE_CHARS`` characters. Passing tests appear only
+    in the vector. No speculative repair hints.
     """
     total = len(feedback.verdicts)
     vector = " ".join(
@@ -460,11 +463,11 @@ def encode_feedback(
     )
     lines = [f"tests: {vector} ({feedback.pass_count}/{total} passed)"]
     for detail in feedback.failures:
-        lines.append(f"[test {detail.test_id}] {detail.kind}")
-        lines.append(f"input: {json.dumps(detail.input)}")
-        lines.append(f"summary: {detail.summary}")
+        lines.append(f"[test {detail.test_id}] {quote(detail.kind)}")
+        lines.append(f"input: {quote(detail.input, json.dumps)}")
+        lines.append(f"summary: {quote(detail.summary)}")
         stack = detail.detail_lines[:max_stack_lines]
         if stack:
             lines.append("stack:")
-            lines.extend(f"  {line}" for line in stack)
+            lines.extend(f"  {quote(line)}" for line in stack)
     return PromptSegment(kind="fb", text="\n".join(lines))

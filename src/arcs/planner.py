@@ -10,15 +10,13 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 from .config import DEFAULTS
 from .errors import ModelProposalError
+from .executor import ExecutionFeedback, quote
 from .prompting import PLANNING_MARKER, ComposedPrompt, single_segment_prompt
 from .util import JsonRecord, text_digest, token_count
-
-if TYPE_CHECKING:
-    from .executor import ExecutionFeedback
 
 log = logging.getLogger(__name__)
 
@@ -87,7 +85,7 @@ def canonicalize(subgoals: Sequence[tuple[str, str]]) -> list[tuple[str, str]]:
 def build_planning_prompt(
     q: str,
     max_subgoals: int,
-    prior: "tuple[Plan, ExecutionFeedback] | None" = None,
+    prior: tuple[Plan, ExecutionFeedback] | None = None,
 ) -> str:
     prior_block = ""
     if prior is not None:
@@ -105,13 +103,13 @@ def build_planning_prompt(
     )
 
 
-def failure_summary(feedback: "ExecutionFeedback") -> str:
-    """One line naming observed failures only."""
+def failure_summary(feedback: ExecutionFeedback) -> str:
+    """One line naming observed failures only, each kind quoted as feedback quotes it."""
     total = len(feedback.verdicts)
     if feedback.pass_count == total:
         return f"all {total} tests passed"
     parts = [f"{feedback.pass_count}/{total} tests passed"]
-    parts.extend(f"test {detail.test_id}: {detail.kind}" for detail in feedback.failures)
+    parts.extend(f"test {detail.test_id}: {quote(detail.kind)}" for detail in feedback.failures)
     return "; ".join(parts)
 
 
@@ -156,7 +154,7 @@ def parse_plan_text(text: str) -> tuple[str, str, list[tuple[str, str]]]:
 def plan(
     q: str,
     propose: Callable[[ComposedPrompt], tuple],
-    prior: "tuple[Plan, ExecutionFeedback] | None" = None,
+    prior: tuple[Plan, ExecutionFeedback] | None = None,
     *,
     max_subgoals: int = DEFAULTS["max_subgoals"],
     gate_tokens: int = DEFAULTS["plan_gate_tokens"],

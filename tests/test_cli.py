@@ -354,10 +354,10 @@ def test_a_run_ended_by_an_error_saves_the_rounds_it_finished(tmp_path, task_fil
     assert main(_run_args(tmp_path, task_files, "--budget-b", "3")) == 0
     assert (log_dir / "program.py").is_file()
     spec, _, script = task_files
-    long_suite = tmp_path / "long.json"  # round 1's feedback quotes the input, past the input cap
+    long_suite = tmp_path / "long.json"  # round 1's feedback quotes 150 tokens of it, past the input cap
     long_suite.write_text(json.dumps([{"id": 1, "input": " ".join(["7"] * 500), "expected": "x"}]))
     capsys.readouterr()
-    argv = _run_args(tmp_path, (spec, long_suite, script), "--budget-b", "3", "--input-cap", "300")
+    argv = _run_args(tmp_path, (spec, long_suite, script), "--budget-b", "3", "--input-cap", "200")
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: context exhausted")
     assert sorted(path.name for path in log_dir.iterdir()) == ["manifest.json", "round_000.json"]

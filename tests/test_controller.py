@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import shutil
 import threading
 from itertools import accumulate
@@ -32,7 +33,7 @@ from arcs.errors import (
     ReplayAssetError,
     SandboxSetupError,
 )
-from arcs.executor import Executor, InProcessExecutor, ProcessExecutor
+from arcs.executor import FEEDBACK_QUOTE_CHARS, Executor, InProcessExecutor, ProcessExecutor, encode_feedback
 from arcs.model import ScriptedModel
 
 from helpers import (
@@ -162,8 +163,8 @@ class SetupFailsOnSecondCall(InProcessExecutor):
 @pytest.mark.parametrize(
     ("error", "executor_type", "config"),
     [
-        # round 1's feedback quotes the 500-token input, past the input cap
-        (ContextExhaustedError, InProcessExecutor, {"input_cap": 300}),
+        # round 1's feedback quotes 150 tokens of the 500-token input, past the input cap
+        (ContextExhaustedError, InProcessExecutor, {"input_cap": 200}),
         (SandboxSetupError, SetupFailsOnSecondCall, {}),
     ],
     ids=["context_exhausted", "sandbox_setup"],
@@ -471,6 +472,31 @@ def test_saved_sandbox_run_through_the_network_guard_replays(tmp_path):
     assert set(result.log.rounds[0].feedback.verdicts) == {"exception"}
     loaded = load_run_log(save_run_log(result.log, tmp_path / "log"))
     assert compare_run_logs(loaded, replay(loaded, deps)) == []
+
+
+# what a feedback line adds around the field it quotes, and the mark of a cut quote
+_FEEDBACK_PREFIX = re.compile(r"^(\[test \d+\] |input: |summary: |stack:|  )")
+_CUT_MARK = re.compile(r" \[\d+ more characters cut\]$")
+
+
+@pytest.mark.parametrize(
+    "program, given, expected",
+    [
+        ("print(0)", " ".join(map(str, range(5000))), str(sum(range(5000)))),
+        ("raise ValueError(' '.join(['word'] * 6000))", "1 2", "3"),
+        ("print(' '.join(['word'] * 6000))", "1 2", "3"),
+    ],
+    ids=["long_input", "long_exception_message", "long_wrong_line"],
+)
+def test_a_long_failure_field_is_quoted_within_the_bound(program, given, expected):
+    # each field quoted whole holds more tokens than the small tier's input cap of 4,096
+    deps = RunDeps(model=constant_model(program), executor=ProcessExecutor())
+    result = run(SPEC, make_suite((given, expected)), TierConfig.named("small", iterations=3), deps)
+    assert len(result.log.rounds) == 3
+    for round_log in result.log.rounds:
+        for line in encode_feedback(round_log.feedback).text.splitlines()[1:]:
+            field = _CUT_MARK.sub("", _FEEDBACK_PREFIX.sub("", line))
+            assert len(field) <= FEEDBACK_QUOTE_CHARS + len('""')  # an input is quoted as JSON
 
 
 class _HoldingExecutor(Executor):

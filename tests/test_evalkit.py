@@ -88,10 +88,10 @@ def test_sweep_records_a_blank_spec_and_runs_the_other_task():
 
 
 def test_sweep_reads_cost_and_rounds_from_a_run_an_error_ended():
-    # round 1's feedback quotes the 500-token input, past the input cap
+    # round 1's feedback quotes 150 tokens of the 500-token input, past the input cap
     task = TaskRecord(id="long", spec="Print y.", suite=make_suite((" ".join(["7"] * 500), "x")))
     model = ScriptedModel([{"response": fenced("print('y')")}])
-    deps = RunDeps(model=model, executor=InProcessExecutor(), config={"input_cap": 300})
+    deps = RunDeps(model=model, executor=InProcessExecutor(), config={"input_cap": 200})
     (outcome,) = sweep([task], TierConfig(k=0, iterations=3), deps).outcomes
     assert outcome.error.startswith("context exhausted")
     assert (outcome.cost_total, outcome.rounds_used, outcome.trajectory) == (3.0, 1, [0])

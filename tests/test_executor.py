@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import signal
@@ -23,14 +24,18 @@ from arcs.executor import (
     _OUTPUT_CAP,
     _STDERR_KEEP_LINES,
     EXCEPTION,
+    FEEDBACK_QUOTE_CHARS,
     MEMORY_EXCEEDED,
     PASS,
     TIMEOUT,
     WRONG_OUTPUT,
+    ExecutionFeedback,
+    FailureDetail,
     InProcessExecutor,
     ProcessExecutor,
     ResourceCaps,
     _judge,
+    _last_line,
     encode_feedback,
     first_difference,
     load_suite,
@@ -615,6 +620,45 @@ def test_normalize_and_first_difference():
     assert first_difference("a", "a\nb") == "expected 1 line(s), got 2"
 
 
+def _normalize_by_pops(text: str) -> str:
+    """The trim mode as first written: strip each line's end, then pop blank lines off both ends."""
+    lines = [line.rstrip() for line in text.splitlines()]
+    while lines and not lines[0]:
+        lines.pop(0)
+    while lines and not lines[-1]:
+        lines.pop()
+    return "\n".join(lines)
+
+
+# letters, blanks that break no line, and every line break of str.splitlines, CRLF included
+_TEXTS = st.lists(
+    st.sampled_from(["a", "Z", " ", "\t", "\xa0", "\x1f", "\u3000", "\r\n", *"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"]),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TEXTS)
+def test_the_judges_text_helpers_keep_their_line_by_line_definitions(text):
+    assert normalize_output(text) == _normalize_by_pops(text)
+    named = [line.strip() for line in text.splitlines() if line.strip()]
+    assert _last_line(text) == (named[-1] if named else "")
+
+
+def test_leading_blank_lines_are_dropped_in_linear_time():
+    started = time.perf_counter()
+    assert normalize_output("\n" * 400_000 + "x") == "x"
+    assert time.perf_counter() - started < 2.0
+
+
+def test_an_output_of_blank_lines_up_to_the_cap_is_judged_in_linear_time():
+    program = f"import sys\nsys.stdout.write('\\n' * {_OUTPUT_CAP - 1} + 'x')"
+    started = time.perf_counter()
+    feedback = ProcessExecutor(caps=ResourceCaps(wall_seconds=10.0)).execute(program, make_suite(("", "x")))
+    assert feedback.verdicts == (PASS,)
+    assert time.perf_counter() - started < 5.0
+
+
 def test_exit_code_nonzero_is_exception(executor):
     program = "import sys\nsys.exit(3)"
     feedback = executor.execute(program, make_suite(("", "")))
@@ -679,6 +723,7 @@ PARITY_PROGRAMS = {
     ),
     "stderr_buffer": 'import sys\nsys.stderr.buffer.write(b"x")\nprint(3)',
     "long_stderr_then_raise": LONG_STDERR_THEN_RAISE,
+    "leading_blank_lines": "import sys\nsys.stdout.write('\\n' * 100_000)\nprint(eval(input().replace(' ', '*')))",
 }
 
 
@@ -821,3 +866,21 @@ def test_encode_feedback_names_failing_input(executor):
     assert 'input: "2 2"' in text
     assert "summary: line 1: expected '4' got '5'" in text
     assert "[test 1]" not in text
+
+
+def test_encode_feedback_quotes_at_most_the_bound_of_each_field():
+    words = "word " * 3000
+    whole = "x" * FEEDBACK_QUOTE_CHARS
+    detail = FailureDetail(7, words, "A" * 100_000, words, (words, whole))
+    feedback = ExecutionFeedback((7,), (EXCEPTION,), 0, (detail,), (0.0,))
+    kept = words[:FEEDBACK_QUOTE_CHARS]
+    cut = f" [{len(words) - FEEDBACK_QUOTE_CHARS} more characters cut]"
+    assert encode_feedback(feedback).text.splitlines() == [
+        "tests: 7:exception (0/1 passed)",
+        f"[test 7] {'A' * FEEDBACK_QUOTE_CHARS} [{100_000 - FEEDBACK_QUOTE_CHARS} more characters cut]",
+        f"input: {json.dumps(kept)}{cut}",
+        f"summary: {kept}{cut}",
+        "stack:",
+        f"  {kept}{cut}",
+        f"  {whole}",
+    ]

@@ -11,13 +11,14 @@ from arcs.planner import (
     build_planning_prompt,
     canonical_name,
     canonicalize,
+    failure_summary,
     parse_plan_text,
     plan,
     token_count,
 )
-from arcs.executor import ExecutionFeedback, FailureDetail
+from arcs.executor import FEEDBACK_QUOTE_CHARS, ExecutionFeedback, FailureDetail, ProcessExecutor
 
-from helpers import PLAN_ANSWER, long_spec
+from helpers import PLAN_ANSWER, long_spec, make_suite
 
 
 def _plan_model(answer=PLAN_ANSWER):
@@ -135,3 +136,13 @@ def test_replan_prompt_carries_prior_headers_and_failures():
     assert "PRIOR SUBGOALS: parse input" in prompt
     assert "1/2 tests passed" in prompt
     assert "test 2: ValueError" in prompt
+
+
+def test_failure_summary_quotes_a_kind_within_the_feedback_bound():
+    program = "import sys\nsys.stderr.write('A' * 100_000)\nsys.exit(1)"
+    feedback = ProcessExecutor().execute(program, make_suite(("", "x")))
+    assert feedback.failures[0].kind == "A" * 100_000
+    dropped = 100_000 - FEEDBACK_QUOTE_CHARS
+    assert failure_summary(feedback) == (
+        f"0/1 tests passed; test 1: {'A' * FEEDBACK_QUOTE_CHARS} [{dropped} more characters cut]"
+    )
